@@ -50,7 +50,6 @@ from .ising import (
     IsingProblem,
     apply_gauge,
     augment,
-    build_couplings,
     build_couplings_from_signs,
     effective_problem,
     energy,

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -40,6 +39,7 @@ from .evaluate import (
     scores_by_process,
 )
 from .features import FeaturePipeline, fit_feature_pipeline, variable_set
+from .ising import keep_count
 from .solver import AnnealSchedule, ChainConfig
 from .zoom import TrainedModel, ZoomConfig, run_qamlz
 
@@ -279,18 +279,12 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
     return 0
 
 
-def post_prune_couplers(n_var: int, offset_range: int, cutoff_pct: float) -> int:
-    n_spins = n_var * (2 * offset_range + 1)
-    m = n_spins * (n_spins - 1) // 2
-    return math.ceil((1.0 - cutoff_pct / 100.0) * m)
-
-
 def _scan_point(args: tuple) -> tuple:
     """One grid point, executed possibly in a worker process."""
     (split, pipeline, cfg, seed, solver, point, n_runs, budget) = args
     delta, offset_range, cutoff_pct, fixing = point
-    needed = post_prune_couplers(pipeline.n_var, offset_range, cutoff_pct)
-    if needed > budget:
+    n_spins = pipeline.n_var * (2 * offset_range + 1)
+    if keep_count(n_spins * (n_spins - 1) // 2, cutoff_pct) > budget:
         return (delta, offset_range, cutoff_pct, fixing, "", "", "no embedding")
     zcfg = dataclasses.replace(
         zoom_config(cfg, seed, solver),

@@ -6,6 +6,12 @@ quadratic coupling sums from which the per-iteration problem fields and
 couplers follow. Pruning, provably-sound variable fixing and gauge
 relabelings operate on the resulting problems.
 
+An `IsingProblem` stores its couplers as sorted arrays: (i, j) pairs with
+i < j in lexicographic order next to their float64 values. Every operation
+works on those arrays and keeps the order, so pruning is one lexsort, a
+gauge is one elementwise product, and per-spin sums (annealing scale,
+fixing strength) add in ascending neighbour order.
+
 Sign convention: sgn(0) = +1 everywhere.
 """
 
@@ -18,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .dataset import Dataset
 from .features import WeakClassifierSet
 
 
@@ -146,19 +151,6 @@ def build_couplings_from_signs(
     )
 
 
-def build_couplings(aug: AugmentedClassifierSet, train: Dataset) -> CouplingMatrices:
-    """Coupling sums for a training sample, evaluating the base classifiers directly.
-
-    When the classifier bank was fitted through a larger pipeline (derived
-    columns, PCA), transform the sample first and use
-    `build_couplings_from_signs` on the resulting h matrix.
-    """
-    if len(train) == 0:
-        raise DataError("cannot build couplings from an empty sample")
-    h = aug.base.evaluate_matrix(train.matrix(aug.base.var_names))
-    return build_couplings_from_signs(aug.signs_from_h(h), train.tags, train.weights, aug.n_var)
-
-
 # ---------------------------------------------------------------------------
 # Ising problems
 # ---------------------------------------------------------------------------
@@ -166,56 +158,73 @@ def build_couplings(aug: AugmentedClassifierSet, train: Dataset) -> CouplingMatr
 
 @dataclass(frozen=True)
 class IsingProblem:
-    """Fields h and upper-triangular couplers J of sum h_i s_i + sum_{i<j} J_ij s_i s_j."""
+    """Fields h and couplers J of sum_i h_i s_i + sum_{i<j} J_ij s_i s_j.
+
+    The couplers are two read-only arrays: `pairs`, (m, 2) int64 rows (i, j)
+    with i < j in strictly increasing lexicographic order, and `values`, the
+    (m,) float64 couplers. A stored coupler whose value is 0.0 is still a
+    coupler: it counts in `n_couplers`, is written to the wire format and is a
+    neighbour for fixing.
+    """
 
     h: np.ndarray
-    j: Mapping[tuple[int, int], float]
+    pairs: np.ndarray
+    values: np.ndarray
     lam: float = 0.0
-    n_spins: int = 0
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        n = self.n_spins or len(h)
-        object.__setattr__(self, "n_spins", n)
-        if len(h) != n:
-            raise ConfigError("field vector length does not match n_spins")
-        if not np.isfinite(h).all():
-            raise ConfigError("fields must be finite")
-        for (a, b), v in self.j.items():
-            if not (0 <= a < b < n):
-                raise ConfigError(f"coupler key ({a},{b}) must satisfy 0 <= i < j < n")
-            if not math.isfinite(v):
-                raise ConfigError(f"coupler ({a},{b}) is not finite")
+        h = np.ascontiguousarray(self.h, dtype=np.float64)
+        pairs = np.ascontiguousarray(self.pairs, dtype=np.int64)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        for name, arr in (("h", h), ("pairs", pairs), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if h.ndim != 1 or not np.isfinite(h).all():
+            raise ConfigError("fields must be a finite vector")
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or values.shape != (len(pairs),):
+            raise ConfigError("couplers need an (m, 2) pair array and m values")
+        n = len(h)
+        i, j = pairs.T
+        if not ((0 <= i) & (i < j) & (j < n)).all():
+            raise ConfigError("coupler pairs must satisfy 0 <= i < j < n")
+        if not (np.diff(i * n + j) > 0).all():
+            raise ConfigError("coupler pairs must be unique and sorted by (i, j)")
+        if not np.isfinite(values).all():
+            raise ConfigError("couplers must be finite")
+
+    @property
+    def n_spins(self) -> int:
+        return len(self.h)
 
     @property
     def n_couplers(self) -> int:
-        return len(self.j)
+        return len(self.values)
 
     def dense_couplers(self) -> np.ndarray:
         """Symmetric coupler matrix with zero diagonal."""
         m = np.zeros((self.n_spins, self.n_spins))
-        for (a, b), v in self.j.items():
-            m[a, b] = m[b, a] = v
+        i, j = self.pairs.T
+        m[i, j] = m[j, i] = self.values
         return m
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every coupler seen from both ends, as (spin, neighbour, value)
+        arrays sorted by spin, then neighbour: per-spin sums accumulated in
+        this order add in ascending neighbour order."""
+        i, j = self.pairs.T
+        spin, nb = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((nb, spin))
+        return spin[order], nb[order], np.concatenate([self.values, self.values])[order]
 
     def to_dict(self) -> dict:
         return {
             "n": self.n_spins,
-            "h": [float(v) for v in self.h],
-            "J": [[int(a), int(b), float(v)] for (a, b), v in sorted(self.j.items())],
+            "h": self.h.tolist(),
+            "J": [[a, b, v] for (a, b), v in zip(self.pairs.tolist(), self.values.tolist())],
             "lambda": self.lam,
         }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "IsingProblem":
-        return cls(
-            h=np.asarray(doc["h"], dtype=np.float64),
-            j={(int(a), int(b)): float(v) for a, b, v in doc.get("J", [])},
-            lam=float(doc.get("lambda", 0.0)),
-            n_spins=int(doc["n"]),
-        )
 
 
 def effective_problem(
@@ -242,35 +251,28 @@ def effective_problem(
     if not include_self_coupling:
         pair = pair - np.diag(np.diag(pair))
     h = lam + sigma * (-cm.tag_sums + pair @ mu)
-    n = cm.n_spins
-    iu, ju = np.triu_indices(n, k=1)
-    vals = cm.pair_sums[iu, ju] * sigma * sigma
-    j = {(int(a), int(b)): float(v) for a, b, v in zip(iu, ju, vals)}
-    return IsingProblem(h=h, j=j, lam=lam, n_spins=n)
+    iu, ju = np.triu_indices(cm.n_spins, k=1)
+    return IsingProblem(h=h, pairs=np.column_stack([iu, ju]),
+                        values=cm.pair_sums[iu, ju] * sigma * sigma, lam=lam)
 
 
 def energy(p: IsingProblem, spins: Sequence[int] | np.ndarray) -> float:
-    """Exact double-precision energy of one spin configuration."""
+    """Energy of one spin configuration."""
     s = np.asarray(spins)
     if s.shape != (p.n_spins,):
         raise ConfigError(f"spin vector must have length {p.n_spins}")
     if not np.isin(s, (-1, 1)).all():
         raise ConfigError("spins must be +1 or -1")
-    s = s.astype(np.float64)
-    e = float(p.h @ s)
-    for (a, b), v in p.j.items():
-        e += v * s[a] * s[b]
-    return e
+    return float(energies_batch(p, s[None, :])[0])
 
 
 def energies_batch(p: IsingProblem, spins: np.ndarray) -> np.ndarray:
     """Energies of a (n_configs, n_spins) batch of +-1 configurations."""
     s = np.asarray(spins, dtype=np.float64)
     e = s @ p.h
-    if p.j:
-        keys = np.array(sorted(p.j), dtype=np.int64)
-        vals = np.array([p.j[(a, b)] for a, b in map(tuple, keys)])
-        e = e + (s[:, keys[:, 0]] * s[:, keys[:, 1]]) @ vals
+    if p.n_couplers:
+        i, j = p.pairs.T
+        e = e + (s[:, i] * s[:, j]) @ p.values
     return e
 
 
@@ -279,21 +281,25 @@ def energies_batch(p: IsingProblem, spins: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def keep_count(n_couplers: int, cutoff_pct: float) -> int:
+    """Couplers a `cutoff_pct` prune keeps out of `n_couplers`: ceil((1 - cutoff/100)*M)."""
+    return math.ceil((1.0 - cutoff_pct / 100.0) * n_couplers)
+
+
 def prune(p: IsingProblem, cutoff_pct: float) -> IsingProblem:
-    """Keep the ceil((1 - cutoff/100)*M) largest-magnitude couplers.
+    """Keep the `keep_count` largest-magnitude couplers.
 
     Ties are broken by ascending (i, j) so nested cutoffs retain nested
     coupler sets. Fields are untouched.
     """
     if not 0.0 <= cutoff_pct <= 100.0:
         raise ConfigError("cutoff percentage must be in [0, 100]")
-    m = p.n_couplers
-    keep = math.ceil((1.0 - cutoff_pct / 100.0) * m)
-    if keep >= m:
+    keep = keep_count(p.n_couplers, cutoff_pct)
+    if keep >= p.n_couplers:
         return p
-    ranked = sorted(p.j.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    kept = dict(sorted(ranked[:keep]))
-    return IsingProblem(h=p.h, j=kept, lam=p.lam, n_spins=p.n_spins)
+    i, j = p.pairs.T
+    kept = np.sort(np.lexsort((j, i, -np.abs(p.values)))[:keep])
+    return IsingProblem(h=p.h, pairs=p.pairs[kept], values=p.values[kept], lam=p.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -306,43 +312,39 @@ def fix_variables(p: IsingProblem) -> tuple[dict[int, int], IsingProblem]:
     pinned to -sgn(h_i), folded into its neighbours' fields, and the rule is
     re-applied to a fixpoint. Every assignment holds in all ground states.
 
-    The reduced problem re-indexes the surviving spins in ascending original
-    order; `expand_solution` maps a reduced solution back.
+    Each pass visits its frontier in ascending spin order and sums |J_ij| in
+    ascending neighbour order. The reduced problem re-indexes the surviving
+    spins in ascending original order; `expand_solution` maps a reduced
+    solution back.
     """
     n = p.n_spins
-    h = p.h.astype(np.float64).copy()
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for (a, b), v in p.j.items():
-        adj[a][b] = v
-        adj[b][a] = v
-    alive = set(range(n))
+    h = p.h.copy()
+    spin, nbs, vals = p.adjacency()
+    start = np.searchsorted(spin, np.arange(n + 1))
+    alive = np.ones(n, dtype=bool)
     assignments: dict[int, int] = {}
-    frontier = set(alive)
-    while frontier:
-        next_frontier = set()
-        for i in sorted(frontier):
-            if i not in alive:
+    frontier = alive.copy()
+    while frontier.any():
+        touched = np.zeros(n, dtype=bool)
+        for i in np.flatnonzero(frontier):
+            if not alive[i]:
                 continue
-            strength = sum(abs(v) for v in adj[i].values())
+            nb, v = nbs[start[i]:start[i + 1]], vals[start[i]:start[i + 1]]
+            live = alive[nb]
+            nb, v = nb[live], v[live]
+            # cumsum adds in order; np.sum's pairwise order would round differently
+            strength = np.cumsum(np.abs(v))[-1] if len(v) else 0.0
             if abs(h[i]) > strength:
                 s = -1 if h[i] >= 0 else 1  # -sgn(h_i), sgn(0) = +1
-                assignments[i] = s
-                alive.discard(i)
-                for nb, v in adj[i].items():
-                    h[nb] += v * s
-                    del adj[nb][i]
-                    next_frontier.add(nb)
-                adj[i] = {}
-        frontier = next_frontier
-    keep = sorted(alive)
-    remap = {old: new for new, old in enumerate(keep)}
-    reduced = IsingProblem(
-        h=h[keep],
-        j={(remap[a], remap[b]): v
-           for (a, b), v in p.j.items() if a in alive and b in alive},
-        lam=p.lam,
-        n_spins=len(keep),
-    )
+                assignments[int(i)] = s
+                alive[i] = False
+                h[nb] += v * s
+                touched[nb] = True
+        frontier = touched
+    both_alive = alive[p.pairs].all(axis=1)
+    new_index = np.cumsum(alive) - 1
+    reduced = IsingProblem(h=h[alive], pairs=new_index[p.pairs[both_alive]],
+                           values=p.values[both_alive], lam=p.lam)
     return assignments, reduced
 
 
@@ -375,12 +377,8 @@ def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
     if g.shape != (p.n_spins,) or not np.isin(g, (-1, 1)).all():
         raise ConfigError("gauge must be a +-1 vector matching the problem size")
     gf = g.astype(np.float64)
-    return IsingProblem(
-        h=p.h * gf,
-        j={(a, b): float(v * gf[a] * gf[b]) for (a, b), v in p.j.items()},
-        lam=p.lam,
-        n_spins=p.n_spins,
-    )
+    i, j = p.pairs.T
+    return IsingProblem(h=p.h * gf, pairs=p.pairs, values=p.values * gf[i] * gf[j], lam=p.lam)
 
 
 def ungauge(spins: np.ndarray, gauge: np.ndarray) -> np.ndarray:

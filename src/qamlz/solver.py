@@ -76,12 +76,10 @@ class AnnealSchedule:
         from the problem scale when not set explicitly."""
         hot = self.t_hot
         if hot is None:
-            scale = float(np.abs(p.h).max(initial=0.0))
-            row = np.zeros(p.n_spins)
-            for (a, b), v in p.j.items():
-                row[a] += abs(v)
-                row[b] += abs(v)
-            scale = float(max(scale, (np.abs(p.h) + row).max(initial=0.0)))
+            spin, _, v = p.adjacency()
+            # bincount adds in input order: ascending neighbour order per spin
+            row = np.bincount(spin, weights=np.abs(v), minlength=p.n_spins)
+            scale = float((np.abs(p.h) + row).max(initial=0.0))
             hot = 2.0 * scale if scale > 0 else 1.0
             hot = max(hot, self.t_cold * 10.0)
         ratio = (self.t_cold / hot) ** (1.0 / (self.sweeps - 1))
@@ -248,19 +246,17 @@ def expand_chains(p: IsingProblem, cc: ChainConfig, strength: float | None = Non
     the last spin of the lower chain and the first spin of the upper chain."""
     length = cc.length
     r = strength if strength is not None else cc.strength
-    max_j = max((abs(v) for v in p.j.values()), default=0.0)
+    max_j = float(np.abs(p.values).max(initial=0.0))
     chain_coupling = -r * max_j  # negative = ferromagnetic, aligned spins favoured
-    n_phys = p.n_spins * length
     h = np.repeat(p.h / length, length)
-    j: dict[tuple[int, int], float] = {}
+    pairs = p.pairs * length + np.array([length - 1, 0])
+    values = p.values
     if length > 1 and chain_coupling != 0.0:
-        for i in range(p.n_spins):
-            base = i * length
-            for k in range(length - 1):
-                j[(base + k, base + k + 1)] = chain_coupling
-    for (a, b), v in p.j.items():
-        j[(a * length + length - 1, b * length)] = v
-    return IsingProblem(h=h, j=j, lam=p.lam, n_spins=n_phys)
+        first = (np.arange(p.n_spins)[:, None] * length + np.arange(length - 1)).ravel()
+        pairs = np.concatenate([np.column_stack([first, first + 1]), pairs])
+        values = np.concatenate([np.full(len(first), chain_coupling), values])
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return IsingProblem(h=h, pairs=pairs[order], values=values[order], lam=p.lam)
 
 
 def decode_chains(
@@ -322,27 +318,35 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     """Validate a reply of the form {"samples": [{"spins": [+-1...], "energy": f}]}.
 
     Reported energies must match the problem's own evaluation to 1e-9. This is
-    the wire format a hardware- or service-backed solver must speak.
+    the wire format a hardware- or service-backed solver must speak. Any
+    malformed reply raises `DataError` naming the first bad sample.
     """
-    samples = doc.get("samples")
+    samples = doc.get("samples") if isinstance(doc, Mapping) else None
     if not isinstance(samples, list) or not samples:
         raise DataError("solver reply must carry a non-empty `samples` list")
     spins = np.empty((len(samples), p.n_spins), dtype=np.int8)
+    reported = np.empty(len(samples))
     for k, rec in enumerate(samples):
-        s = np.asarray(rec.get("spins", ()), dtype=np.int64)
+        try:
+            s = np.asarray(rec["spins"], dtype=np.float64)
+            reported[k] = float(rec["energy"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"sample {k}: needs `spins` and a numeric `energy` ({exc!r})") from exc
         if s.shape != (p.n_spins,) or not np.isin(s, (-1, 1)).all():
             raise DataError(f"sample {k}: spins must be a +-1 vector of length {p.n_spins}")
         spins[k] = s
-        reported = float(rec["energy"])
-        actual = float(energies_batch(p, s[None, :])[0])
-        if abs(reported - actual) > 1e-9:
-            raise DataError(
-                f"sample {k}: reported energy {reported} is not the problem energy {actual}"
-            )
     energies = energies_batch(p, spins)
-    return _sorted_result(spins, energies,
-                          broken_chain_fraction=float(doc.get("broken_chain_fraction", 0.0)),
-                          solver="external")
+    bad = np.flatnonzero(~(np.abs(reported - energies) <= 1e-9))  # NaN is bad
+    if len(bad):
+        k = bad[0]
+        raise DataError(
+            f"sample {k}: reported energy {reported[k]} is not the problem energy {energies[k]}"
+        )
+    try:
+        broken = float(doc.get("broken_chain_fraction", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"broken_chain_fraction is not a number ({exc!r})") from exc
+    return _sorted_result(spins, energies, broken_chain_fraction=broken, solver="external")
 
 
 def solve_external(p: IsingProblem, command: Sequence[str],

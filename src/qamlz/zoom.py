@@ -226,7 +226,6 @@ def zoom_update(mu: np.ndarray, spins: np.ndarray, sigma: float) -> np.ndarray:
 
 def flip_step(
     mu_prev: np.ndarray,
-    mu_cand: np.ndarray,
     spins: np.ndarray,
     couplings: CouplingMatrices,
     sigma: float,
@@ -243,10 +242,8 @@ def flip_step(
     "worsens" the objective as returned), the flip is applied with probability
     p_flip(t). Stage 2 flips every spin independently with probability
     q_flip(t). Exactly one uniform per spin and stage is drawn, in index
-    order, so the stream does not depend on the data. `mu_cand` is unused by
-    this rule but kept in the signature for alternative strategies.
+    order, so the stream does not depend on the data.
     """
-    del mu_cand
     p = _at(p_flip, t)
     q = _at(q_flip, t)
     mu_prev = np.asarray(mu_prev, dtype=np.float64)
@@ -361,10 +358,8 @@ def run_qamlz(
                     ]
                 for si, s_full in enumerate(states):
                     rng_flip = np.random.default_rng((cfg.seed, _K_FLIP, t, ci, k, si))
-                    s_rand = flip_step(
-                        mu, zoom_update(mu, s_full, sigma), s_full, cm, sigma, t,
-                        cfg.p_flip, cfg.q_flip, rng_flip, lam=cfg.lam,
-                    )
+                    s_rand = flip_step(mu, s_full, cm, sigma, t, cfg.p_flip, cfg.q_flip,
+                                       rng_flip, lam=cfg.lam)
                     mu_new = zoom_update(mu, s_rand, sigma)
                     pooled.setdefault(mu_new.tobytes(), mu_new)
         scored = sorted(

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qamlz import IsingProblem
+
+
+def make_problem(h, couplers: dict, lam: float = 0.0) -> IsingProblem:
+    """Problem from fields and a {(i, j): value} coupler mapping with i < j."""
+    keys = sorted(couplers)
+    return IsingProblem(h=np.asarray(h, dtype=np.float64), pairs=np.array(keys, dtype=np.int64),
+                        values=np.array([couplers[k] for k in keys], dtype=np.float64), lam=lam)
+
+
+def coupler_dict(problem: IsingProblem) -> dict:
+    """{(i, j): value} of a problem's couplers, read from its wire format."""
+    return {(a, b): v for a, b, v in problem.to_dict()["J"]}
 
 
 def random_problem(rng: np.random.Generator, n: int, coupler_density: float = 1.0,
@@ -19,7 +32,7 @@ def random_problem(rng: np.random.Generator, n: int, coupler_density: float = 1.
         for b in range(a + 1, n):
             if rng.random() < coupler_density:
                 j[(a, b)] = float(rng.uniform(-scale, scale))
-    return IsingProblem(h=h, j=j, n_spins=n)
+    return make_problem(h, j)
 
 
 def brute_force_energy(problem: IsingProblem, spins) -> float:
@@ -27,7 +40,7 @@ def brute_force_energy(problem: IsingProblem, spins) -> float:
     total = 0.0
     for i in range(problem.n_spins):
         total += float(problem.h[i]) * spins[i]
-    for (a, b), v in problem.j.items():
+    for (a, b), v in coupler_dict(problem).items():
         total += v * spins[a] * spins[b]
     return total
 
@@ -43,6 +56,89 @@ def brute_force_ground_states(problem: IsingProblem, tol: float = 1e-9):
         elif abs(e - best) <= tol:
             states.append(cfg)
     return best, states
+
+
+# ---------------------------------------------------------------------------
+# Dict-loop references: the coupler-mapping implementations the array-backed
+# problem replaced, kept to pin the array code bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_prune(problem: IsingProblem, cutoff_pct: float) -> list:
+    """Kept couplers as [i, j, value] rows in (i, j) order."""
+    j = coupler_dict(problem)
+    keep = math.ceil((1.0 - cutoff_pct / 100.0) * len(j))
+    ranked = sorted(j.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    return [[a, b, v] for (a, b), v in sorted(ranked[:keep])]
+
+
+def reference_apply_gauge(problem: IsingProblem, gauge) -> tuple[list, list]:
+    """Gauged fields and [i, j, value] coupler rows."""
+    gf = np.asarray(gauge).astype(np.float64)
+    h = problem.h * gf
+    j = [[a, b, float(v * gf[a] * gf[b])] for (a, b), v in coupler_dict(problem).items()]
+    return [float(v) for v in h], j
+
+
+def reference_fix_variables(problem: IsingProblem) -> tuple[dict, list, list]:
+    """Assignments in fixing order, reduced fields and reduced coupler rows."""
+    n = problem.n_spins
+    couplers = coupler_dict(problem)
+    h = problem.h.astype(np.float64).copy()
+    adj: dict[int, dict[int, float]] = {i: {} for i in range(n)}
+    for (a, b), v in couplers.items():
+        adj[a][b] = v
+        adj[b][a] = v
+    alive = set(range(n))
+    assignments: dict[int, int] = {}
+    frontier = set(alive)
+    while frontier:
+        next_frontier = set()
+        for i in sorted(frontier):
+            if i not in alive:
+                continue
+            strength = sum(abs(v) for v in adj[i].values())
+            if abs(h[i]) > strength:
+                s = -1 if h[i] >= 0 else 1
+                assignments[i] = s
+                alive.discard(i)
+                for nb, v in adj[i].items():
+                    h[nb] += v * s
+                    del adj[nb][i]
+                    next_frontier.add(nb)
+                adj[i] = {}
+        frontier = next_frontier
+    keep = sorted(alive)
+    remap = {old: new for new, old in enumerate(keep)}
+    j = [[remap[a], remap[b], v] for (a, b), v in couplers.items()
+         if a in alive and b in alive]
+    return assignments, [float(v) for v in h[keep]], j
+
+
+def reference_energies(problem: IsingProblem, spins) -> np.ndarray:
+    """Batch energies with the coupler keys sorted on every call."""
+    couplers = coupler_dict(problem)
+    s = np.asarray(spins, dtype=np.float64)
+    e = s @ problem.h
+    if couplers:
+        keys = np.array(sorted(couplers), dtype=np.int64)
+        vals = np.array([couplers[(a, b)] for a, b in map(tuple, keys)])
+        e = e + (s[:, keys[:, 0]] * s[:, keys[:, 1]]) @ vals
+    return e
+
+
+def reference_t_hot(sched, problem: IsingProblem) -> float:
+    """Hot end of the annealing ladder from per-spin |J| row sums."""
+    if sched.t_hot is not None:
+        return sched.t_hot
+    scale = float(np.abs(problem.h).max(initial=0.0))
+    row = np.zeros(problem.n_spins)
+    for (a, b), v in coupler_dict(problem).items():
+        row[a] += abs(v)
+        row[b] += abs(v)
+    scale = float(max(scale, (np.abs(problem.h) + row).max(initial=0.0)))
+    hot = 2.0 * scale if scale > 0 else 1.0
+    return max(hot, sched.t_cold * 10.0)
 
 
 @pytest.fixture

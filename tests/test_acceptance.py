@@ -57,7 +57,7 @@ def _random_problem(rng, n, scale=1.0):
     h = rng.uniform(-scale, scale, size=n)
     j = {(a, b): float(rng.uniform(-scale, scale))
          for a in range(n) for b in range(a + 1, n)}
-    return IsingProblem(h=h, j=j, n_spins=n)
+    return IsingProblem(h=h, pairs=list(j), values=list(j.values()))
 
 
 def _independent_min_energy(problem) -> float:
@@ -67,7 +67,7 @@ def _independent_min_energy(problem) -> float:
     e = np.zeros(len(spins))
     for i in range(n):
         e += problem.h[i] * spins[:, i]
-    for (a, b), v in problem.j.items():
+    for (a, b), v in zip(problem.pairs, problem.values):
         e += v * spins[:, a] * spins[:, b]
     return float(e.min())
 
@@ -78,7 +78,7 @@ def _all_ground_states(problem, tol=1e-9):
     e = np.zeros(len(spins))
     for i in range(n):
         e += problem.h[i] * spins[:, i]
-    for (a, b), v in problem.j.items():
+    for (a, b), v in zip(problem.pairs, problem.values):
         e += v * spins[:, a] * spins[:, b]
     return spins[e <= e.min() + tol].astype(np.int8)
 
@@ -290,7 +290,7 @@ def test_09_variable_fixing_soundness():
         h = np.asarray(p.h).copy()
         boost = rng.integers(0, n, size=max(1, n // 3))
         h[boost] *= 10.0
-        p = IsingProblem(h=h, j=p.j, n_spins=n)
+        p = IsingProblem(h=h, pairs=p.pairs, values=p.values)
         assignments, _ = fix_variables(p)
         fixed_total += len(assignments)
         if not assignments:
@@ -306,7 +306,7 @@ def test_09_variable_fixing_soundness():
 def test_10_pruning_and_chain_properties():
     rng = np.random.default_rng(RNG_SEED + 4)
     p = _random_problem(rng, 10)
-    kept = [set(prune(p, c).j) for c in (50.0, 85.0, 95.0)]
+    kept = [set(map(tuple, prune(p, c).pairs.tolist())) for c in (50.0, 85.0, 95.0)]
     assert kept[2] <= kept[1] <= kept[0]
 
     p8 = _random_problem(rng, 8)

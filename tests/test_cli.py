@@ -1,7 +1,10 @@
 import csv
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qamlz import FomParams, fom
@@ -238,6 +241,30 @@ class TestScan:
         main(["scan", "--config", str(cfg), "--jobs", "2"])
         assert (tmp_path / "out" / "scan.csv").read_bytes() == seq
 
+    @pytest.mark.parametrize("offset_range", [3, 5])
+    @pytest.mark.parametrize("cutoff", [0.0, 85.0])
+    def test_budget_counts_pruned_couplers(self, monkeypatch, offset_range, cutoff):
+        # the scan's budget check counts exactly the couplers prune keeps
+        from qamlz import build_couplings_from_signs, effective_problem, prune, sign_pm1
+        from qamlz import cli
+
+        n_var = 2
+        n = n_var * (2 * offset_range + 1)
+        rng = np.random.default_rng(offset_range)
+        cm = build_couplings_from_signs(sign_pm1(rng.uniform(-1, 1, size=(40, n))),
+                                        rng.choice([-1, 1], size=40), np.ones(40), n_var)
+        kept = prune(effective_problem(cm, np.zeros(n), 1.0), cutoff).n_couplers
+        monkeypatch.setattr(cli, "run_uncertainty",
+                            lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
+        point = (0.025, offset_range, cutoff, False)
+
+        def status(budget):
+            task = (None, SimpleNamespace(n_var=n_var), {}, 0, None, point, 1, budget)
+            return cli._scan_point(task)[-1]
+
+        assert status(kept) == "ok"
+        assert status(kept - 1) == "no embedding"
+
     def test_missing_scan_section(self, tmp_path):
         cfg = _base_config(tmp_path)
         assert main(["scan", "--config", str(cfg)]) == 2
@@ -285,6 +312,18 @@ class TestExitCodes:
         doc["zoom"]["base"] = 2.0
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("reply", [
+        "[]",
+        '{"samples": [{"spins": [1] * d["n"], "energy": float("nan")}]}',
+    ])
+    def test_malformed_external_reply(self, tmp_path, reply):
+        script = f"import json, sys; d = json.load(sys.stdin); print(json.dumps({reply}))"
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 3
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _base_config(tmp_path)

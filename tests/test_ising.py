@@ -11,7 +11,6 @@ from qamlz import (
     IsingProblem,
     apply_gauge,
     augment,
-    build_couplings,
     build_couplings_from_signs,
     effective_problem,
     energy,
@@ -26,7 +25,13 @@ from qamlz import (
 )
 from qamlz.ising import energies_batch
 
-from conftest import brute_force_energy, brute_force_ground_states, random_problem
+from conftest import (
+    brute_force_energy,
+    brute_force_ground_states,
+    coupler_dict,
+    make_problem,
+    random_problem,
+)
 
 
 def _weak_set(n_var):
@@ -113,7 +118,8 @@ class TestCouplings:
                     ["signal" if t == 1 else "ttbar" for t in tags])
         ws = weak_fit(d, n_bins=6)
         aug = augment(ws, delta=0.07, offset_range=1)
-        cm = build_couplings(aug, d)
+        cm = build_couplings_from_signs(aug.signs_from_h(ws.evaluate_matrix(spec_vals)),
+                                        tags, w, aug.n_var)
 
         # naive oracle: per-event, per-pair accumulation from scratch
         n_v = aug.n_spins
@@ -173,8 +179,9 @@ class TestEffectiveProblem:
         p1 = effective_problem(cm, mu, sigma=1.0)
         p2 = effective_problem(cm, mu, sigma=0.5)
         np.testing.assert_allclose(p2.h, 0.5 * p1.h, atol=1e-15)
-        for key, v in p1.j.items():
-            assert p2.j[key] == pytest.approx(0.25 * v, abs=1e-15)
+        p2_j = coupler_dict(p2)
+        for key, v in coupler_dict(p1).items():
+            assert p2_j[key] == pytest.approx(0.25 * v, abs=1e-15)
 
     def test_ground_state_matches_expanded_distance(self, rng):
         # expansion oracle: full weighted squared-distance objective over all
@@ -223,7 +230,7 @@ class TestEffectiveProblem:
 class TestPrune:
     def test_zero_cutoff_identity(self, rng):
         p = random_problem(rng, 8)
-        assert prune(p, 0.0).j == p.j
+        assert coupler_dict(prune(p, 0.0)) == coupler_dict(p)
 
     def test_full_cutoff_decouples(self, rng):
         p = random_problem(rng, 6)
@@ -244,13 +251,13 @@ class TestPrune:
         for a in range(132):
             for b in range(a + 1, 132):
                 j[(a, b)] = float(rng.normal())
-        p = IsingProblem(h=h, j=j)
+        p = make_problem(h, j)
         assert p.n_couplers == 8646
         assert prune(p, 85.0).n_couplers == 1297
 
     def test_nesting(self, rng):
         p = random_problem(rng, 10)
-        kept_sets = [set(prune(p, c).j) for c in (50.0, 85.0, 95.0)]
+        kept_sets = [set(coupler_dict(prune(p, c))) for c in (50.0, 85.0, 95.0)]
         assert kept_sets[2] <= kept_sets[1] <= kept_sets[0]
 
     def test_fields_untouched(self, rng):
@@ -276,13 +283,13 @@ class TestPrune:
 
 class TestFixVariables:
     def test_dominance_chain(self):
-        p = IsingProblem(h=np.array([10.0, 0.1]), j={(0, 1): 1.0})
+        p = make_problem([10.0, 0.1], {(0, 1): 1.0})
         assignments, reduced = fix_variables(p)
         assert assignments == {0: -1, 1: 1}
         assert reduced.n_spins == 0
 
     def test_zero_fields_fix_nothing(self):
-        p = IsingProblem(h=np.zeros(4), j={(0, 1): 1.0, (2, 3): -0.5})
+        p = make_problem(np.zeros(4), {(0, 1): 1.0, (2, 3): -0.5})
         assignments, reduced = fix_variables(p)
         assert assignments == {}
         assert reduced.n_spins == 4
@@ -305,7 +312,7 @@ class TestFixVariables:
         h = np.asarray(p.h).copy()
         h[0] = 5.0
         h[3] = -4.0
-        p = IsingProblem(h=h, j=p.j)
+        p = IsingProblem(h=h, pairs=p.pairs, values=p.values)
         assignments, reduced = fix_variables(p)
         assert 0 in assignments and 3 in assignments
         from qamlz import solve_exact
@@ -327,14 +334,14 @@ class TestGauge:
         g = np.ones(5, dtype=np.int8)
         q = apply_gauge(p, g)
         np.testing.assert_array_equal(q.h, p.h)
-        assert q.j == p.j
+        assert coupler_dict(q) == coupler_dict(p)
 
     def test_global_flip(self, rng):
         p = random_problem(rng, 5)
         g = -np.ones(5, dtype=np.int8)
         q = apply_gauge(p, g)
         np.testing.assert_array_equal(q.h, -p.h)
-        assert q.j == p.j
+        assert coupler_dict(q) == coupler_dict(p)
 
     def test_energy_identity_random_triples(self, rng):
         for _ in range(50):
@@ -369,11 +376,11 @@ class TestGauge:
 
 class TestEnergy:
     def test_decoupled_minimum(self):
-        p = IsingProblem(h=np.array([1.0, -1.0]), j={})
+        p = make_problem([1.0, -1.0], {})
         assert energy(p, [-1, 1]) == -2.0
 
     def test_ferromagnetic_pair(self):
-        p = IsingProblem(h=np.zeros(2), j={(0, 1): -1.0})
+        p = make_problem(np.zeros(2), {(0, 1): -1.0})
         assert energy(p, [1, 1]) == -1.0
 
     def test_exhaustive_minimum_matches_oracle(self, rng):
@@ -385,7 +392,7 @@ class TestEnergy:
         assert batch.min() == pytest.approx(min(oracle), abs=1e-12)
 
     def test_invalid_spins_rejected(self):
-        p = IsingProblem(h=np.zeros(2), j={})
+        p = make_problem(np.zeros(2), {})
         with pytest.raises(ConfigError):
             energy(p, [1, 0])
         with pytest.raises(ConfigError):
@@ -396,7 +403,7 @@ class TestEnergy:
         p0 = effective_problem(cm, np.zeros(cm.n_spins), 1.0, lam=0.0)
         p1 = effective_problem(cm, np.zeros(cm.n_spins), 1.0, lam=0.3)
         np.testing.assert_allclose(p1.h - p0.h, 0.3, atol=1e-15)
-        assert p1.j == p0.j
+        assert coupler_dict(p1) == coupler_dict(p0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +414,34 @@ class TestEnergy:
 def test_problem_json_round_trip(rng):
     p = random_problem(rng, 9, coupler_density=0.5)
     doc = p.to_dict()
-    q = IsingProblem.from_dict(doc)
+    q = make_problem(doc["h"], {(a, b): v for a, b, v in doc["J"]}, lam=doc["lambda"])
     np.testing.assert_array_equal(q.h, p.h)
-    assert q.j == p.j
+    assert coupler_dict(q) == coupler_dict(p)
     assert q.n_spins == p.n_spins
+
+
+@pytest.mark.parametrize("pairs, values", [
+    ([[1, 0]], [1.0]),                # i > j
+    ([[-1, 1]], [1.0]),               # negative index
+    ([[0, 3]], [1.0]),                # j beyond the fields
+    ([[0, 2], [0, 1]], [1.0, 1.0]),   # not sorted
+    ([[0, 1], [0, 1]], [1.0, 1.0]),   # duplicate
+    ([[0, 1]], [np.inf]),             # not finite
+    ([[0, 1]], [1.0, 2.0]),           # one value too many
+    ([0, 1], [1.0]),                  # not an (m, 2) array
+])
+def test_coupler_store_rejects(pairs, values):
+    with pytest.raises(ConfigError):
+        IsingProblem(h=np.zeros(3), pairs=pairs, values=values)
+
+
+def test_coupler_store_sizes():
+    p = IsingProblem(h=np.zeros(3), pairs=[[0, 1], [1, 2]], values=[0.0, -0.5])
+    assert (p.n_spins, p.n_couplers) == (3, 2)
+    np.testing.assert_array_equal(p.dense_couplers(),
+                                  [[0.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
+    empty = IsingProblem(h=np.ones(2), pairs=[], values=[])
+    assert (empty.n_spins, empty.n_couplers) == (2, 0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,7 +19,7 @@ from qamlz import (
 )
 from qamlz.solver import SolverResult, expand_chains
 
-from conftest import brute_force_energy, random_problem
+from conftest import brute_force_energy, coupler_dict, make_problem, random_problem
 
 
 def _fast_schedule(**kw):
@@ -35,13 +35,13 @@ def _fast_schedule(**kw):
 
 class TestExact:
     def test_two_spin_fields(self):
-        p = IsingProblem(h=np.array([1.0, -1.0]), j={})
+        p = make_problem([1.0, -1.0], {})
         res = solve_exact(p)
         np.testing.assert_array_equal(res.spins[0], [-1, 1])
         assert res.energies[0] == -2.0
 
     def test_degenerate_pair_both_reported(self):
-        p = IsingProblem(h=np.zeros(2), j={(0, 1): -1.0})
+        p = make_problem(np.zeros(2), {(0, 1): -1.0})
         res = solve_exact(p)
         assert res.energies[0] == res.energies[1] == -1.0
         reported = {tuple(s) for s in res.spins[:2]}
@@ -66,7 +66,7 @@ class TestExact:
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
     def test_refuses_large_problems(self):
-        p = IsingProblem(h=np.zeros(25), j={})
+        p = make_problem(np.zeros(25), {})
         with pytest.raises(ConfigError, match="at most 24"):
             solve_exact(p)
 
@@ -74,9 +74,10 @@ class TestExact:
         p = random_problem(rng, 6)
         perm = rng.permutation(6)
         inv = np.argsort(perm)
-        permuted = IsingProblem(
-            h=np.asarray(p.h)[perm],
-            j={tuple(sorted((int(inv[a]), int(inv[b])))): v for (a, b), v in p.j.items()},
+        permuted = make_problem(
+            np.asarray(p.h)[perm],
+            {tuple(sorted((int(inv[a]), int(inv[b])))): v
+             for (a, b), v in coupler_dict(p).items()},
         )
         res = solve_exact(p)
         res_p = solve_exact(permuted)
@@ -95,7 +96,7 @@ class TestExact:
 class TestSa:
     def test_decoupled_reads_reach_field_minimum(self, rng):
         h = rng.uniform(0.5, 2.0, size=10) * rng.choice([-1, 1], size=10)
-        p = IsingProblem(h=h, j={})
+        p = make_problem(h, {})
         res = solve_sa(p, _fast_schedule(n_reads=30))
         expected = np.where(h >= 0, -1, 1)
         np.testing.assert_array_equal(res.spins, np.tile(expected, (30, 1)))
@@ -192,14 +193,15 @@ class TestSa:
 
 class TestChain:
     def test_expansion_layout(self, rng):
-        p = IsingProblem(h=np.array([2.0, -1.0]), j={(0, 1): 0.5})
+        p = make_problem([2.0, -1.0], {(0, 1): 0.5})
         phys = expand_chains(p, ChainConfig(length=3, strength=2.0))
         assert phys.n_spins == 6
         np.testing.assert_allclose(phys.h, [2 / 3] * 3 + [-1 / 3] * 3)
         # intra-chain bonds ferromagnetic with magnitude r * max|J|
-        assert phys.j[(0, 1)] == phys.j[(1, 2)] == -1.0
+        phys_j = coupler_dict(phys)
+        assert phys_j[(0, 1)] == phys_j[(1, 2)] == -1.0
         # logical coupler between endpoint of chain 0 and start of chain 1
-        assert phys.j[(2, 3)] == 0.5
+        assert phys_j[(2, 3)] == 0.5
 
     def test_length_one_identical_to_sa(self, rng):
         p = random_problem(rng, 7)
@@ -238,7 +240,7 @@ class TestChain:
         assert a[0, 0] == b[0, 0]
 
     def test_chain_solver_energies_reevaluate(self):
-        p = IsingProblem(h=np.array([0.5]), j={})
+        p = make_problem([0.5], {})
         cc = ChainConfig(length=3, strength=1.0)
         res = solve_chain_emulated(p, cc, _fast_schedule(n_reads=5, sweeps=60))
         for s, e in res.samples:
@@ -315,6 +317,31 @@ class TestExternal:
                                    "energy": float(ground.energies[0]) + 1.0}]}
         with pytest.raises(DataError, match="not the problem energy"):
             parse_solver_reply(p, bad_energy)
+
+    @pytest.mark.parametrize("make_reply, match", [
+        (lambda s, e: {"samples": [{"spins": s, "energy": float("nan")}]}, "sample 0: reported"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": float("inf")}]}, "sample 0: reported"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e},
+                                   {"spins": s, "energy": e + 1e-6}]}, "sample 1: reported"),
+        (lambda s, e: [{"spins": s, "energy": e}], "samples"),
+        (lambda s, e: {"samples": [s]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": "low"}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": None}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": [1, 0.5, 1], "energy": e}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": [[1], [1, 1]], "energy": e}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": "none"}, "broken_chain_fraction"),
+    ], ids=["nan-energy", "inf-energy", "second-sample-energy", "reply-list", "sample-list",
+            "missing-energy", "text-energy", "null-energy", "fractional-spin", "ragged-spins",
+            "text-breakage"])
+    def test_malformed_reply_is_data_error(self, make_reply, match):
+        from qamlz import DataError, parse_solver_reply
+
+        p = make_problem([0.5, -0.25, 1.0], {(0, 1): 0.5, (1, 2): -1.0})
+        spins = [1, 1, 1]
+        with pytest.raises(DataError, match=match):
+            parse_solver_reply(p, make_reply(spins, energy(p, spins)))
 
     def test_failing_command(self, rng):
         import sys

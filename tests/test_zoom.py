@@ -91,7 +91,7 @@ def _flip_instance():
 class TestFlipStep:
     def test_zero_probabilities_identity(self):
         cm, mu_prev, s = _flip_instance()
-        out = flip_step(mu_prev, mu_prev + 0.5 * s, s, cm, 0.5, 0,
+        out = flip_step(mu_prev, s, cm, 0.5, 0,
                         0.0, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(out, s)
 
@@ -103,23 +103,23 @@ class TestFlipStep:
         cm, mu_prev, _ = _flip_instance()
         problem = effective_problem(cm, mu_prev, 0.5)
         ground, _ = solve_exact(problem).ground
-        out = flip_step(mu_prev, mu_prev + 0.5 * ground, ground, cm, 0.5, 0,
+        out = flip_step(mu_prev, ground, cm, 0.5, 0,
                         0.999, 0.0, np.random.default_rng(5))
         np.testing.assert_array_equal(out, ground)
 
     def test_golden_mask_regression(self):
         # frozen once from the reference stream: rng seed 12345, p=0.3, q=0.1
         cm, mu_prev, s = _flip_instance()
-        out = flip_step(mu_prev, mu_prev + 0.5 * s, s, cm, 0.5, 0,
+        out = flip_step(mu_prev, s, cm, 0.5, 0,
                         0.3, 0.1, np.random.default_rng(12345))
         flipped = list(np.flatnonzero(out != s))
         assert flipped == [8, 10, 13]
 
     def test_schedule_indexing(self):
         cm, mu_prev, s = _flip_instance()
-        a = flip_step(mu_prev, mu_prev + s, s, cm, 1.0, 3,
+        a = flip_step(mu_prev, s, cm, 1.0, 3,
                       (0.5, 0.4, 0.3, 0.2), (0.1,), np.random.default_rng(2))
-        b = flip_step(mu_prev, mu_prev + s, s, cm, 1.0, 9,
+        b = flip_step(mu_prev, s, cm, 1.0, 9,
                       (0.2,), (0.1,), np.random.default_rng(2))
         np.testing.assert_array_equal(a, b)
 
