@@ -77,9 +77,7 @@ from .zoom import (
     IterationRecord,
     TrainedModel,
     ZoomConfig,
-    ZoomState,
     default_p_flip,
-    default_q_flip,
     flip_step,
     run_qamlz,
     weighted_distance,

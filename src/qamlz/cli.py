@@ -74,11 +74,102 @@ def _write_json(path: Path, doc) -> None:
 
 def load_config(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _bad("config", "an object", doc)
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# Config reader: each present key is checked and converted by its kind; an
+# absent key is not passed on, so its default lives only with its owner.
+# ---------------------------------------------------------------------------
+
+
+def _bad(where: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{where} must be {what}, got {json.dumps(value)}")
+
+
+def _kind(what: str, test, convert=None):
+    """A converter for values that pass `test`; any other value is a
+    `ConfigError` naming the key and the kind it must be."""
+    def read(value, where: str):
+        if not test(value):
+            raise _bad(where, what, value)
+        return value if convert is None else convert(value)
+    return read
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# an integer may be written as an integral number such as 8.0
+_integer = _kind("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+                 int)
+_number = _kind("a number", _is_number, float)
+_boolean = _kind("true or false", lambda v: isinstance(v, bool))
+_string = _kind("a string", lambda v: isinstance(v, str))
+
+
+def _list(kind):
+    def convert(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise _bad(where, "a list", value)
+        return tuple(kind(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return convert
+
+
+def _or_null(kind):
+    def convert(value, where: str):
+        return None if value is None else kind(value, where)
+    return convert
+
+
+def _object(cfg: Mapping, path: str) -> Mapping:
+    """The object at the dotted `path` ("" is the whole config); {} when absent."""
+    doc, keys = cfg, path.split(".") if path else []
+    for depth, key in enumerate(keys, 1):
+        doc = doc.get(key, {})
+        if not isinstance(doc, dict):
+            raise _bad(".".join(keys[:depth]), "an object", doc)
+    return doc
+
+
+#: config keys whose parameter has another name
+_PARAM = {"lambda": "lam", "pca": "use_pca"}
+
+
+def _options(cfg: Mapping, path: str, kinds: Mapping) -> dict:
+    """{parameter: converted value} for each key of `kinds` present at `path`."""
+    doc = _object(cfg, path)
+    prefix = path + "." if path else ""
+    return {_PARAM.get(key, key): kind(doc[key], prefix + key)
+            for key, kind in kinds.items() if key in doc}
+
+
+_DATA = {"csv": _string, "schema": _or_null(_list(_string)), "n_events": _integer,
+         "preselection": _boolean}
+_GENERATOR_PRESET = {"s_tot": _number, "b_tot": _number, "signal_fraction": _number}
+_SPLIT = {"qa_fraction": _number, "assess_processes": _list(_string)}
+_PIPELINE = {"weak_mode": _string, "n_bins": _integer, "pca": _boolean}
+_ZOOM = {"iterations": _integer, "base": _number, "delta": _number,
+         "offset_range": _integer, "p_flip": _or_null(_list(_number)),
+         "q_flip": _or_null(_list(_number)), "cutoff_pct": _number, "fixing": _boolean,
+         "solver": _string, "external_command": _or_null(_list(_string)),
+         "lambda": _number}
+_SCHEDULE = {"n_reads": _integer, "sweeps": _integer, "t_hot": _or_null(_number),
+             "t_cold": _number, "n_g": _list(_integer), "n_e": _list(_integer),
+             "d": _list(_or_null(_number))}
+_CHAIN = {"length": _integer, "strength": _number,
+          "strength_schedule": _or_null(_list(_number))}
+_SCAN = {"delta": _list(_number), "offset_range": _list(_integer),
+         "cutoff_pct": _list(_number), "fixing": _list(_boolean),
+         "n_runs": _integer, "coupler_budget": _integer}
 
 
 # ---------------------------------------------------------------------------
@@ -86,119 +177,69 @@ def load_config(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _generator_from_config(doc: Mapping) -> GeneratorSpec:
+def _generator_from_config(cfg: Mapping) -> GeneratorSpec:
+    doc = _object(cfg, "data.generator")
     if doc.get("preset") == "default" or "processes" not in doc:
-        kwargs = {k: doc[k] for k in ("s_tot", "b_tot", "signal_fraction") if k in doc}
-        return default_generator_spec(**kwargs)
+        return default_generator_spec(**_options(cfg, "data.generator", _GENERATOR_PRESET))
     return GeneratorSpec.from_dict(doc)
 
 
 def prepare_data(cfg: Mapping, seed: int) -> Dataset:
-    data_cfg = cfg.get("data", {})
-    if "csv" in data_cfg:
-        schema = data_cfg.get("schema")
+    opts = _options(cfg, "data", _DATA)
+    if "csv" in opts:
+        schema = opts.get("schema")
         if schema is None:
-            head = Path(data_cfg["csv"])
+            head = Path(opts["csv"])
             if not head.exists():
                 raise DataError(f"event file not found: {head}")
             with head.open(encoding="utf-8") as fh:
                 names = [c.strip() for c in fh.readline().strip().split(",")]
             schema = [c for c in names if c not in ("tag", "weight", "process")]
-        data = load_events(data_cfg["csv"], schema)
-    elif "generator" in data_cfg:
-        spec = _generator_from_config(data_cfg["generator"])
-        n_events = int(data_cfg.get("n_events", data_cfg["generator"].get("n_events", 0)))
-        if n_events <= 0:
+        data = load_events(opts["csv"], schema)
+    elif "generator" in _object(cfg, "data"):
+        spec = _generator_from_config(cfg)
+        inline = _options(cfg, "data.generator", {"n_events": _integer})
+        n_events = opts.get("n_events", inline.get("n_events"))
+        if n_events is None or n_events <= 0:
             raise ConfigError("data.n_events must be a positive integer")
         data = generate_synthetic(spec, n_events, seed)
     else:
         raise ConfigError("config needs data.csv or data.generator")
-    if data_cfg.get("preselection", False):
+    if opts.get("preselection"):
         data = apply_preselection(data, default_preselection())
     return data
 
 
 def prepare_split(cfg: Mapping, data: Dataset, seed: int) -> SampleSplit:
-    data_cfg = cfg.get("data", {})
-    return split_samples(
-        data,
-        seed=seed,
-        qa_fraction=float(data_cfg.get("qa_fraction", 0.5)),
-        assess_processes=data_cfg.get("assess_processes", ()),
-    )
+    return split_samples(data, seed=seed, **_options(cfg, "data", _SPLIT))
 
 
 def prepare_pipeline(cfg: Mapping, train: Dataset) -> FeaturePipeline:
-    variables, derived, weak_mode = variable_set(cfg.get("variables", "beta"))
-    if "weak_mode" in cfg:
-        weak_mode = cfg["weak_mode"]
-    return fit_feature_pipeline(
-        train,
-        variables=variables,
-        derived=derived,
-        weak_mode=weak_mode,
-        n_bins=int(cfg.get("n_bins", 50)),
-        use_pca=bool(cfg.get("pca", False)),
-    )
-
-
-def _schedule_from_config(doc: Mapping) -> AnnealSchedule:
-    kwargs = {}
-    for key in ("n_reads", "sweeps", "t_hot", "t_cold", "seed"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    for key in ("n_g", "n_e", "d"):
-        if key in doc:
-            kwargs[key] = tuple(doc[key])
-    return AnnealSchedule(**kwargs)
-
-
-def _chain_from_config(doc: Mapping | None) -> ChainConfig | None:
-    if doc is None:
-        return None
-    return ChainConfig(
-        length=int(doc.get("length", 4)),
-        strength=float(doc.get("strength", 1.0)),
-        strength_schedule=None if doc.get("strength_schedule") is None
-        else tuple(doc["strength_schedule"]),
-    )
+    selector = cfg.get("variables", "beta")
+    if not isinstance(selector, str):
+        selector = _list(_string)(selector, "variables")
+    variables, derived, weak_mode = variable_set(selector)
+    return fit_feature_pipeline(train, variables=variables, derived=derived,
+                                **{"weak_mode": weak_mode, **_options(cfg, "", _PIPELINE)})
 
 
 def zoom_config(cfg: Mapping, seed: int, solver: str | None = None) -> ZoomConfig:
-    z = cfg.get("zoom", {})
-    try:
-        return ZoomConfig(
-            iterations=int(z.get("iterations", 8)),
-            base=float(z.get("base", 0.5)),
-            delta=float(z.get("delta", 0.025)),
-            offset_range=int(z.get("offset_range", 3)),
-            p_flip=None if z.get("p_flip") is None else tuple(z["p_flip"]),
-            q_flip=None if z.get("q_flip") is None else tuple(z["q_flip"]),
-            schedule=_schedule_from_config(z.get("schedule", {})),
-            cutoff_pct=float(z.get("cutoff_pct", 0.0)),
-            fixing=bool(z.get("fixing", False)),
-            solver=solver or z.get("solver", "sa"),
-            chain=_chain_from_config(z.get("chain")),
-            external_command=None if z.get("external_command") is None
-            else tuple(z["external_command"]),
-            lam=float(z.get("lambda", 0.0)),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad zoom config: {exc}") from exc
+    opts = _options(cfg, "zoom", _ZOOM)
+    if solver:
+        opts["solver"] = solver
+    return ZoomConfig(
+        **opts,
+        schedule=AnnealSchedule(**_options(cfg, "zoom.schedule", _SCHEDULE)),
+        chain=ChainConfig(**_options(cfg, "zoom.chain", _CHAIN)),
+        seed=seed,
+    )
 
 
-def fom_params(cfg: Mapping) -> FomParams:
-    doc = cfg.get("fom", {})
-    return FomParams(f=float(doc.get("f", 0.20)))
-
-
-def _fom_options(cfg: Mapping) -> dict:
-    doc = cfg.get("fom", {})
-    return {
-        "min_counts": int(doc.get("min_counts", 20)),
-        "grid_points": int(doc.get("grid_points", 201)),
-    }
+def fom_settings(cfg: Mapping) -> dict:
+    """FomParams and the cut-scan options, as keyword arguments of
+    `fom_scan_dataset` and `run_uncertainty`."""
+    return {"params": FomParams(**_options(cfg, "fom", {"f": _number})),
+            **_options(cfg, "fom", {"min_counts": _integer, "grid_points": _integer})}
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +283,14 @@ def cmd_train(cfg: Mapping, seed: int, out_dir: Path, solver: str | None) -> int
 
 
 def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
-    model_path = Path(cfg.get("model", out_dir / "model.json"))
+    settings = fom_settings(cfg)
+    model_path = Path(_options(cfg, "", {"model": _string}).get("model", out_dir / "model.json"))
     if not model_path.exists():
         raise DataError(f"model file not found: {model_path} (run `train` first?)")
     model = TrainedModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
     data = prepare_data(cfg, seed)
     split = prepare_split(cfg, data, seed)
-    params = fom_params(cfg)
-    curve = fom_scan_dataset(model, split.assess, params, **_fom_options(cfg))
+    curve = fom_scan_dataset(model, split.assess, **settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "fom_curve.csv", FOM_CURVE_HEADER,
@@ -262,7 +303,7 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
         "s_at_best": curve.s_at_best,
         "b_at_best": curve.b_at_best,
         "no_valid_cut": curve.no_valid_cut,
-        "f": params.f,
+        "f": settings["params"].f,
     })
     report = overtraining_check(
         scores_by_process(model, split.train), scores_by_process(model, split.test)
@@ -281,43 +322,36 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
 
 def _scan_point(args: tuple) -> tuple:
     """One grid point, executed possibly in a worker process."""
-    (split, pipeline, cfg, seed, solver, point, n_runs, budget) = args
+    (split, pipeline, zcfg, fom_kwargs, point, n_runs, budget) = args
     delta, offset_range, cutoff_pct, fixing = point
     n_spins = pipeline.n_var * (2 * offset_range + 1)
     if keep_count(n_spins * (n_spins - 1) // 2, cutoff_pct) > budget:
         return (delta, offset_range, cutoff_pct, fixing, "", "", "no embedding")
     zcfg = dataclasses.replace(
-        zoom_config(cfg, seed, solver),
-        delta=delta, offset_range=offset_range, cutoff_pct=cutoff_pct, fixing=fixing,
+        zcfg, delta=delta, offset_range=offset_range, cutoff_pct=cutoff_pct, fixing=fixing,
     )
-    report = run_uncertainty(
-        zcfg, split, pipeline, n_runs=n_runs, params=fom_params(cfg),
-        **_fom_options(cfg),
-    )
+    report = run_uncertainty(zcfg, split, pipeline, n_runs=n_runs, **fom_kwargs)
     return (delta, offset_range, cutoff_pct, fixing, report.mean, report.std, "ok")
 
 
 def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: int) -> int:
-    scan_cfg = cfg.get("scan")
-    if not scan_cfg:
+    if not _object(cfg, "scan"):
         raise ConfigError("config needs a `scan` section with grid axes")
-    zoom_defaults = cfg.get("zoom", {})
-    axes = (
-        [float(v) for v in scan_cfg.get("delta", [zoom_defaults.get("delta", 0.025)])],
-        [int(v) for v in scan_cfg.get("offset_range", [zoom_defaults.get("offset_range", 3)])],
-        [float(v) for v in scan_cfg.get("cutoff_pct", [zoom_defaults.get("cutoff_pct", 0.0)])],
-        [bool(v) for v in scan_cfg.get("fixing", [zoom_defaults.get("fixing", False)])],
-    )
+    opts = _options(cfg, "scan", _SCAN)
+    zcfg = zoom_config(cfg, seed, solver)
+    axes = [opts.get(name, (getattr(zcfg, name),))
+            for name in ("delta", "offset_range", "cutoff_pct", "fixing")]
     if any(len(a) == 0 for a in axes):
         raise ConfigError("scan grid axes must be non-empty")
-    n_runs = int(scan_cfg.get("n_runs", 2))
-    budget = int(scan_cfg.get("coupler_budget", DEFAULT_COUPLER_BUDGET))
+    n_runs = opts.get("n_runs", 2)
+    budget = opts.get("coupler_budget", DEFAULT_COUPLER_BUDGET)
+    fom_kwargs = fom_settings(cfg)
 
     data = prepare_data(cfg, seed)
     split = prepare_split(cfg, data, seed)
     pipeline = prepare_pipeline(cfg, split.train)
     points = list(itertools.product(*axes))
-    tasks = [(split, pipeline, cfg, seed, solver, p, n_runs, budget) for p in points]
+    tasks = [(split, pipeline, zcfg, fom_kwargs, p, n_runs, budget) for p in points]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, tasks))
@@ -331,12 +365,11 @@ def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: i
 
 
 def cmd_fom(cfg: Mapping, out_dir: Path) -> int:
-    doc = cfg.get("fom_curve")
-    if not doc:
+    if not _object(cfg, "fom_curve"):
         raise ConfigError("config needs a `fom_curve` section with s, b and f lists")
-    s_values = [float(v) for v in doc.get("s", [])]
-    b_values = [float(v) for v in doc.get("b", [])]
-    f_values = [float(v) for v in doc.get("f", [0.20])]
+    opts = _options(cfg, "fom_curve", dict.fromkeys("sbf", _list(_number)))
+    s_values, b_values = opts.get("s", ()), opts.get("b", ())
+    f_values = opts.get("f", (FomParams().f,))
     if not s_values or not b_values:
         raise ConfigError("fom_curve.s and fom_curve.b must be non-empty")
     rows = [
@@ -379,10 +412,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        top = _options(cfg, "", {"seed": _integer, "out_dir": _string})
+        seed = args.seed if args.seed is not None else top.get("seed", 0)
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        out_dir = Path(cfg.get("out_dir", "out"))
+        out_dir = Path(top.get("out_dir", "out"))
         if args.command == "gen":
             return cmd_gen(cfg, seed, out_dir)
         if args.command == "train":

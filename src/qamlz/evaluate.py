@@ -168,30 +168,6 @@ class FomCurve:
             for i in range(len(self.cuts))
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "best_cut": self.best_cut,
-            "best_fom": self.best_fom,
-            "s_at_best": self.s_at_best,
-            "b_at_best": self.b_at_best,
-            "no_valid_cut": self.no_valid_cut,
-            "points": self.rows(),
-        }
-
-    def to_csv(self, path) -> None:
-        """cut,fom,s_yield,b_yield,n_signal,n_background,valid rows."""
-        import csv
-        from pathlib import Path
-
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("cut", "fom", "s_yield", "b_yield",
-                             "n_signal", "n_background", "valid"))
-            for r in self.rows():
-                writer.writerow([repr(r["cut"]), repr(r["fom"]), repr(r["s_yield"]),
-                                 repr(r["b_yield"]), r["n_signal"],
-                                 r["n_background"], int(r["valid"])])
-
 
 def fom_scan(
     signal_scores: np.ndarray,

@@ -156,6 +156,16 @@ def build_couplings_from_signs(
 # ---------------------------------------------------------------------------
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """A contiguous array of `value` that no caller can write: a read-only
+    input is shared, a writable one is copied so the caller keeps its own."""
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    if arr.flags.writeable and np.may_share_memory(arr, value):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class IsingProblem:
     """Fields h and couplers J of sum_i h_i s_i + sum_{i<j} J_ij s_i s_j.
@@ -173,13 +183,12 @@ class IsingProblem:
     lam: float = 0.0
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.h, dtype=np.float64)
-        pairs = np.ascontiguousarray(self.pairs, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        h = _frozen(self.h, np.float64)
+        pairs = _frozen(self.pairs, np.int64)
+        values = _frozen(self.values, np.float64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         for name, arr in (("h", h), ("pairs", pairs), ("values", values)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if h.ndim != 1 or not np.isfinite(h).all():
             raise ConfigError("fields must be a finite vector")

@@ -29,12 +29,20 @@ EXACT_SPIN_LIMIT = 24
 _ENUM_CHUNK = 1 << 20
 
 
+def at_iteration(schedule, t: int):
+    """Entry t of a per-iteration schedule. A schedule shorter than t + 1
+    extends by its last entry; a bare number holds at every iteration."""
+    if isinstance(schedule, (int, float)):
+        return schedule
+    return schedule[min(t, len(schedule) - 1)]
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Sampling protocol: read count, sweep ladder, and the per-iteration
     gauge counts n_g, excited-state caps n_e and energy windows d used by the
-    training loop. Schedules shorter than the iteration count extend with
-    their last entry; a window of None means 5% of the best energy magnitude.
+    training loop, each read through `at_iteration`. A window of None means
+    5% of the best energy magnitude, and an empty `d` is one such window.
     """
 
     n_reads: int = 200
@@ -44,7 +52,6 @@ class AnnealSchedule:
     n_g: tuple[int, ...] = (50, 10, 10, 10, 10, 10, 10, 10)
     n_e: tuple[int, ...] = (1, 1, 1, 1, 1, 1, 1, 1)
     d: tuple[float | None, ...] = (None,) * 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_reads < 1:
@@ -59,17 +66,8 @@ class AnnealSchedule:
             raise ConfigError("gauge counts must be >= 1")
         if not self.n_e or any(e < 1 for e in self.n_e):
             raise ConfigError("excited-state caps must be >= 1")
-
-    def n_g_at(self, t: int) -> int:
-        return self.n_g[min(t, len(self.n_g) - 1)]
-
-    def n_e_at(self, t: int) -> int:
-        return self.n_e[min(t, len(self.n_e) - 1)]
-
-    def d_at(self, t: int) -> float | None:
         if not self.d:
-            return None
-        return self.d[min(t, len(self.d) - 1)]
+            object.__setattr__(self, "d", (None,))
 
     def ladder(self, p: IsingProblem) -> np.ndarray:
         """Strictly decreasing geometric temperature ladder, hot end derived
@@ -161,7 +159,7 @@ def solve_exact(p: IsingProblem, keep: int = 32) -> SolverResult:
 def solve_sa(
     p: IsingProblem,
     sched: AnnealSchedule,
-    seed: int | tuple | None = None,
+    seed: int | tuple,
     init: np.ndarray | None = None,
 ) -> SolverResult:
     """Metropolis single-spin-flip annealing, `n_reads` independent restarts.
@@ -172,8 +170,6 @@ def solve_sa(
     (n_reads, n_spins)); acceptance draws are unaffected, which lets callers
     pair runs across a gauge relabeling.
     """
-    if seed is None:
-        seed = sched.seed
     t0 = time.perf_counter()
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
@@ -218,7 +214,8 @@ def _as_key(seed: int | tuple) -> tuple:
 class ChainConfig:
     """Chain emulation knobs: physical spins per logical spin and the
     intra-chain coupling strength relative to the largest problem coupler.
-    An optional per-iteration strength schedule overrides `strength`."""
+    An optional per-iteration strength schedule, read through
+    `at_iteration`, overrides `strength`."""
 
     length: int = 4
     strength: float = 1.0
@@ -233,11 +230,6 @@ class ChainConfig:
             not r > 0 for r in self.strength_schedule
         ):
             raise ConfigError("chain strength schedule entries must be positive")
-
-    def strength_at(self, t: int) -> float:
-        if self.strength_schedule:
-            return self.strength_schedule[min(t, len(self.strength_schedule) - 1)]
-        return self.strength
 
 
 def expand_chains(p: IsingProblem, cc: ChainConfig, strength: float | None = None) -> IsingProblem:
@@ -280,7 +272,7 @@ def solve_chain_emulated(
     p: IsingProblem,
     cc: ChainConfig,
     sched: AnnealSchedule,
-    seed: int | tuple | None = None,
+    seed: int | tuple,
     strength: float | None = None,
 ) -> SolverResult:
     """Anneal the chain-expanded problem and decode each chain by majority
@@ -289,8 +281,6 @@ def solve_chain_emulated(
     broken_chain_fraction counts chains whose physical spins disagree, over
     all reads. With length 1 this is sample-for-sample identical to solve_sa.
     """
-    if seed is None:
-        seed = sched.seed
     t0 = time.perf_counter()
     phys = expand_chains(p, cc, strength)
     res = solve_sa(phys, sched, seed=seed)
@@ -318,8 +308,9 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     """Validate a reply of the form {"samples": [{"spins": [+-1...], "energy": f}]}.
 
     Reported energies must match the problem's own evaluation to 1e-9. This is
-    the wire format a hardware- or service-backed solver must speak. Any
-    malformed reply raises `DataError` naming the first bad sample.
+    the wire format a hardware- or service-backed solver must speak. Spins,
+    energies and `broken_chain_fraction` must be JSON numbers. Any malformed
+    reply raises `DataError` naming the first bad sample.
     """
     samples = doc.get("samples") if isinstance(doc, Mapping) else None
     if not isinstance(samples, list) or not samples:
@@ -327,14 +318,14 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     spins = np.empty((len(samples), p.n_spins), dtype=np.int8)
     reported = np.empty(len(samples))
     for k, rec in enumerate(samples):
-        try:
-            s = np.asarray(rec["spins"], dtype=np.float64)
-            reported[k] = float(rec["energy"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"sample {k}: needs `spins` and a numeric `energy` ({exc!r})") from exc
-        if s.shape != (p.n_spins,) or not np.isin(s, (-1, 1)).all():
+        if not isinstance(rec, Mapping) or not _is_number(rec.get("energy")):
+            raise DataError(f"sample {k}: needs `spins` and a numeric `energy`")
+        s = rec.get("spins")
+        if not (isinstance(s, list) and len(s) == p.n_spins
+                and all(_is_number(v) and v in (-1, 1) for v in s)):
             raise DataError(f"sample {k}: spins must be a +-1 vector of length {p.n_spins}")
         spins[k] = s
+        reported[k] = rec["energy"]
     energies = energies_batch(p, spins)
     bad = np.flatnonzero(~(np.abs(reported - energies) <= 1e-9))  # NaN is bad
     if len(bad):
@@ -342,11 +333,16 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
         raise DataError(
             f"sample {k}: reported energy {reported[k]} is not the problem energy {energies[k]}"
         )
-    try:
-        broken = float(doc.get("broken_chain_fraction", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"broken_chain_fraction is not a number ({exc!r})") from exc
-    return _sorted_result(spins, energies, broken_chain_fraction=broken, solver="external")
+    broken = doc.get("broken_chain_fraction", 0.0)
+    if not _is_number(broken):
+        raise DataError(f"broken_chain_fraction is not a number, got {broken!r}")
+    return _sorted_result(spins, energies, broken_chain_fraction=float(broken),
+                          solver="external")
+
+
+def _is_number(v) -> bool:
+    """A JSON number: int or float, not bool (nor a numeric string)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def solve_external(p: IsingProblem, command: Sequence[str],

@@ -33,6 +33,7 @@ from .ising import (
 from .solver import (
     AnnealSchedule,
     ChainConfig,
+    at_iteration,
     select_states,
     solve_chain_emulated,
     solve_exact,
@@ -47,17 +48,6 @@ _K_SOLVE, _K_GAUGE, _K_FLIP = 3, 4, 5
 def default_p_flip(iterations: int) -> tuple[float, ...]:
     """Halving per iteration from 0.16, applied to locally-worsening spins."""
     return tuple(0.16 * 2.0 ** -t for t in range(iterations))
-
-
-def default_q_flip(iterations: int) -> tuple[float, ...]:
-    """Uniform flip probability, a quarter of the worsening-flip schedule."""
-    return tuple(p / 4.0 for p in default_p_flip(iterations))
-
-
-def _at(schedule: float | Sequence[float], t: int) -> float:
-    if isinstance(schedule, (int, float)):
-        return float(schedule)
-    return float(schedule[min(t, len(schedule) - 1)])
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class ZoomConfig:
     cutoff_pct: float = 0.0
     fixing: bool = False
     solver: str = "sa"
-    chain: ChainConfig | None = None
+    chain: ChainConfig = field(default_factory=ChainConfig)
     external_command: tuple[str, ...] | None = None
     lam: float = 0.0
     seed: int = 0
@@ -95,7 +85,7 @@ class ZoomConfig:
             if not probs or any(not 0.0 <= x < 1.0 for x in probs):
                 raise ConfigError(f"{name} entries must lie in [0, 1)")
         for t in range(self.iterations):
-            if _at(self.q_flip, t) > _at(self.p_flip, t):
+            if at_iteration(self.q_flip, t) > at_iteration(self.p_flip, t):
                 raise ConfigError("q_flip must not exceed p_flip")
         if self.solver not in ("exact", "sa", "chain", "external"):
             raise ConfigError(f"unknown solver {self.solver!r}")
@@ -118,20 +108,6 @@ class ZoomConfig:
             "lambda": self.lam,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class ZoomState:
-    """Snapshot entering iteration t: search width sigma = base**t and the
-    surviving candidate centres with their training objectives, best first."""
-
-    t: int
-    sigma: float
-    candidates: tuple[tuple[np.ndarray, float], ...]
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.candidates[0][0]
 
 
 @dataclass(frozen=True)
@@ -244,8 +220,8 @@ def flip_step(
     q_flip(t). Exactly one uniform per spin and stage is drawn, in index
     order, so the stream does not depend on the data.
     """
-    p = _at(p_flip, t)
-    q = _at(q_flip, t)
+    p = at_iteration(p_flip, t)
+    q = at_iteration(q_flip, t)
     mu_prev = np.asarray(mu_prev, dtype=np.float64)
     s = np.asarray(spins).astype(np.float64).copy()
     n = len(s)
@@ -276,9 +252,14 @@ def _solve_backend(problem, cfg: ZoomConfig, t: int, seed: tuple):
         return solve_sa(problem, cfg.schedule, seed=seed)
     if cfg.solver == "external":
         return solve_external(problem, cfg.external_command)
-    cc = cfg.chain if cfg.chain is not None else ChainConfig()
-    return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed,
-                                strength=cc.strength_at(t))
+    cc = cfg.chain
+    strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
+    return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed, strength=strength)
+
+
+def _window(d: float | None, best: float) -> float:
+    """Energy window of a schedule entry d; None means 5% of |best|."""
+    return 0.05 * abs(best) if d is None else d
 
 
 def weighted_distance(
@@ -324,20 +305,20 @@ def run_qamlz(
         return weighted_distance(gf_test, test.tags, test.weights, mu, aug.n_var)
 
     sched = cfg.schedule
-    mu0 = np.zeros(aug.n_spins)
-    state = ZoomState(t=0, sigma=1.0, candidates=((mu0, d_train(mu0)),))
+    centres = [np.zeros(aug.n_spins)]  # surviving candidate centres, best first
     trajectory: list[IterationRecord] = []
     for t in range(cfg.iterations):
         sigma = cfg.base**t
+        n_e, d = at_iteration(sched.n_e, t), at_iteration(sched.d, t)
         pooled: dict[bytes, np.ndarray] = {}
         broken: list[float] = []
-        for ci, (mu, _) in enumerate(state.candidates):
+        for ci, mu in enumerate(centres):
             problem = prune(effective_problem(cm, mu, sigma, lam=cfg.lam), cfg.cutoff_pct)
             if cfg.fixing:
                 fixed, reduced = fix_variables(problem)
             else:
                 fixed, reduced = {}, problem
-            for k in range(sched.n_g_at(t)):
+            for k in range(at_iteration(sched.n_g, t)):
                 if reduced.n_spins == 0:
                     states = [expand_solution(fixed, np.empty(0, dtype=np.int8),
                                               problem.n_spins)]
@@ -349,12 +330,9 @@ def run_qamlz(
                     res = _solve_backend(apply_gauge(reduced, gauge), cfg, t,
                                          seed=(cfg.seed, _K_SOLVE, t, ci, k))
                     broken.append(res.broken_chain_fraction)
-                    d_win = sched.d_at(t)
-                    if d_win is None:
-                        d_win = 0.05 * abs(float(res.energies[0]))
                     states = [
                         expand_solution(fixed, ungauge(s, gauge), problem.n_spins)
-                        for s in select_states(res, sched.n_e_at(t), d_win)
+                        for s in select_states(res, n_e, _window(d, float(res.energies[0])))
                     ]
                 for si, s_full in enumerate(states):
                     rng_flip = np.random.default_rng((cfg.seed, _K_FLIP, t, ci, k, si))
@@ -368,24 +346,20 @@ def run_qamlz(
             key=lambda item: (item[0], item[1]),
         )
         best_d = scored[0][0]
-        d_win = sched.d_at(t)
-        if d_win is None:
-            d_win = 0.05 * abs(best_d)
-        retained = [(mu_new, d) for d, _, mu_new in scored if d <= best_d + d_win]
-        retained = retained[: sched.n_e_at(t)]
-        state = ZoomState(t=t + 1, sigma=cfg.base ** (t + 1), candidates=tuple(retained))
+        cutoff = best_d + _window(d, best_d)
+        centres = [mu_new for dist, _, mu_new in scored if dist <= cutoff][:n_e]
         trajectory.append(
             IterationRecord(
                 t=t,
                 sigma=sigma,
                 train_distance=best_d,
-                test_distance=d_test(state.mu),
-                n_candidates=len(retained),
+                test_distance=d_test(centres[0]),
+                n_candidates=len(centres),
                 broken_chain_fraction=float(np.mean(broken)) if broken else 0.0,
             )
         )
     return TrainedModel(
-        mu=state.mu,
+        mu=centres[0],
         delta=cfg.delta,
         offset_range=cfg.offset_range,
         pipeline=features,

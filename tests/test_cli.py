@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qamlz import FomParams, fom
+from qamlz import FomParams, ZoomConfig, fom
 from qamlz.cli import main
 
 
@@ -104,6 +104,34 @@ class TestTrain:
         main(["train", "--config", str(cfg)])
         assert (tmp_path / "out" / "model.json").read_bytes() == first_model
         assert (tmp_path / "out" / "train_log.jsonl").read_bytes() == first_log
+
+    def test_explicit_defaults_match_absent_keys(self, tmp_path):
+        # every documented default written out gives the bytes of leaving it out
+        short = {"data": {"generator": {"preset": "default"}, "n_events": 600},
+                 "zoom": {"offset_range": 0, "solver": "exact"}}
+        full = {
+            "seed": 0,
+            "data": {"generator": {"preset": "default"}, "n_events": 600,
+                     "preselection": False, "qa_fraction": 0.5, "assess_processes": []},
+            "variables": "beta", "pca": False, "n_bins": 50,
+            "zoom": {
+                "iterations": 8, "base": 0.5, "delta": 0.025, "offset_range": 0,
+                "cutoff_pct": 0.0, "fixing": False, "solver": "exact",
+                "p_flip": None, "q_flip": None, "lambda": 0.0,
+                "schedule": {"n_reads": 200, "sweeps": 1000, "t_hot": None, "t_cold": 0.01,
+                             "n_g": [50, 10], "n_e": [1], "d": [None]},
+                "chain": {"length": 4, "strength": 1.0, "strength_schedule": None},
+                "external_command": None,
+            },
+        }
+        outputs = []
+        for name, doc in (("short", short), ("full", full)):
+            out = tmp_path / name
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**doc, "out_dir": str(out)}))
+            assert main(["train", "--config", str(path)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("model.json", "train_log.jsonl")])
+        assert outputs[0] == outputs[1]
 
     def test_solver_flag_overrides(self, tmp_path):
         cfg = _base_config(tmp_path)
@@ -259,7 +287,7 @@ class TestScan:
         point = (0.025, offset_range, cutoff, False)
 
         def status(budget):
-            task = (None, SimpleNamespace(n_var=n_var), {}, 0, None, point, 1, budget)
+            task = (None, SimpleNamespace(n_var=n_var), ZoomConfig(), {}, point, 1, budget)
             return cli._scan_point(task)[-1]
 
         assert status(kept) == "ok"
@@ -324,6 +352,37 @@ class TestExitCodes:
         doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("train", "", []),
+        ("train", "zoom", 5),
+        ("gen", "seed", "x"),
+        ("train", "n_bins", "x"),
+        ("eval", "fom.f", "x"),
+        ("scan", "scan", {"offset_range": ["x"]}),
+        ("train", "data.qa_fraction", "x"),
+        ("fom", "fom_curve", {"s": ["x"], "b": [1000.0]}),
+        ("train", "zoom.iterations", 2.5),
+        ("train", "zoom.fixing", "false"),
+        ("train", "zoom.schedule.n_reads", 4.5),
+        ("train", "zoom.schedule.sweeps", 5.5),
+        ("train", "zoom.schedule.n_g", [1.5]),
+        ("train", "zoom.schedule.n_e", [1.5]),
+    ])
+    def test_wrongly_typed_config(self, tmp_path, capsys, command, path, value):
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        if path:
+            *parents, key = path.split(".")
+            node = doc
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        else:
+            doc = value
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _base_config(tmp_path)

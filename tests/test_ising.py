@@ -444,6 +444,17 @@ def test_coupler_store_sizes():
     assert (empty.n_spins, empty.n_couplers) == (2, 0)
 
 
+def test_coupler_store_leaves_caller_arrays_writable():
+    h = np.zeros(3)
+    p = IsingProblem(h=h, pairs=np.zeros((0, 2), np.int64), values=np.zeros(0))
+    h[0] = 1
+    assert p.h[0] == 0.0 and not p.h.flags.writeable
+    # arrays that are already read-only, such as another problem's, are shared
+    p = IsingProblem(h=[0.5, -1.0], pairs=[[0, 1]], values=[0.25])
+    q = IsingProblem(h=p.h, pairs=p.pairs, values=p.values)
+    assert q.h is p.h and q.pairs is p.pairs and q.values is p.values
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2**31 - 1))
 def test_coupler_count_law(n_var, seed):

@@ -17,13 +17,13 @@ from qamlz import (
     solve_sa,
     ungauge,
 )
-from qamlz.solver import SolverResult, expand_chains
+from qamlz.solver import SolverResult, at_iteration, expand_chains
 
 from conftest import brute_force_energy, coupler_dict, make_problem, random_problem
 
 
 def _fast_schedule(**kw):
-    defaults = dict(n_reads=20, sweeps=200, seed=0)
+    defaults = dict(n_reads=20, sweeps=200)
     defaults.update(kw)
     return AnnealSchedule(**defaults)
 
@@ -97,15 +97,15 @@ class TestSa:
     def test_decoupled_reads_reach_field_minimum(self, rng):
         h = rng.uniform(0.5, 2.0, size=10) * rng.choice([-1, 1], size=10)
         p = make_problem(h, {})
-        res = solve_sa(p, _fast_schedule(n_reads=30))
+        res = solve_sa(p, _fast_schedule(n_reads=30), seed=0)
         expected = np.where(h >= 0, -1, 1)
         np.testing.assert_array_equal(res.spins, np.tile(expected, (30, 1)))
 
     def test_deterministic_given_seed(self, rng):
         p = random_problem(rng, 9)
-        sched = _fast_schedule(seed=42)
-        a = solve_sa(p, sched)
-        b = solve_sa(p, sched)
+        sched = _fast_schedule()
+        a = solve_sa(p, sched, seed=42)
+        b = solve_sa(p, sched, seed=42)
         np.testing.assert_array_equal(a.spins, b.spins)
         np.testing.assert_array_equal(a.energies, b.energies)
         c = solve_sa(p, sched, seed=43)
@@ -115,14 +115,14 @@ class TestSa:
         hits = 0
         for _ in range(10):
             p = random_problem(rng, 10)
-            e_sa = solve_sa(p, _fast_schedule(n_reads=50, sweeps=400)).energies[0]
+            e_sa = solve_sa(p, _fast_schedule(n_reads=50, sweeps=400), seed=0).energies[0]
             e_ex = solve_exact(p).energies[0]
             hits += abs(e_sa - e_ex) < 1e-9
         assert hits >= 9
 
     def test_energies_reevaluate(self, rng):
         p = random_problem(rng, 8)
-        res = solve_sa(p, _fast_schedule())
+        res = solve_sa(p, _fast_schedule(), seed=0)
         for s, e in res.samples:
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
@@ -132,10 +132,10 @@ class TestSa:
         for _ in range(5):
             p = random_problem(rng, 8)
             g = random_gauge(8, rng)
-            sched = _fast_schedule(n_reads=10, sweeps=100, seed=7)
+            sched = _fast_schedule(n_reads=10, sweeps=100)
             init = (rng.integers(0, 2, size=(10, 8)) * 2 - 1).astype(np.int8)
-            res = solve_sa(p, sched, init=init)
-            res_g = solve_sa(apply_gauge(p, g), sched, init=init * g)
+            res = solve_sa(p, sched, seed=7, init=init)
+            res_g = solve_sa(apply_gauge(p, g), sched, seed=7, init=init * g)
             assert res.energies[0] == res_g.energies[0]
             np.testing.assert_array_equal(
                 np.sort(res.energies), np.sort(res_g.energies)
@@ -153,7 +153,7 @@ class TestSa:
     def test_bad_init_rejected(self, rng):
         p = random_problem(rng, 4)
         with pytest.raises(ConfigError):
-            solve_sa(p, _fast_schedule(n_reads=3), init=np.zeros((3, 4)))
+            solve_sa(p, _fast_schedule(n_reads=3), seed=0, init=np.zeros((3, 4)))
 
     def test_matches_reference_implementation(self, rng):
         # straightforward per-spin local-field recomputation, same draw order;
@@ -177,8 +177,8 @@ class TestSa:
 
         for k in range(5):
             p = random_problem(rng, 8)
-            sched = _fast_schedule(n_reads=20, sweeps=200, seed=k)
-            got = solve_sa(p, sched)
+            sched = _fast_schedule(n_reads=20, sweeps=200)
+            got = solve_sa(p, sched, seed=k)
             want = reference_sa(p, sched, k)
             # identical read trajectories: same multiset of final states
             got_sorted = sorted(map(tuple, got.spins))
@@ -205,9 +205,9 @@ class TestChain:
 
     def test_length_one_identical_to_sa(self, rng):
         p = random_problem(rng, 7)
-        sched = _fast_schedule(seed=11)
-        res_sa = solve_sa(p, sched)
-        res_ch = solve_chain_emulated(p, ChainConfig(length=1), sched)
+        sched = _fast_schedule()
+        res_sa = solve_sa(p, sched, seed=11)
+        res_ch = solve_chain_emulated(p, ChainConfig(length=1), sched, seed=11)
         np.testing.assert_array_equal(res_sa.spins, res_ch.spins)
         np.testing.assert_array_equal(res_sa.energies, res_ch.energies)
         assert res_ch.broken_chain_fraction == 0.0
@@ -242,7 +242,7 @@ class TestChain:
     def test_chain_solver_energies_reevaluate(self):
         p = make_problem([0.5], {})
         cc = ChainConfig(length=3, strength=1.0)
-        res = solve_chain_emulated(p, cc, _fast_schedule(n_reads=5, sweeps=60))
+        res = solve_chain_emulated(p, cc, _fast_schedule(n_reads=5, sweeps=60), seed=0)
         for s, e in res.samples:
             assert s[0] in (-1, 1)
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
@@ -250,17 +250,18 @@ class TestChain:
     def test_tie_break_deterministic(self, rng):
         p = random_problem(rng, 4)
         cc = ChainConfig(length=2, strength=0.05)  # weak chains: ties likely
-        sched = _fast_schedule(n_reads=40, sweeps=60, seed=3)
-        a = solve_chain_emulated(p, cc, sched)
-        b = solve_chain_emulated(p, cc, sched)
+        sched = _fast_schedule(n_reads=40, sweeps=60)
+        a = solve_chain_emulated(p, cc, sched, seed=3)
+        b = solve_chain_emulated(p, cc, sched, seed=3)
         np.testing.assert_array_equal(a.spins, b.spins)
         assert a.broken_chain_fraction == b.broken_chain_fraction
 
     def test_breakage_decreases_with_strength(self, rng):
         p = random_problem(rng, 8, coupler_density=1.0)
-        sched = _fast_schedule(n_reads=40, sweeps=150, seed=5)
+        sched = _fast_schedule(n_reads=40, sweeps=150)
         fractions = [
-            solve_chain_emulated(p, ChainConfig(length=4, strength=r), sched).broken_chain_fraction
+            solve_chain_emulated(p, ChainConfig(length=4, strength=r), sched,
+                                 seed=5).broken_chain_fraction
             for r in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(fractions, fractions[1:]))
@@ -332,9 +333,19 @@ class TestExternal:
         (lambda s, e: {"samples": [{"spins": [[1], [1, 1]], "energy": e}]}, "sample 0"),
         (lambda s, e: {"samples": [{"spins": s, "energy": e}],
                        "broken_chain_fraction": "none"}, "broken_chain_fraction"),
+        (lambda s, e: {"samples": [{"spins": [True, "1", 1.0], "energy": str(e)}]},
+         "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": str(e)}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": [True, 1, 1], "energy": e}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": ["1", 1, 1], "energy": e}]}, "sample 0"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": "0.5"}, "broken_chain_fraction"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": False}, "broken_chain_fraction"),
     ], ids=["nan-energy", "inf-energy", "second-sample-energy", "reply-list", "sample-list",
             "missing-energy", "text-energy", "null-energy", "fractional-spin", "ragged-spins",
-            "text-breakage"])
+            "text-breakage", "bool-and-text-values", "numeric-text-energy", "bool-spin",
+            "numeric-text-spin", "numeric-text-breakage", "bool-breakage"])
     def test_malformed_reply_is_data_error(self, make_reply, match):
         from qamlz import DataError, parse_solver_reply
 
@@ -440,7 +451,8 @@ class TestSchedule:
 
     def test_extend_by_last(self):
         sched = AnnealSchedule(n_g=(50, 10), n_e=(1,), d=(0.5,))
-        assert sched.n_g_at(0) == 50
-        assert sched.n_g_at(7) == 10
-        assert sched.n_e_at(3) == 1
-        assert sched.d_at(5) == 0.5
+        assert at_iteration(sched.n_g, 0) == 50
+        assert at_iteration(sched.n_g, 7) == 10
+        assert at_iteration(sched.n_e, 3) == 1
+        assert at_iteration(sched.d, 5) == 0.5
+        assert AnnealSchedule(d=()).d == (None,)

@@ -11,7 +11,6 @@ from qamlz import (
     ZoomConfig,
     build_couplings_from_signs,
     default_p_flip,
-    default_q_flip,
     fit_feature_pipeline,
     flip_step,
     generate_synthetic,
@@ -22,6 +21,7 @@ from qamlz import (
     zoom_update,
 )
 from qamlz.ising import sign_pm1
+from qamlz.solver import at_iteration
 
 
 def _exact_config(**kw):
@@ -134,7 +134,7 @@ class TestZoomConfig:
         cfg = ZoomConfig(iterations=8)
         assert cfg.p_flip == tuple(0.16 * 2.0**-t for t in range(8))
         assert cfg.q_flip == tuple(p / 4 for p in cfg.p_flip)
-        assert default_q_flip(8) == cfg.q_flip
+        assert tuple(p / 4 for p in default_p_flip(8)) == cfg.q_flip
         assert default_p_flip(8) == cfg.p_flip
 
     def test_probability_ordering_enforced(self):
@@ -255,7 +255,7 @@ class TestRunQamlz:
         b = run_qamlz(split.train, split.test, pipe, cfg)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
         for t, rec in enumerate(a.trajectory):
-            assert 1 <= rec.n_candidates <= cfg.schedule.n_e_at(t)
+            assert 1 <= rec.n_candidates <= at_iteration(cfg.schedule.n_e, t)
 
     def test_fixing_and_pruning_path(self):
         split, names = _toy_split(n=300, seed=11)
