@@ -187,15 +187,7 @@ def _generator_from_config(cfg: Mapping) -> GeneratorSpec:
 def prepare_data(cfg: Mapping, seed: int) -> Dataset:
     opts = _options(cfg, "data", _DATA)
     if "csv" in opts:
-        schema = opts.get("schema")
-        if schema is None:
-            head = Path(opts["csv"])
-            if not head.exists():
-                raise DataError(f"event file not found: {head}")
-            with head.open(encoding="utf-8") as fh:
-                names = [c.strip() for c in fh.readline().strip().split(",")]
-            schema = [c for c in names if c not in ("tag", "weight", "process")]
-        data = load_events(opts["csv"], schema)
+        data = load_events(opts["csv"], opts.get("schema"))
     elif "generator" in _object(cfg, "data"):
         spec = _generator_from_config(cfg)
         inline = _options(cfg, "data.generator", {"n_events": _integer})

@@ -201,12 +201,13 @@ class Dataset:
         return None
 
 
-def load_events(path: str | Path, schema: Sequence[str]) -> Dataset:
+def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Dataset:
     """Parse a CSV event file.
 
     The header must name a superset of `schema` plus `tag`, `weight` and
-    `process`; unknown columns are ignored. Rows are kept in file order.
-    Parse failures name the offending 1-based data row and column.
+    `process`; unknown columns are ignored. Without a `schema`, every other
+    header column is a variable, in header order. Rows are kept in file
+    order. Parse failures name the offending 1-based data row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -218,6 +219,8 @@ def load_events(path: str | Path, schema: Sequence[str]) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
+        if schema is None:
+            schema = [c for c in header if c not in ("tag", "weight", "process")]
         missing = [c for c in ("tag", "weight", "process", *schema) if c not in header]
         if missing:
             raise DataError(f"{path}: missing required columns {missing}")

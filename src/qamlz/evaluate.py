@@ -272,19 +272,18 @@ def run_uncertainty(
     pipeline,
     n_runs: int = 10,
     params: FomParams = FomParams(),
-    min_counts: int = 20,
-    grid_points: int = 201,
+    **scan,
 ) -> UncertaintyReport:
     """Train `n_runs` models differing only in seed and report the sample mean
-    and standard deviation of their maximal figures of merit on the assess sample."""
+    and standard deviation of their maximal figures of merit on the assess
+    sample. `scan` keywords (`grid_points`, `min_counts`) go to `fom_scan`."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2 for a defined standard deviation")
     foms = []
     for k in range(n_runs):
         run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
         model = run_qamlz(data.train, data.test, pipeline, run_cfg)
-        curve = fom_scan_dataset(model, data.assess, params,
-                                 min_counts=min_counts, grid_points=grid_points)
+        curve = fom_scan_dataset(model, data.assess, params, **scan)
         if curve.no_valid_cut:
             raise DataError("no valid cut on the assess sample; lower min_counts")
         foms.append(curve.best_fom)
@@ -350,13 +349,13 @@ def rank_variables(
     d: Dataset,
     variables: Sequence[str],
     params: FomParams = FomParams(),
-    min_counts: int = 20,
-    grid_points: int = 201,
+    **scan,
 ) -> list[tuple[str, float]]:
     """Rank variables by the best figure of merit a one-sided cut achieves.
 
     Both cut orientations are tried (a raw variable may prefer either tail)
     and the better one kept; the result is sorted by descending maximum.
+    `scan` keywords (`grid_points`, `min_counts`) go to `fom_scan`.
     """
     sig = d.tags == 1
     if not sig.any() or sig.all():
@@ -366,11 +365,8 @@ def rank_variables(
         v = d.column(name)
         best = -math.inf
         for direction in (1.0, -1.0):
-            curve = fom_scan(
-                direction * v[sig], d.weights[sig],
-                direction * v[~sig], d.weights[~sig],
-                params, grid_points=grid_points, min_counts=min_counts,
-            )
+            curve = fom_scan(direction * v[sig], d.weights[sig],
+                             direction * v[~sig], d.weights[~sig], params, **scan)
             if not curve.no_valid_cut and curve.best_fom > best:
                 best = curve.best_fom
         ranked.append((name, best))

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _sweep
 from .errors import ConfigError, DataError
 from .ising import IsingProblem, energies_batch
 
@@ -168,7 +169,9 @@ def solve_sa(
     (spin, read) is drawn per sweep regardless of acceptance so the stream is
     state-independent. `init` overrides the seeded +-1 starting states (shape
     (n_reads, n_spins)); acceptance draws are unaffected, which lets callers
-    pair runs across a gauge relabeling.
+    pair runs across a gauge relabeling. Each sweep runs compiled C when a
+    compiler was found at import, else numpy; both give the same samples
+    (see `qamlz._sweep`).
     """
     t0 = time.perf_counter()
     n = p.n_spins
@@ -180,21 +183,15 @@ def solve_sa(
         init = np.asarray(init)
         if init.shape != (sched.n_reads, n) or not np.isin(init, (-1, 1)).all():
             raise ConfigError("init must be a +-1 array of shape (n_reads, n_spins)")
-        state = init.astype(np.float64)
+        state = np.array(init, dtype=np.float64, order="C")
     j_sym = p.dense_couplers()
-    h = p.h
-    # local coupling fields, maintained incrementally: a flip of spin i in a
-    # read only shifts that read's fields by -2*s_i*J[i,:], so cold sweeps
-    # (few accepted flips) cost O(n_reads) per spin instead of a full matvec
+    # local coupling fields, maintained incrementally by the sweep
     fields = state @ j_sym
+    sweep = _sweep.SWEEP
     for temp in sched.ladder(p):
-        uniforms = rng_sweep.random((n, sched.n_reads))
-        for i in range(n):
-            delta = -2.0 * state[:, i] * (fields[:, i] + h[i])
-            accept = (delta <= 0.0) | (uniforms[i] < np.exp(-np.maximum(delta, 0.0) / temp))
-            if accept.any():
-                fields[accept] -= (2.0 * state[accept, i])[:, None] * j_sym[i]
-                state[accept, i] *= -1.0
+        # one draw per sweep: drawing every sweep's uniforms at once would
+        # hold n_spins * n_reads * sweeps doubles
+        sweep(state, fields, j_sym, p.h, rng_sweep.random((n, sched.n_reads)), temp)
     spins = state.astype(np.int8)
     energies = energies_batch(p, spins)
     return _sorted_result(spins, energies, broken_chain_fraction=0.0, solver="sa",

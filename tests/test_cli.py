@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qamlz import FomParams, ZoomConfig, fom
-from qamlz.cli import main
+from qamlz.cli import main, prepare_data
 
 
 def _base_config(tmp_path: Path, **over) -> Path:
@@ -82,6 +82,14 @@ class TestGen:
         b = sum(float(r["weight"]) for r in rows if r["tag"] == "-1")
         assert s == pytest.approx(7000.0, rel=1e-12)
         assert b == pytest.approx(200_000.0, rel=1e-12)
+
+
+def test_csv_schema_read_from_quoted_header(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text('tag,weight,process,"a,b",c\n1,1.0,signal,0.5,2.0\n-1,2.0,wjets,-0.5,1.0\n')
+    data = prepare_data({"data": {"csv": str(path)}}, seed=0)
+    assert tuple(data.schema) == ("a,b", "c")
+    np.testing.assert_array_equal(data.values, [[0.5, 2.0], [-0.5, 1.0]])
 
 
 class TestTrain:
