@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -51,8 +52,8 @@ class Event:
     def __post_init__(self):
         if self.tag not in (-1, 1):
             raise DataError(f"event tag must be +1 or -1, got {self.tag}")
-        if not self.weight >= 0.0:
-            raise DataError(f"event weight must be >= 0, got {self.weight}")
+        if not 0.0 <= self.weight < math.inf:
+            raise DataError(f"event weight must be finite and >= 0, got {self.weight}")
         if self.process not in PROCESSES:
             raise DataError(f"unknown process {self.process!r}; expected one of {PROCESSES}")
 
@@ -83,8 +84,8 @@ class Dataset:
             raise DataError("tags/weights/processes length mismatch")
         if n and not np.isin(tags, (-1, 1)).all():
             raise DataError("tags must be +1 or -1")
-        if n and not (weights >= 0).all():
-            raise DataError("weights must be non-negative")
+        if n and not (np.isfinite(weights) & (weights >= 0)).all():
+            raise DataError("weights must be finite and non-negative")
         if n and not np.isfinite(values).all():
             raise DataError("event values must be finite")
         bad = set(processes_arr) - set(PROCESSES)
@@ -207,7 +208,8 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
     The header must name a superset of `schema` plus `tag`, `weight` and
     `process`; unknown columns are ignored. Without a `schema`, every other
     header column is a variable, in header order. Rows are kept in file
-    order. Parse failures name the offending 1-based data row and column.
+    order. Parse failures, including a weight or value that is not finite,
+    name the offending 1-based data row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -237,11 +239,16 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
             def _num(name: str) -> float:
                 cell = row[col[name]]
                 try:
-                    return float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric value {cell!r} at row {r}, column {name!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite value {cell!r} at row {r}, column {name!r}"
+                    )
+                return value
 
             tag = _num("tag")
             if tag not in (-1.0, 1.0):
@@ -378,6 +385,43 @@ class GeneratorSpec:
 
 
 _MAX_TRUNCATION_TRIES = 100
+#: events drawn together; bounds the size of the per-chunk arrays
+_CHUNK = 1024
+#: attempts drawn per round for the events still without an accepted one;
+#: they total the checked attempts plus the one taken unchecked at the cap
+_ROUNDS = (4, 16, _MAX_TRUNCATION_TRIES + 1 - 20)
+
+
+def _accepted_attempts(rngs, proc, models, lo, hi) -> np.ndarray:
+    """Each event's first Gaussian attempt inside the bounds, or else the one
+    after the last check, unclipped.
+
+    Event r draws from `rngs[r]` with model `models[proc[r]]`. Attempts come in
+    blocks of `_ROUNDS`; a block consumes a stream as one draw per attempt
+    does, and a stream is dropped after its event, so the extra draws of a
+    round change nothing.
+    """
+    k = len(models[0][0])
+    out = np.empty((len(rngs), k), dtype=np.float64)
+    pending = np.arange(len(rngs))
+    tried = 0
+    for block in _ROUNDS:
+        z = np.empty((len(pending), block, k), dtype=np.float64)
+        for row, r in zip(z, pending):
+            rngs[r].standard_normal(out=row)
+        x = np.empty_like(z)
+        for m, (mean, fac) in enumerate(models):
+            sel = proc[pending] == m
+            # stacked matvecs give `fac @ z` of each attempt bit for bit; `z @ fac.T` does not
+            x[sel] = mean + np.matmul(fac, z[sel][..., None])[..., 0]
+        ok = ((lo <= x) & (x <= hi)).all(axis=-1)
+        ok[:, _MAX_TRUNCATION_TRIES - tried:] = True  # past the last check: taken unchecked
+        hit = ok.any(axis=1)
+        out[pending[hit]] = x[hit, ok[hit].argmax(axis=1)]
+        pending, tried = pending[~hit], tried + block
+        if not len(pending):
+            break
+    return out
 
 
 def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:
@@ -385,47 +429,51 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
 
     Class and process are sampled per event; per-class weights are set after
     the fact so signal weights sum to s_tot and background weights to b_tot.
+    Event i draws only from its own stream `default_rng((seed, i))`: a class
+    uniform, a process uniform for background events, then Gaussian attempts
+    until one lies inside `bounds`. Events are generated in chunks, with the
+    arithmetic done column-wise; the values are those of drawing and testing
+    each event's attempts one by one.
     """
     if n_events <= 0:
         raise ConfigError("n_events must be positive")
-    names = list(spec.processes)
-    means = {n: np.asarray(pm.mean, dtype=np.float64) for n, pm in spec.processes.items()}
-    factors = {n: pm.factor() for n, pm in spec.processes.items()}
-    bg_names = [n for n in names if n != "signal"]
+    bg_names = [n for n in spec.processes if n != "signal"]
+    names = np.array(["signal", *bg_names], dtype=object)
+    models = [(np.asarray(spec.processes[n].mean, dtype=np.float64), spec.processes[n].factor())
+              for n in names]
     bg_cum = np.cumsum([spec.background_fractions.get(n, 0.0) for n in bg_names])
-    bounded = [
-        (spec.schema.index(v), lo if lo is not None else -np.inf, hi if hi is not None else np.inf)
-        for v, (lo, hi) in spec.bounds.items()
-    ]
+    # an unbounded side is infinite, which passes every test and clips nothing
+    lo = np.full(len(spec.schema), -np.inf)
+    hi = np.full(len(spec.schema), np.inf)
+    for v, (a, b) in spec.bounds.items():
+        if a is not None:
+            lo[spec.schema.index(v)] = a
+        if b is not None:
+            hi[spec.schema.index(v)] = b
+
+    values = np.empty((n_events, len(spec.schema)), dtype=np.float64)
+    proc = np.zeros(n_events, dtype=np.intp)  # index into names
+    for start in range(0, n_events, _CHUNK):
+        stop = min(start + _CHUNK, n_events)
+        rngs = [np.random.default_rng((seed, i)) for i in range(start, stop)]
+        # the class uniform, then the process uniform of a background event
+        u_bg = np.array([np.nan if rng.random() < spec.signal_fraction else rng.random()
+                         for rng in rngs])
+        bg = ~np.isnan(u_bg)
+        proc[start:stop][bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
+        values[start:stop] = _accepted_attempts(rngs, proc[start:stop], models, lo, hi)
+        del rngs  # before the next chunk's streams exist: about 1.6 kB each
+
+    def clip(cols: np.ndarray) -> np.ndarray:  # min(max(v, lo), hi), as Python orders ties
+        cols = np.where(lo > cols, lo, cols)
+        return np.where(hi < cols, hi, cols)
+
+    values = clip(values)
     int_idx = [spec.schema.index(v) for v in spec.integer_variables]
-    k = len(spec.schema)
+    values[:, int_idx] = np.rint(values[:, int_idx])
+    values = clip(values)  # rounding may step outside a tight bound
 
-    values = np.empty((n_events, k), dtype=np.float64)
-    tags = np.empty(n_events, dtype=np.int8)
-    processes = []
-    for i in range(n_events):
-        rng = np.random.default_rng((seed, i))
-        if rng.random() < spec.signal_fraction:
-            proc = "signal"
-            tags[i] = 1
-        else:
-            proc = bg_names[int(np.searchsorted(bg_cum, rng.random(), side="right"))]
-            tags[i] = -1
-        mean, fac = means[proc], factors[proc]
-        x = mean + fac @ rng.standard_normal(k)
-        for _ in range(_MAX_TRUNCATION_TRIES):
-            if all(lo <= x[j] <= hi for j, lo, hi in bounded):
-                break
-            x = mean + fac @ rng.standard_normal(k)
-        for j, lo, hi in bounded:
-            x[j] = min(max(x[j], lo), hi)
-        for j in int_idx:
-            x[j] = np.rint(x[j])
-        for j, lo, hi in bounded:  # rounding may step outside a tight bound
-            x[j] = min(max(x[j], lo), hi)
-        values[i] = x
-        processes.append(proc)
-
+    tags = np.where(proc == 0, 1, -1).astype(np.int8)
     n_sig = int((tags == 1).sum())
     n_bg = n_events - n_sig
     if n_sig == 0 or n_bg == 0:
@@ -434,7 +482,7 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
             "increase n_events"
         )
     weights = np.where(tags == 1, spec.s_tot / n_sig, spec.b_tot / n_bg)
-    return Dataset(spec.schema, values, tags, weights, processes)
+    return Dataset(spec.schema, values, tags, weights, names[proc])
 
 
 # ---------------------------------------------------------------------------

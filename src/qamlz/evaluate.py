@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Dataset, SampleSplit
 from .errors import ConfigError, DataError
@@ -305,6 +304,8 @@ def overtraining_check(
     0 with a large p-value means the classifier responds alike to events it
     was and was not trained on.
     """
+    from scipy import stats  # slow to load: imported where used, so only `eval` pays for it
+
     out: dict[str, tuple[float, float]] = {}
     for name in train_scores:
         a = np.asarray(train_scores[name], dtype=np.float64)
@@ -334,6 +335,8 @@ def auc(signal_scores: np.ndarray, background_scores: np.ndarray) -> float:
     b = np.asarray(background_scores, dtype=np.float64)
     if len(s) == 0 or len(b) == 0:
         raise DataError("both samples must be non-empty")
+    from scipy import stats
+
     pooled = np.concatenate([s, b])
     ranks = stats.rankdata(pooled)
     r_s = ranks[: len(s)].sum()

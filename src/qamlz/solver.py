@@ -27,7 +27,9 @@ from .errors import ConfigError, DataError
 from .ising import IsingProblem, energies_batch
 
 EXACT_SPIN_LIMIT = 24
-_ENUM_CHUNK = 1 << 20
+#: configurations enumerated per block; small enough that the block's
+#: (configurations x couplers) temporaries stay in cache
+_ENUM_CHUNK = 1 << 12
 
 
 def at_iteration(schedule, t: int):
@@ -139,11 +141,13 @@ def solve_exact(p: IsingProblem, keep: int = 32) -> SolverResult:
         e = energies_batch(p, spins)
         cat_e = np.concatenate([best_e, e])
         cat_i = np.concatenate([best_idx, idx])
+        # equal energies sit in index order in cat_e (the kept states, sorted,
+        # then this block), so a stable sort breaks ties by index; only states
+        # no worse than the keep-th lowest energy need sorting
+        part = np.arange(len(cat_e))
         if len(cat_e) > keep:
-            part = np.argpartition(cat_e, keep - 1)[:keep]
-            part = part[np.lexsort((cat_i[part], cat_e[part]))]
-        else:
-            part = np.lexsort((cat_i, cat_e))
+            part = np.flatnonzero(cat_e <= np.partition(cat_e, keep - 1)[keep - 1])
+        part = part[np.argsort(cat_e[part], kind="stable")][:keep]
         best_e, best_idx = cat_e[part], cat_i[part]
     spins = (((best_idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
     return SolverResult(

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from qamlz import IsingProblem
+from qamlz import Dataset, GeneratorSpec, IsingProblem
+from qamlz.errors import ConfigError, DataError
 
 
 def make_problem(h, couplers: dict, lam: float = 0.0) -> IsingProblem:
@@ -139,6 +140,71 @@ def reference_t_hot(sched, problem: IsingProblem) -> float:
     scale = float(max(scale, (np.abs(problem.h) + row).max(initial=0.0)))
     hot = 2.0 * scale if scale > 0 else 1.0
     return max(hot, sched.t_cold * 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Per-event generation loop: the scalar implementation that chunked
+# generation replaced, kept to pin the chunked code bit for bit
+# ---------------------------------------------------------------------------
+
+_MAX_TRUNCATION_TRIES = 100
+
+
+def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:
+    """Draw `n_events` events; deterministic and schedule-independent for a fixed seed.
+
+    Class and process are sampled per event; per-class weights are set after
+    the fact so signal weights sum to s_tot and background weights to b_tot.
+    """
+    if n_events <= 0:
+        raise ConfigError("n_events must be positive")
+    names = list(spec.processes)
+    means = {n: np.asarray(pm.mean, dtype=np.float64) for n, pm in spec.processes.items()}
+    factors = {n: pm.factor() for n, pm in spec.processes.items()}
+    bg_names = [n for n in names if n != "signal"]
+    bg_cum = np.cumsum([spec.background_fractions.get(n, 0.0) for n in bg_names])
+    bounded = [
+        (spec.schema.index(v), lo if lo is not None else -np.inf, hi if hi is not None else np.inf)
+        for v, (lo, hi) in spec.bounds.items()
+    ]
+    int_idx = [spec.schema.index(v) for v in spec.integer_variables]
+    k = len(spec.schema)
+
+    values = np.empty((n_events, k), dtype=np.float64)
+    tags = np.empty(n_events, dtype=np.int8)
+    processes = []
+    for i in range(n_events):
+        rng = np.random.default_rng((seed, i))
+        if rng.random() < spec.signal_fraction:
+            proc = "signal"
+            tags[i] = 1
+        else:
+            proc = bg_names[int(np.searchsorted(bg_cum, rng.random(), side="right"))]
+            tags[i] = -1
+        mean, fac = means[proc], factors[proc]
+        x = mean + fac @ rng.standard_normal(k)
+        for _ in range(_MAX_TRUNCATION_TRIES):
+            if all(lo <= x[j] <= hi for j, lo, hi in bounded):
+                break
+            x = mean + fac @ rng.standard_normal(k)
+        for j, lo, hi in bounded:
+            x[j] = min(max(x[j], lo), hi)
+        for j in int_idx:
+            x[j] = np.rint(x[j])
+        for j, lo, hi in bounded:  # rounding may step outside a tight bound
+            x[j] = min(max(x[j], lo), hi)
+        values[i] = x
+        processes.append(proc)
+
+    n_sig = int((tags == 1).sum())
+    n_bg = n_events - n_sig
+    if n_sig == 0 or n_bg == 0:
+        raise DataError(
+            f"generated sample has an empty class (signal={n_sig}, background={n_bg}); "
+            "increase n_events"
+        )
+    weights = np.where(tags == 1, spec.s_tot / n_sig, spec.b_tot / n_bg)
+    return Dataset(spec.schema, values, tags, weights, processes)
 
 
 @pytest.fixture

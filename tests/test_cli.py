@@ -1,5 +1,6 @@
 import csv
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qamlz
 from qamlz import FomParams, ZoomConfig, fom
 from qamlz.cli import main, prepare_data
 
@@ -326,6 +328,16 @@ class TestFomCommand:
         assert main(["fom", "--config", str(cfg)]) == 2
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is slow to import; only the functions that use it load it
+    src = str(Path(qamlz.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qamlz, qamlz.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_bad_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -341,6 +353,20 @@ class TestExitCodes:
         doc["data"] = {"csv": str(tmp_path / "nope.csv")}
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
+
+    def test_infinite_weight_in_data_file(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        events = tmp_path / "out" / "events.csv"
+        lines = events.read_text().splitlines()
+        tag, _, rest = lines[5].split(",", 2)
+        lines[5] = f"{tag},inf,{rest}"
+        events.write_text("\n".join(lines) + "\n")
+        doc = json.loads(cfg.read_text())
+        doc["data"] = {"csv": str(events)}
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "at row 5, column 'weight'" in capsys.readouterr().err
 
     def test_invalid_zoom_config(self, tmp_path):
         cfg = _base_config(tmp_path)

@@ -20,6 +20,8 @@ from qamlz import (
 )
 from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES
 
+from conftest import reference_generate_synthetic
+
 
 def _spec_1d(sig_mean=1.0, bkg_mean=-1.0):
     return two_gaussian_spec(["x"], [sig_mean], [bkg_mean], sigmas=1.0,
@@ -131,6 +133,71 @@ class TestGenerate:
         assert a.to_csv() == b.to_csv()
 
 
+def _assert_bit_equal(spec, n_events, seed):
+    a = generate_synthetic(spec, n_events, seed)
+    b = reference_generate_synthetic(spec, n_events, seed)
+    assert a.values.tobytes() == b.values.tobytes()  # also tells -0.0 from 0.0
+    assert a.tags.tobytes() == b.tags.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert list(a.processes) == list(b.processes)
+    assert a.to_csv() == b.to_csv()
+    return a
+
+
+def _unit_spec(bounds, integer_variables=(), fractions=None):
+    """Two variables, unit covariance; signal at +1, every background at -1."""
+    fractions = fractions or {"wjets": 1.0}
+    cov = ((1.0, 0.0), (0.0, 1.0))
+    processes = {"signal": ProcessModel((1.0, 1.0), cov)}
+    processes.update({name: ProcessModel((-1.0, -1.0), cov) for name in fractions})
+    return GeneratorSpec(schema=("x", "n"), processes=processes, signal_fraction=0.5,
+                         background_fractions=fractions, s_tot=10.0, b_tot=30.0,
+                         bounds=bounds, integer_variables=integer_variables)
+
+
+class TestGenerateMatchesPerEventLoop:
+    """Chunked generation against the per-event loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_default_spec(self, seed):
+        _assert_bit_equal(default_generator_spec(), 5000, seed)
+
+    def test_two_gaussian_spec(self):
+        _assert_bit_equal(two_gaussian_spec(["a", "b", "c"], [0.5, 1.0, 0.0],
+                                            [-0.5, 0.0, 0.2], sigmas=[1.0, 2.0, 0.5]), 3000, 5)
+
+    def test_tight_bound_reaches_the_cap(self):
+        # an attempt lands in [2, 3] with probability 0.02 to 0.16 by class, so
+        # most events need more than the first round of attempts and a tenth
+        # of the signal draws all 100 checks and is clipped onto a bound
+        d = _assert_bit_equal(_unit_spec({"x": (2.0, 3.0)}), 3000, 4)
+        x = d.column("x")
+        assert ((x == 2.0) | (x == 3.0)).sum() > 100
+
+    def test_rounding_outside_a_tight_bound(self):
+        d = _assert_bit_equal(_unit_spec({"n": (-0.4, 2.7)}, integer_variables=("n",)), 3000, 9)
+        n = d.column("n")
+        assert (n == 2.7).any()  # 3 after rounding, clipped a second time
+        assert np.signbit(n[n == 0.0]).any()  # -0.0 from rounding survives the clip
+
+    def test_background_process_with_zero_fraction(self):
+        spec = _unit_spec({}, fractions={"wjets": 0.0, "ttbar": 1.0, "other": 0.0})
+        d = _assert_bit_equal(spec, 2000, 3)
+        assert set(d.processes) == {"signal", "ttbar"}
+
+    @pytest.mark.parametrize("n_events", [1023, 1024, 1025, 5000])
+    def test_chunk_boundaries(self, n_events):
+        _assert_bit_equal(_unit_spec({"x": (-1.5, None), "n": (None, 1.5)}), n_events, 12)
+
+    def test_single_event_has_an_empty_class(self):
+        spec = _unit_spec({})
+        with pytest.raises(DataError) as ours:
+            generate_synthetic(spec, 1, seed=0)
+        with pytest.raises(DataError) as ref:
+            reference_generate_synthetic(spec, 1, seed=0)
+        assert str(ours.value) == str(ref.value)
+
+
 # ---------------------------------------------------------------------------
 # load_events
 # ---------------------------------------------------------------------------
@@ -180,6 +247,25 @@ class TestLoad:
         )
         with pytest.raises(DataError, match="row 2, column 'x'"):
             load_events(p, ["x"])
+
+    @pytest.mark.parametrize("weight, x, column", [
+        ("inf", "0.1", "weight"), ("-inf", "0.1", "weight"), ("nan", "0.1", "weight"),
+        ("1.0", "inf", "x"),
+    ])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, weight, x, column):
+        p = self._write(
+            tmp_path,
+            f"tag,weight,process,x\n1,1.0,signal,0.5\n-1,{weight},wjets,{x}\n",
+        )
+        with pytest.raises(DataError, match=f"non-finite value .* at row 2, column '{column}'"):
+            load_events(p, ["x"])
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, -1.0])
+    def test_dataset_and_event_need_finite_non_negative_weights(self, weight):
+        with pytest.raises(DataError, match="finite and non-negative"):
+            Dataset(("x",), [[0.0], [1.0]], [1, -1], [1.0, weight], ["signal", "wjets"])
+        with pytest.raises(DataError, match="finite and >= 0"):
+            Event(values={"x": 0.0}, tag=1, weight=weight, process="signal")
 
     def test_short_row_names_row(self, tmp_path):
         p = self._write(

@@ -17,6 +17,7 @@ from qamlz import (
     solve_sa,
     ungauge,
 )
+from qamlz import solver
 from qamlz.solver import SolverResult, at_iteration, expand_chains
 
 from conftest import brute_force_energy, coupler_dict, make_problem, random_problem
@@ -86,6 +87,28 @@ class TestExact:
         g_perm = res_p.spins[0]
         candidate = np.asarray([g_perm[int(inv[i])] for i in range(6)])
         assert energy(p, candidate) == pytest.approx(res.energies[0], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [11, 14])
+    def test_block_size_does_not_change_the_spectrum(self, rng, monkeypatch, n):
+        # integer fields and couplers tie many energies, so the index-order
+        # tie break across block boundaries is exercised
+        for _ in range(3):
+            p = make_problem(rng.integers(-1, 2, size=n).astype(float),
+                             {(a, b): float(rng.integers(-1, 2))
+                              for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5})
+            results = []
+            for chunk in (1 << 20, 1 << 12, 1000):
+                monkeypatch.setattr(solver, "_ENUM_CHUNK", chunk)
+                results.append(solve_exact(p, keep=64))
+            for res in results[1:]:
+                np.testing.assert_array_equal(res.spins, results[0].spins)
+                np.testing.assert_array_equal(res.energies, results[0].energies)
+            # the kept states are the lowest of the spectrum, ties in index order
+            idx = np.arange(1 << n)
+            spins = ((idx[:, None] >> np.arange(n)) & 1) * 2 - 1
+            e = np.array([energy(p, s) for s in spins])
+            order = np.lexsort((idx, e))[:64]
+            np.testing.assert_array_equal(results[0].spins, spins[order])
 
 
 # ---------------------------------------------------------------------------
