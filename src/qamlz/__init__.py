@@ -15,7 +15,6 @@ from .dataset import (
     Cut,
     CutSet,
     Dataset,
-    Event,
     GeneratorSpec,
     ProcessModel,
     SampleSplit,
@@ -37,7 +36,6 @@ from .features import (
     WeakClassifierSet,
     apply_pca,
     compute_derived,
-    evaluate_h,
     fit_feature_pipeline,
     fit_pca,
     normalize_fit,
@@ -90,7 +88,6 @@ from .evaluate import (
     FomParams,
     UncertaintyReport,
     asimov_significance,
-    auc,
     fom,
     fom_scan,
     fom_scan_dataset,
@@ -99,7 +96,6 @@ from .evaluate import (
     run_uncertainty,
     score_events,
     scores_by_process,
-    strong_score,
 )
 
 __version__ = "0.1.0"

@@ -111,7 +111,9 @@ def _is_number(v) -> bool:
 # an integer may be written as an integral number such as 8.0
 _integer = _kind("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
                  int)
-_number = _kind("a number", _is_number, float)
+# JSON admits NaN and Infinity, and an integer too large for a float
+_number = _kind("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+                float)
 _boolean = _kind("true or false", lambda v: isinstance(v, bool))
 _string = _kind("a string", lambda v: isinstance(v, str))
 

@@ -1,9 +1,10 @@
 """Event data model, synthetic generation, CSV ingestion, preselection and sample splitting.
 
-Events are weighted, tagged feature vectors. Datasets are stored column-wise
-(numpy arrays) for speed but iterate as `Event` objects. All containers are
-immutable after construction; generation derives one RNG stream per event from
-(seed, event index) so results are independent of evaluation order.
+Events are weighted, tagged feature vectors, stored column-wise in a
+`Dataset` (numpy arrays): an event is one row of `values` with its tag,
+weight and process. All containers are immutable after construction;
+generation derives one RNG stream per event from (seed, event index) so
+results are independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,24 +39,6 @@ _COMPARATORS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
     ">=": lambda v, t: v >= t,
     "abs<": lambda v, t: np.abs(v) < t,
 }
-
-
-@dataclass(frozen=True)
-class Event:
-    """One weighted, tagged event. tag is +1 (signal) or -1 (background)."""
-
-    values: Mapping[str, float]
-    tag: int
-    weight: float
-    process: str
-
-    def __post_init__(self):
-        if self.tag not in (-1, 1):
-            raise DataError(f"event tag must be +1 or -1, got {self.tag}")
-        if not 0.0 <= self.weight < math.inf:
-            raise DataError(f"event weight must be finite and >= 0, got {self.weight}")
-        if self.process not in PROCESSES:
-            raise DataError(f"unknown process {self.process!r}; expected one of {PROCESSES}")
 
 
 class Dataset:
@@ -112,18 +95,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(
-            values=dict(zip(self.schema, self.values[i])),
-            tag=int(self.tags[i]),
-            weight=float(self.weights[i]),
-            process=str(self.processes[i]),
-        )
-
     def column(self, name: str) -> np.ndarray:
         try:
             j = self.schema.index(name)
@@ -165,23 +136,6 @@ class Dataset:
             self.weights,
             self.processes,
         )
-
-    @classmethod
-    def from_events(cls, schema: Sequence[str], events: Iterable[Event]) -> "Dataset":
-        events = list(events)
-        values = np.empty((len(events), len(schema)), dtype=np.float64)
-        tags = np.empty(len(events), dtype=np.int8)
-        weights = np.empty(len(events), dtype=np.float64)
-        processes = []
-        for i, ev in enumerate(events):
-            missing = [v for v in schema if v not in ev.values]
-            if missing:
-                raise DataError(f"event {i} missing variables {missing}")
-            values[i] = [ev.values[v] for v in schema]
-            tags[i] = ev.tag
-            weights[i] = ev.weight
-            processes.append(ev.process)
-        return cls(schema, values, tags, weights, processes)
 
     # -- CSV round trip ------------------------------------------------
 

@@ -49,8 +49,10 @@ class FomParams:
     luminosity: str = "35.9 fb^-1"
 
     def __post_init__(self):
-        if self.f < 0:
-            raise ConfigError("relative background uncertainty f must be >= 0")
+        if not 0.0 <= self.f < math.inf:
+            raise ConfigError(
+                f"relative background uncertainty f must be finite and >= 0, got {self.f}"
+            )
 
 
 def asimov_significance(s: float, b: float) -> float:
@@ -70,7 +72,9 @@ def fom(s: float, b: float, params: FomParams | float = FomParams()) -> float:
     The f -> 0 limit is returned analytically. A numerically negative radicand
     (possible only through cancellation) is clamped to 0 with a warning.
     """
-    f = params.f if isinstance(params, FomParams) else float(params)
+    if not isinstance(params, FomParams):
+        params = FomParams(f=float(params))
+    f = params.f
     if b <= 0:
         raise ConfigError("background yield must be positive")
     if s < 0:
@@ -89,26 +93,18 @@ def fom(s: float, b: float, params: FomParams | float = FomParams()) -> float:
     return math.sqrt(radicand)
 
 
-def _fom_or_limit(s: float, b: float, f: float) -> float:
+def _fom_or_limit(s: float, b: float, params: FomParams) -> float:
     """Curve value allowing the zero-background edge: +inf when only signal survives."""
     if s == 0.0:
         return 0.0
     if b <= 0.0:
         return math.inf
-    return fom(s, b, f)
+    return fom(s, b, params)
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
-
-
-def strong_score(model: TrainedModel, event) -> float:
-    """R(x) = sum_I mu_I c_I(x); bounded by sum|mu| / n_var."""
-    values = event.values if hasattr(event, "values") and not isinstance(event, Mapping) else event
-    h = model.pipeline.transform_values(values)
-    signs = model.augmented_set().signs_from_h(h[None, :])[0]
-    return float(signs @ (model.mu / model.n_var))
 
 
 def score_events(model: TrainedModel, d: Dataset) -> np.ndarray:
@@ -209,7 +205,7 @@ def fom_scan(
     s_yields, n_sig = survivors(ss, sw, grid)
     b_yields, n_bkg = survivors(bs, bw, grid)
     values = np.array(
-        [_fom_or_limit(s, b, params.f) for s, b in zip(s_yields, b_yields)]
+        [_fom_or_limit(s, b, params) for s, b in zip(s_yields, b_yields)]
     )
     valid = (n_sig >= min_counts) & (n_bkg >= min_counts)
     if valid.any():
@@ -321,26 +317,6 @@ def scores_by_process(model: TrainedModel, d: Dataset) -> dict[str, np.ndarray]:
     scores = score_events(model, d)
     procs = d.processes.astype(str)
     return {name: scores[procs == name] for name in np.unique(procs)}
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary diagnostic
-# ---------------------------------------------------------------------------
-
-
-def auc(signal_scores: np.ndarray, background_scores: np.ndarray) -> float:
-    """Unweighted area under the ROC curve, as a secondary diagnostic only;
-    classifier selection goes through the figure of merit."""
-    s = np.asarray(signal_scores, dtype=np.float64)
-    b = np.asarray(background_scores, dtype=np.float64)
-    if len(s) == 0 or len(b) == 0:
-        raise DataError("both samples must be non-empty")
-    from scipy import stats
-
-    pooled = np.concatenate([s, b])
-    ranks = stats.rankdata(pooled)
-    r_s = ranks[: len(s)].sum()
-    return float((r_s - len(s) * (len(s) + 1) / 2.0) / (len(s) * len(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ optional PCA rotation complete the feature pipeline.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -20,13 +19,6 @@ from .errors import ConfigError, DataError
 
 #: denominator magnitudes below this yield 0 instead of dividing
 DIVISION_GUARD = 1e-9
-
-#: per-formula count of guarded divisions (diagnostic, resettable)
-division_guard_counts: collections.Counter = collections.Counter()
-
-
-def reset_division_guards() -> None:
-    division_guard_counts.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +81,6 @@ class WeakClassifierSet:
         n_bins = self.responses.shape[1]
         bins = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, n_bins - 1)
         return self.responses[np.arange(self.n_classifiers)[None, :], bins]
-
-    def evaluate_event(self, values: Mapping[str, float]) -> np.ndarray:
-        missing = [v for v in self.var_names if v not in values]
-        if missing:
-            raise DataError(f"event missing fitted variables {missing}")
-        row = np.array([[values[v] for v in self.var_names]], dtype=np.float64)
-        return self.evaluate_matrix(row)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -181,12 +166,6 @@ def weak_fit(
     )
 
 
-def evaluate_h(ws: WeakClassifierSet, event) -> np.ndarray:
-    """Vector of h_i values for one event (an Event or a name->value mapping)."""
-    values = event.values if hasattr(event, "values") and not isinstance(event, Mapping) else event
-    return ws.evaluate_event(values)
-
-
 # ---------------------------------------------------------------------------
 # Derived variables
 # ---------------------------------------------------------------------------
@@ -204,27 +183,18 @@ class DerivedFormula:
         return self.fn(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
-def _guarded_ratio(name: str):
-    def fn(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        guarded = np.abs(den) < DIVISION_GUARD
-        if guarded.any():
-            division_guard_counts[name] += int(guarded.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(guarded, 0.0, num / np.where(guarded, 1.0, den))
-    return fn
-
-
-_ratio_pt_met = _guarded_ratio("pt_lep_over_met")
-_ratio_pt_jet = _guarded_ratio("pt_lep_over_pt_jet1")
-_ratio_ht2 = _guarded_ratio("ht_sq_over_n_jets")
-_ratio_pt_ht = _guarded_ratio("pt_lep_over_ht")
+def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with 0 where |den| < DIVISION_GUARD."""
+    guarded = np.abs(den) < DIVISION_GUARD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(guarded, 0.0, num / np.where(guarded, 1.0, den))
 
 #: The nine published two-variable combinations, keyed by preset name.
 DERIVED_PRESETS: dict[str, DerivedFormula] = {
     f.name: f
     for f in (
-        DerivedFormula("pt_lep_over_met", ("pt_lep", "met"), _ratio_pt_met),
-        DerivedFormula("pt_lep_over_pt_jet1", ("pt_lep", "pt_jet1"), _ratio_pt_jet),
+        DerivedFormula("pt_lep_over_met", ("pt_lep", "met"), _guarded_ratio),
+        DerivedFormula("pt_lep_over_pt_jet1", ("pt_lep", "pt_jet1"), _guarded_ratio),
         DerivedFormula("discb_shift_times_pt_b", ("disc_b", "pt_b"),
                        lambda a, b: (a - 1.0) * b),
         DerivedFormula("met_mt_window", ("met", "mt"),
@@ -234,12 +204,12 @@ DERIVED_PRESETS: dict[str, DerivedFormula] = {
         DerivedFormula("dr_lb_minus_mt_scaled", ("dr_lb", "mt"),
                        lambda a, b: a - b / 40.0),
         DerivedFormula("ht_sq_over_n_jets", ("ht", "n_jets"),
-                       lambda a, b: _ratio_ht2(a * a, b)),
+                       lambda a, b: _guarded_ratio(a * a, b)),
         # Which transverse momentum enters here is ambiguous in the source
         # material; the lepton pT is the most plausible reading.
         DerivedFormula("pt_lep_plus_eta_sq", ("pt_lep", "eta_lep"),
                        lambda a, b: a + 3.5 * b * b),
-        DerivedFormula("pt_lep_over_ht", ("pt_lep", "ht"), _ratio_pt_ht),
+        DerivedFormula("pt_lep_over_ht", ("pt_lep", "ht"), _guarded_ratio),
     )
 }
 
@@ -398,21 +368,6 @@ class FeaturePipeline:
         if self.pca is not None:
             x = apply_pca(self.pca, x)
         return self.weak.evaluate_matrix(x)
-
-    def transform_values(self, values: Mapping[str, float]) -> np.ndarray:
-        vals = dict(values)
-        for name in self.derived:
-            if name not in vals:
-                f = DERIVED_PRESETS[name]
-                vals[name] = float(f.evaluate(np.array([vals[f.inputs[0]]]),
-                                              np.array([vals[f.inputs[1]]]))[0])
-        missing = [v for v in self.variables if v not in vals]
-        if missing:
-            raise DataError(f"event missing variables {missing}")
-        x = np.array([[vals[v] for v in self.variables]], dtype=np.float64)
-        if self.pca is not None:
-            x = apply_pca(self.pca, x)
-        return self.weak.evaluate_matrix(x)[0]
 
     def to_dict(self) -> dict:
         return {

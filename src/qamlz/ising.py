@@ -79,33 +79,12 @@ class AugmentedClassifierSet:
     def var_index(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_var), self.n_outcomes)
 
-    def index_of(self, i: int, l: int) -> int:
-        if not (0 <= i < self.n_var and -self.offset_range <= l <= self.offset_range):
-            raise ConfigError("classifier index out of range")
-        return i * self.n_outcomes + (l + self.offset_range)
-
-    def pair_of(self, spin: int) -> tuple[int, int]:
-        return divmod(spin, self.n_outcomes)[0], spin % self.n_outcomes - self.offset_range
-
     def signs_from_h(self, h_matrix: np.ndarray) -> np.ndarray:
         """(n_events, n_spins) matrix of sgn(h_i + delta*l) as int8."""
         h = np.asarray(h_matrix, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.n_var:
             raise DataError(f"expected (n, {self.n_var}) h matrix, got {h.shape}")
         return sign_pm1(h[:, self.var_index] + self.offsets[None, :])
-
-    def classifier_values(self, h_matrix: np.ndarray) -> np.ndarray:
-        return self.signs_from_h(h_matrix).astype(np.float64) / self.n_var
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "offset_range": self.offset_range,
-                "base": self.base.to_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "AugmentedClassifierSet":
-        return cls(base=WeakClassifierSet.from_dict(doc["base"]),
-                   delta=float(doc["delta"]), offset_range=int(doc["offset_range"]))
-
 
 def augment(base: WeakClassifierSet, delta: float, offset_range: int) -> AugmentedClassifierSet:
     return AugmentedClassifierSet(base=base, delta=delta, offset_range=offset_range)
@@ -241,12 +220,11 @@ def effective_problem(
     mu: np.ndarray,
     sigma: float,
     lam: float = 0.0,
-    include_self_coupling: bool = True,
 ) -> IsingProblem:
     """Per-iteration problem at search center mu and width sigma.
 
     Fields are lam + sigma*(-tag_sums_I + sum_J mu_J pair_sums_IJ); the sum
-    runs over all J including J = I unless `include_self_coupling` is False.
+    runs over all J, J = I included.
     The coupler of each unordered pair {I, J} is pair_sums_IJ * sigma**2, so
     the triangular energy matches the ordered double-sum form in which each
     pair appears twice with half this coefficient.
@@ -256,10 +234,7 @@ def effective_problem(
         raise ConfigError(f"mu must have length {cm.n_spins}, got {mu.shape}")
     if not sigma > 0:
         raise ConfigError("sigma must be positive")
-    pair = cm.pair_sums
-    if not include_self_coupling:
-        pair = pair - np.diag(np.diag(pair))
-    h = lam + sigma * (-cm.tag_sums + pair @ mu)
+    h = lam + sigma * (-cm.tag_sums + cm.pair_sums @ mu)
     iu, ju = np.triu_indices(cm.n_spins, k=1)
     return IsingProblem(h=h, pairs=np.column_stack([iu, ju]),
                         values=cm.pair_sums[iu, ju] * sigma * sigma, lam=lam)
@@ -361,11 +336,12 @@ def expand_solution(
     assignments: Mapping[int, int], reduced_spins: np.ndarray, n_spins: int
 ) -> np.ndarray:
     """Merge fixed assignments with a reduced-problem solution into a full vector."""
+    fixed = np.fromiter(assignments, dtype=np.intp, count=len(assignments))
     out = np.zeros(n_spins, dtype=np.int8)
-    for i, s in assignments.items():
-        out[i] = s
-    free = [i for i in range(n_spins) if i not in assignments]
-    if len(free) != len(reduced_spins):
+    out[fixed] = np.fromiter(assignments.values(), dtype=np.int8, count=len(assignments))
+    free = np.ones(n_spins, dtype=bool)
+    free[fixed] = False
+    if free.sum() != len(reduced_spins):
         raise ConfigError("reduced solution length does not match the fixing")
     out[free] = reduced_spins
     return out

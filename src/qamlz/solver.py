@@ -101,15 +101,6 @@ class SolverResult:
         self.spins.setflags(write=False)
         self.energies.setflags(write=False)
 
-    @property
-    def samples(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.spins[i], float(self.energies[i])) for i in range(len(self.energies))]
-
-    @property
-    def ground(self) -> tuple[np.ndarray, float]:
-        return self.spins[0], float(self.energies[0])
-
-
 def _sorted_result(spins: np.ndarray, energies: np.ndarray, **kw) -> SolverResult:
     order = np.argsort(energies, kind="stable")
     return SolverResult(spins=np.ascontiguousarray(spins[order]),
@@ -264,8 +255,8 @@ def decode_chains(
     blocks = np.asarray(physical).reshape(-1, n_logical, length)
     sums = blocks.sum(axis=2, dtype=np.int64)
     logical = np.where(sums > 0, 1, -1).astype(np.int8)
-    for a, b in np.argwhere(sums == 0):
-        logical[a, b] = 1 if rng.random() < 0.5 else -1
+    ties = sums == 0
+    logical[ties] = np.where(rng.random(int(ties.sum())) < 0.5, 1, -1)
     return logical, float((np.abs(sums) < length).mean())
 
 

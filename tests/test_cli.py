@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,12 @@ class TestFomCommand:
         cfg = _base_config(tmp_path)
         assert main(["fom", "--config", str(cfg)]) == 2
 
+    def test_negative_f_is_config_error(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path, fom_curve={"s": [50.0], "b": [1000.0], "f": [-0.2]})
+        assert main(["fom", "--config", str(cfg)]) == 2
+        assert "f must be finite and >= 0, got -0.2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fom.csv").exists()
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy is slow to import; only the functions that use it load it
@@ -417,6 +424,32 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value, key", [
+        ("eval", "fom.f", math.nan, "fom.f"),
+        ("eval", "fom.f", math.inf, "fom.f"),
+        ("train", "zoom.delta", -math.inf, "zoom.delta"),
+        ("train", "zoom.schedule.t_cold", 10**400, "zoom.schedule.t_cold"),
+        ("fom", "fom_curve", {"s": [math.nan], "b": [1000.0]}, "fom_curve.s[0]"),
+    ], ids=["nan", "inf", "minus-inf", "int-beyond-float", "nan-in-list"])
+    def test_non_finite_config_number(self, tmp_path, capsys, command, path, value, key):
+        # JSON admits NaN and Infinity; a config number must still be finite
+        cfg = _base_config(tmp_path)
+        if command == "eval":
+            assert main(["train", "--config", str(cfg)]) == 0
+        doc = json.loads(cfg.read_text())
+        *parents, last = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[last] = value
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+        out = tmp_path / "out"
+        written = list(out.iterdir()) if out.exists() else []
+        assert not any(name in f.read_bytes() for f in written for name in (b"NaN", b"Infinity"))
+        assert not (out / "eval_summary.json").exists()
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _base_config(tmp_path)

@@ -22,7 +22,6 @@ from qamlz import (
     score_events,
     scores_by_process,
     split_samples,
-    strong_score,
     two_gaussian_spec,
 )
 from qamlz.evaluate import REFERENCE_BDT_FOM, REFERENCE_DERIVED_FOM
@@ -82,9 +81,16 @@ class TestFom:
     def test_float_param_shorthand(self):
         assert fom(100.0, 1000.0, 0.2) == fom(100.0, 1000.0, FomParams(f=0.2))
 
+    @pytest.mark.parametrize("f", [-0.2, math.nan, math.inf])
+    def test_f_must_be_finite_and_non_negative(self, f):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            FomParams(f=f)
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            fom(100.0, 1000.0, f)
+
 
 # ---------------------------------------------------------------------------
-# strong_score
+# strong classifier R(x) = sum_I mu_I c_I(x)
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +118,7 @@ class TestStrongScore:
             offset_range=model.offset_range, pipeline=model.pipeline,
             trajectory=model.trajectory, settings=model.settings,
         )
-        assert all(strong_score(zeroed, ev) == 0.0 for ev in split.assess)
+        assert (score_events(zeroed, split.assess) == 0.0).all()
 
     def test_cancellation(self):
         # two variables, no offsets, mu = (1, -1): events with both h > 0 score 0
@@ -131,16 +137,14 @@ class TestStrongScore:
         model, split = _trained_toy(offset_range=1)
         probe = split.assess.select(np.arange(100))
         batch = score_events(model, probe)
-        aug = model.augmented_set()
-        for i, ev in enumerate(probe):
-            h = model.pipeline.transform_values(ev.values)
+        a = model.offset_range
+        for i, h in enumerate(model.pipeline.transform(probe)):
             total = 0.0
-            for spin in range(aug.n_spins):
-                var, off = aug.pair_of(spin)
-                c = (1.0 if h[var] + model.delta * off >= 0 else -1.0) / aug.n_var
+            for spin in range(len(model.mu)):
+                var, off = divmod(spin, 2 * a + 1)
+                c = (1.0 if h[var] + model.delta * (off - a) >= 0 else -1.0) / model.n_var
                 total += model.mu[spin] * c
             assert batch[i] == pytest.approx(total, abs=1e-12)
-            assert strong_score(model, ev) == pytest.approx(total, abs=1e-12)
 
     def test_score_bound(self):
         model, split = _trained_toy()
@@ -328,30 +332,6 @@ class TestOvertraining:
         groups = scores_by_process(model, split.train)
         assert set(groups) <= {"signal", "wjets", "ttbar", "other"}
         assert sum(len(v) for v in groups.values()) == len(split.train)
-
-
-# ---------------------------------------------------------------------------
-# auc (auxiliary diagnostic)
-# ---------------------------------------------------------------------------
-
-
-class TestAuc:
-    def test_reference_values(self, rng):
-        from qamlz import auc
-
-        # perfect separation -> 1; identical distributions -> ~0.5
-        assert auc(np.array([2.0, 3.0]), np.array([0.0, 1.0])) == 1.0
-        assert auc(np.array([0.0, 1.0]), np.array([2.0, 3.0])) == 0.0
-        same = rng.normal(size=5000)
-        assert auc(same, rng.normal(size=5000)) == pytest.approx(0.5, abs=0.03)
-
-    def test_matches_pairwise_count(self, rng):
-        from qamlz import auc
-
-        s = rng.normal(0.5, 1.0, size=60)
-        b = rng.normal(-0.5, 1.0, size=80)
-        pairs = sum((x > y) + 0.5 * (x == y) for x in s for y in b)
-        assert auc(s, b) == pytest.approx(pairs / (60 * 80), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

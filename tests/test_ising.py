@@ -57,7 +57,6 @@ class TestAugment:
         signs = aug.signs_from_h(h)
         assert signs.shape == (20, 3)
         np.testing.assert_array_equal(signs, sign_pm1(h))
-        np.testing.assert_array_equal(aug.classifier_values(h), signs / 3.0)
 
     def test_paper_scale_spin_and_coupler_count(self):
         aug = augment(_weak_set(12), delta=0.009, offset_range=5)
@@ -70,12 +69,13 @@ class TestAugment:
             aug.offsets, [-0.075, -0.05, -0.025, 0.0, 0.025, 0.05, 0.075]
         )
         assert aug.n_outcomes == 7
-        assert aug.index_of(0, -3) == 0 and aug.index_of(0, 3) == 6
+        assert aug.var_index.tolist() == [0] * 7
 
     def test_layout_variable_major(self):
         aug = augment(_weak_set(2), delta=0.1, offset_range=1)
-        assert aug.index_of(1, -1) == 3
-        assert aug.pair_of(4) == (1, 0)
+        # spin I = i*(2A+1) + (l+A) is variable i at offset delta*l
+        assert aug.var_index.tolist() == [0, 0, 0, 1, 1, 1]
+        np.testing.assert_array_equal(aug.offsets, [-0.1, 0.0, 0.1] * 2)
 
     def test_sign_zero_is_plus_one(self):
         aug = augment(_weak_set(1), delta=0.5, offset_range=1)
@@ -208,14 +208,6 @@ class TestEffectiveProblem:
                         for i in np.flatnonzero(dist <= dist.min() + 1e-9 * dscale)}
             assert argmin_h == argmin_d
 
-    def test_self_coupling_flag(self, rng):
-        _, _, _, cm = _random_instance(rng, 2, 1, 30)
-        mu = rng.uniform(-1, 1, size=cm.n_spins)
-        with_self = effective_problem(cm, mu, 1.0, include_self_coupling=True)
-        without = effective_problem(cm, mu, 1.0, include_self_coupling=False)
-        expected_gap = np.diag(cm.pair_sums) * mu
-        np.testing.assert_allclose(with_self.h - without.h, expected_gap, atol=1e-14)
-
     def test_dimension_mismatch(self, rng):
         _, _, _, cm = _random_instance(rng, 2, 1, 30)
         with pytest.raises(ConfigError):
@@ -239,7 +231,7 @@ class TestPrune:
         # each spin's ground value is -sgn(h_i)
         from qamlz import solve_exact
 
-        ground, _ = solve_exact(bare).ground
+        ground = solve_exact(bare).spins[0]
         expected = np.where(p.h >= 0, -1, 1)
         mask = np.abs(p.h) > 0
         np.testing.assert_array_equal(ground[mask], expected[mask])
@@ -317,7 +309,7 @@ class TestFixVariables:
         assert 0 in assignments and 3 in assignments
         from qamlz import solve_exact
 
-        sub, _ = solve_exact(reduced).ground if reduced.n_spins else (np.empty(0, np.int8), 0.0)
+        sub = solve_exact(reduced).spins[0] if reduced.n_spins else np.empty(0, np.int8)
         full = expand_solution(assignments, sub, p.n_spins)
         best, grounds = brute_force_ground_states(p)
         assert energy(p, full) == pytest.approx(best, abs=1e-9)

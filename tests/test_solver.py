@@ -63,7 +63,7 @@ class TestExact:
         res = solve_exact(p, keep=40)
         assert len(res.energies) == 40
         assert (np.diff(res.energies) >= 0).all()
-        for s, e in res.samples:
+        for s, e in zip(res.spins, res.energies):
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
     def test_refuses_large_problems(self):
@@ -146,7 +146,7 @@ class TestSa:
     def test_energies_reevaluate(self, rng):
         p = random_problem(rng, 8)
         res = solve_sa(p, _fast_schedule(), seed=0)
-        for s, e in res.samples:
+        for s, e in zip(res.spins, res.energies):
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
     def test_gauge_paired_runs_identical(self, rng):
@@ -262,11 +262,25 @@ class TestChain:
         b, _ = decode_chains(readout, 1, 2, np.random.default_rng(5))
         assert a[0, 0] == b[0, 0]
 
+    def test_tie_coins_match_scalar_draws(self):
+        from qamlz import decode_chains
+
+        readout = np.random.default_rng(11).choice([-1, 1], size=(50, 8 * 4))
+        logical, _ = decode_chains(readout, 8, 4, np.random.default_rng(3))
+        # reference: one scalar coin per tie, in row-major (sample, chain) order
+        sums = readout.reshape(50, 8, 4).sum(axis=2)
+        expected = np.where(sums > 0, 1, -1)
+        coins = np.random.default_rng(3)
+        for a, b in np.argwhere(sums == 0):
+            expected[a, b] = 1 if coins.random() < 0.5 else -1
+        assert (sums == 0).sum() > 100  # a 4-spin chain splits evenly 3 times in 8
+        np.testing.assert_array_equal(logical, expected)
+
     def test_chain_solver_energies_reevaluate(self):
         p = make_problem([0.5], {})
         cc = ChainConfig(length=3, strength=1.0)
         res = solve_chain_emulated(p, cc, _fast_schedule(n_reads=5, sweeps=60), seed=0)
-        for s, e in res.samples:
+        for s, e in zip(res.spins, res.energies):
             assert s[0] in (-1, 1)
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
@@ -321,7 +335,7 @@ class TestExternal:
         res = solve_external(p, [sys.executable, "-c", _EXTERNAL_SOLVER_SCRIPT])
         assert res.solver == "external"
         assert res.energies[0] == pytest.approx(solve_exact(p).energies[0], abs=1e-9)
-        for s, e in res.samples:
+        for s, e in zip(res.spins, res.energies):
             assert energy(p, s) == pytest.approx(e, abs=1e-9)
 
     def test_reply_validation(self, rng):

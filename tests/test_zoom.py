@@ -102,7 +102,7 @@ class TestFlipStep:
 
         cm, mu_prev, _ = _flip_instance()
         problem = effective_problem(cm, mu_prev, 0.5)
-        ground, _ = solve_exact(problem).ground
+        ground = solve_exact(problem).spins[0]
         out = flip_step(mu_prev, ground, cm, 0.5, 0,
                         0.999, 0.0, np.random.default_rng(5))
         np.testing.assert_array_equal(out, ground)
