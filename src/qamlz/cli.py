@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .features import FeaturePipeline, fit_feature_pipeline, variable_set
 from .ising import keep_count
-from .solver import AnnealSchedule, ChainConfig
+from .solver import AnnealSchedule, ChainConfig, _is_number
 from .zoom import TrainedModel, ZoomConfig, run_qamlz
 
 #: grid points whose post-prune coupler count exceeds this have no hardware
@@ -102,10 +102,6 @@ def _kind(what: str, test, convert=None):
             raise _bad(where, what, value)
         return value if convert is None else convert(value)
     return read
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # an integer may be written as an integral number such as 8.0
@@ -281,16 +277,18 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
     model_path = Path(_options(cfg, "", {"model": _string}).get("model", out_dir / "model.json"))
     if not model_path.exists():
         raise DataError(f"model file not found: {model_path} (run `train` first?)")
-    model = TrainedModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
+    try:
+        model = TrainedModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
+    except (OSError, ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed model file {model_path}: {exc!r}") from exc
     data = prepare_data(cfg, seed)
     split = prepare_split(cfg, data, seed)
     curve = fom_scan_dataset(model, split.assess, **settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "fom_curve.csv", FOM_CURVE_HEADER,
-        ([r["cut"], r["fom"], r["s_yield"], r["b_yield"],
-          r["n_signal"], r["n_background"], int(r["valid"])] for r in curve.rows()),
-    )
+    columns = (curve.cuts, curve.fom_values, curve.s_yields, curve.b_yields,
+               curve.n_signal, curve.n_background, curve.valid.astype(int))
+    _write_csv(out_dir / "fom_curve.csv", FOM_CURVE_HEADER,
+               zip(*(c.tolist() for c in columns)))
     _write_json(out_dir / "eval_summary.json", {
         "best_cut": curve.best_cut,
         "best_fom": None if curve.no_valid_cut else curve.best_fom,

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -41,6 +42,11 @@ _COMPARATORS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 }
 
 
+def _repeated(names: Sequence[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(n for n, count in Counter(names).items() if count > 1)
+
+
 class Dataset:
     """Ordered, immutable collection of events over a fixed variable schema."""
 
@@ -63,6 +69,9 @@ class Dataset:
             raise DataError(
                 f"values must be (n, {len(schema)}) for schema of size {len(schema)}"
             )
+        repeated = _repeated(schema)
+        if repeated:
+            raise DataError(f"schema names {repeated} more than once")
         if not (len(tags) == len(weights) == len(processes_arr) == n):
             raise DataError("tags/weights/processes length mismatch")
         if n and not np.isin(tags, (-1, 1)).all():
@@ -126,9 +135,6 @@ class Dataset:
         columns = np.asarray(columns, dtype=np.float64)
         if columns.shape != (len(self), len(names)):
             raise DataError("new column block has wrong shape")
-        dup = set(names) & set(self.schema)
-        if dup:
-            raise DataError(f"columns already present: {sorted(dup)}")
         return Dataset(
             self.schema + tuple(names),
             np.hstack([self.values, columns]),
@@ -175,6 +181,9 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
+        repeated = _repeated(header)
+        if repeated:
+            raise DataError(f"{path}: header names {repeated} more than once")
         if schema is None:
             schema = [c for c in header if c not in ("tag", "weight", "process")]
         missing = [c for c in ("tag", "weight", "process", *schema) if c not in header]

@@ -43,10 +43,9 @@ REFERENCE_BDT_FOM = (1.44, 0.06)
 
 @dataclass(frozen=True)
 class FomParams:
-    """f is the relative background systematic; the luminosity tag is metadata."""
+    """f is the relative background systematic."""
 
     f: float = 0.20
-    luminosity: str = "35.9 fb^-1"
 
     def __post_init__(self):
         if not 0.0 <= self.f < math.inf:
@@ -148,20 +147,6 @@ class FomCurve:
     @property
     def no_valid_cut(self) -> bool:
         return self.best_cut is None
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "cut": float(self.cuts[i]),
-                "fom": float(self.fom_values[i]),
-                "s_yield": float(self.s_yields[i]),
-                "b_yield": float(self.b_yields[i]),
-                "n_signal": int(self.n_signal[i]),
-                "n_background": int(self.n_background[i]),
-                "valid": bool(self.valid[i]),
-            }
-            for i in range(len(self.cuts))
-        ]
 
 
 def fom_scan(

@@ -102,8 +102,6 @@ class CouplingMatrices:
 
     tag_sums: np.ndarray
     pair_sums: np.ndarray
-    n_events: int
-    sum_weights: float
 
     def __post_init__(self):
         self.tag_sums.setflags(write=False)
@@ -124,10 +122,7 @@ def build_couplings_from_signs(
     tag_sums = c.T @ (w * y)
     pair_sums = c.T @ (c * w[:, None])
     pair_sums = 0.5 * (pair_sums + pair_sums.T)  # exact symmetric fill
-    return CouplingMatrices(
-        tag_sums=tag_sums, pair_sums=pair_sums,
-        n_events=len(w), sum_weights=float(w.sum()),
-    )
+    return CouplingMatrices(tag_sums=tag_sums, pair_sums=pair_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,6 @@ class IsingProblem:
     h: np.ndarray
     pairs: np.ndarray
     values: np.ndarray
-    lam: float = 0.0
 
     def __post_init__(self):
         h = _frozen(self.h, np.float64)
@@ -211,7 +205,6 @@ class IsingProblem:
             "n": self.n_spins,
             "h": self.h.tolist(),
             "J": [[a, b, v] for (a, b), v in zip(self.pairs.tolist(), self.values.tolist())],
-            "lambda": self.lam,
         }
 
 
@@ -237,7 +230,7 @@ def effective_problem(
     h = lam + sigma * (-cm.tag_sums + cm.pair_sums @ mu)
     iu, ju = np.triu_indices(cm.n_spins, k=1)
     return IsingProblem(h=h, pairs=np.column_stack([iu, ju]),
-                        values=cm.pair_sums[iu, ju] * sigma * sigma, lam=lam)
+                        values=cm.pair_sums[iu, ju] * sigma * sigma)
 
 
 def energy(p: IsingProblem, spins: Sequence[int] | np.ndarray) -> float:
@@ -283,7 +276,7 @@ def prune(p: IsingProblem, cutoff_pct: float) -> IsingProblem:
         return p
     i, j = p.pairs.T
     kept = np.sort(np.lexsort((j, i, -np.abs(p.values)))[:keep])
-    return IsingProblem(h=p.h, pairs=p.pairs[kept], values=p.values[kept], lam=p.lam)
+    return IsingProblem(h=p.h, pairs=p.pairs[kept], values=p.values[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +321,7 @@ def fix_variables(p: IsingProblem) -> tuple[dict[int, int], IsingProblem]:
     both_alive = alive[p.pairs].all(axis=1)
     new_index = np.cumsum(alive) - 1
     reduced = IsingProblem(h=h[alive], pairs=new_index[p.pairs[both_alive]],
-                           values=p.values[both_alive], lam=p.lam)
+                           values=p.values[both_alive])
     return assignments, reduced
 
 
@@ -363,7 +356,7 @@ def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
         raise ConfigError("gauge must be a +-1 vector matching the problem size")
     gf = g.astype(np.float64)
     i, j = p.pairs.T
-    return IsingProblem(h=p.h * gf, pairs=p.pairs, values=p.values * gf[i] * gf[j], lam=p.lam)
+    return IsingProblem(h=p.h * gf, pairs=p.pairs, values=p.values * gf[i] * gf[j])
 
 
 def ungauge(spins: np.ndarray, gauge: np.ndarray) -> np.ndarray:

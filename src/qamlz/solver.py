@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -89,22 +88,19 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Energy-sorted samples plus chain-breakage bookkeeping."""
+    """Samples plus chain-breakage bookkeeping. Construction sorts the samples
+    by ascending energy, stably, so equal energies keep their given order."""
 
     spins: np.ndarray     # (n_samples, n_spins), entries +-1
-    energies: np.ndarray  # ascending
+    energies: np.ndarray  # (n_samples,)
     broken_chain_fraction: float = 0.0
-    solver: str = ""
-    elapsed_seconds: float = 0.0
 
     def __post_init__(self):
-        self.spins.setflags(write=False)
-        self.energies.setflags(write=False)
-
-def _sorted_result(spins: np.ndarray, energies: np.ndarray, **kw) -> SolverResult:
-    order = np.argsort(energies, kind="stable")
-    return SolverResult(spins=np.ascontiguousarray(spins[order]),
-                        energies=energies[order], **kw)
+        order = np.argsort(self.energies, kind="stable")
+        for name in ("spins", "energies"):
+            arr = np.ascontiguousarray(getattr(self, name)[order])
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,6 @@ def solve_exact(p: IsingProblem, keep: int = 32) -> SolverResult:
         raise ConfigError(
             f"exact solver supports at most {EXACT_SPIN_LIMIT} spins, got {n}"
         )
-    t0 = time.perf_counter()
     total = 1 << n
     keep = min(keep, total)
     bits = np.arange(n, dtype=np.uint32)
@@ -141,10 +136,7 @@ def solve_exact(p: IsingProblem, keep: int = 32) -> SolverResult:
         part = part[np.argsort(cat_e[part], kind="stable")][:keep]
         best_e, best_idx = cat_e[part], cat_i[part]
     spins = (((best_idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
-    return SolverResult(
-        spins=spins, energies=best_e, broken_chain_fraction=0.0,
-        solver="exact", elapsed_seconds=time.perf_counter() - t0,
-    )
+    return SolverResult(spins=spins, energies=best_e)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +160,6 @@ def solve_sa(
     compiler was found at import, else numpy; both give the same samples
     (see `qamlz._sweep`).
     """
-    t0 = time.perf_counter()
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
     rng_sweep = np.random.default_rng((1, *_as_key(seed)))
@@ -188,9 +179,7 @@ def solve_sa(
         # hold n_spins * n_reads * sweeps doubles
         sweep(state, fields, j_sym, p.h, rng_sweep.random((n, sched.n_reads)), temp)
     spins = state.astype(np.int8)
-    energies = energies_batch(p, spins)
-    return _sorted_result(spins, energies, broken_chain_fraction=0.0, solver="sa",
-                          elapsed_seconds=time.perf_counter() - t0)
+    return SolverResult(spins=spins, energies=energies_batch(p, spins))
 
 
 def _as_key(seed: int | tuple) -> tuple:
@@ -240,7 +229,7 @@ def expand_chains(p: IsingProblem, cc: ChainConfig, strength: float | None = Non
         pairs = np.concatenate([np.column_stack([first, first + 1]), pairs])
         values = np.concatenate([np.full(len(first), chain_coupling), values])
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return IsingProblem(h=h, pairs=pairs[order], values=values[order], lam=p.lam)
+    return IsingProblem(h=h, pairs=pairs[order], values=values[order])
 
 
 def decode_chains(
@@ -273,22 +262,11 @@ def solve_chain_emulated(
     broken_chain_fraction counts chains whose physical spins disagree, over
     all reads. With length 1 this is sample-for-sample identical to solve_sa.
     """
-    t0 = time.perf_counter()
-    phys = expand_chains(p, cc, strength)
-    res = solve_sa(phys, sched, seed=seed)
-    if cc.length == 1:
-        return SolverResult(
-            spins=res.spins, energies=res.energies, broken_chain_fraction=0.0,
-            solver="chain", elapsed_seconds=time.perf_counter() - t0,
-        )
+    res = solve_sa(expand_chains(p, cc, strength), sched, seed=seed)
     rng_tie = np.random.default_rng((2, *_as_key(seed)))
     logical, broken_fraction = decode_chains(res.spins, p.n_spins, cc.length, rng_tie)
-    energies = energies_batch(p, logical)
-    return _sorted_result(
-        logical, energies,
-        broken_chain_fraction=broken_fraction,
-        solver="chain", elapsed_seconds=time.perf_counter() - t0,
-    )
+    return SolverResult(spins=logical, energies=energies_batch(p, logical),
+                        broken_chain_fraction=broken_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +306,7 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     broken = doc.get("broken_chain_fraction", 0.0)
     if not _is_number(broken):
         raise DataError(f"broken_chain_fraction is not a number, got {broken!r}")
-    return _sorted_result(spins, energies, broken_chain_fraction=float(broken),
-                          solver="external")
+    return SolverResult(spins=spins, energies=energies, broken_chain_fraction=float(broken))
 
 
 def _is_number(v) -> bool:
@@ -341,11 +318,10 @@ def solve_external(p: IsingProblem, command: Sequence[str],
                    timeout: float | None = None) -> SolverResult:
     """Hand the problem JSON to an external command on stdin and parse its reply.
 
-    The command receives {n, h, J, lambda} and must print the sample reply
+    The command receives {n, h, J} and must print the sample reply
     documented in `parse_solver_reply`; this is the extension point for a real
     annealer client.
     """
-    t0 = time.perf_counter()
     try:
         proc = subprocess.run(
             list(command), input=json.dumps(p.to_dict()), capture_output=True,
@@ -357,12 +333,7 @@ def solve_external(p: IsingProblem, command: Sequence[str],
         doc = json.loads(proc.stdout)
     except json.JSONDecodeError as exc:
         raise DataError(f"external solver reply is not valid JSON: {exc}") from exc
-    res = parse_solver_reply(p, doc)
-    return SolverResult(
-        spins=res.spins, energies=res.energies,
-        broken_chain_fraction=res.broken_chain_fraction,
-        solver="external", elapsed_seconds=time.perf_counter() - t0,
-    )
+    return parse_solver_reply(p, doc)
 
 
 # ---------------------------------------------------------------------------

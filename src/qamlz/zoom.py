@@ -19,7 +19,7 @@ from .dataset import Dataset
 from .errors import ConfigError
 from .features import FeaturePipeline
 from .ising import (
-    CouplingMatrices,
+    IsingProblem,
     augment,
     apply_gauge,
     build_couplings_from_signs,
@@ -142,6 +142,8 @@ class TrainedModel:
     settings: Mapping[str, object]
 
     def __post_init__(self):
+        if self.mu.shape != (self.n_spins,):
+            raise ConfigError(f"mu has shape {self.mu.shape}, the model has {self.n_spins} spins")
         self.mu.setflags(write=False)
 
     @property
@@ -201,38 +203,32 @@ def zoom_update(mu: np.ndarray, spins: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def flip_step(
-    mu_prev: np.ndarray,
+    problem: IsingProblem,
     spins: np.ndarray,
-    couplings: CouplingMatrices,
-    sigma: float,
     t: int,
     p_flip: float | Sequence[float],
     q_flip: float | Sequence[float],
     rng: np.random.Generator,
-    lam: float = 0.0,
 ) -> np.ndarray:
     """Two-stage spin randomization applied to a solver state.
 
     Stage 1 walks the spins in index order; whenever flipping spin i would
-    lower the unpruned iteration energy at the current working state (the spin
-    "worsens" the objective as returned), the flip is applied with probability
-    p_flip(t). Stage 2 flips every spin independently with probability
-    q_flip(t). Exactly one uniform per spin and stage is drawn, in index
-    order, so the stream does not depend on the data.
+    lower the energy of `problem` (the unpruned iteration problem) at the
+    current working state (the spin "worsens" the objective as returned), the
+    flip is applied with probability p_flip(t). Stage 2 flips every spin
+    independently with probability q_flip(t). Exactly one uniform per spin and
+    stage is drawn, in index order, so the stream does not depend on the data.
     """
     p = at_iteration(p_flip, t)
     q = at_iteration(q_flip, t)
-    mu_prev = np.asarray(mu_prev, dtype=np.float64)
     s = np.asarray(spins).astype(np.float64).copy()
     n = len(s)
-    if mu_prev.shape != (n,) or couplings.n_spins != n:
-        raise ConfigError("shape mismatch between mu, spins and couplings")
-    h_eff = lam + sigma * (-couplings.tag_sums + couplings.pair_sums @ mu_prev)
-    j_sym = couplings.pair_sums * (sigma * sigma)
-    np.fill_diagonal(j_sym, 0.0)
+    if problem.n_spins != n:
+        raise ConfigError("shape mismatch between the problem and the spins")
+    h, j_sym = problem.h, problem.dense_couplers()
     u_worsen = rng.random(n)
     for i in range(n):
-        delta_flip = -2.0 * s[i] * (h_eff[i] + j_sym[i] @ s)
+        delta_flip = -2.0 * s[i] * (h[i] + j_sym[i] @ s)
         if delta_flip < 0.0 and u_worsen[i] < p:
             s[i] = -s[i]
     u_uniform = rng.random(n)
@@ -313,7 +309,8 @@ def run_qamlz(
         pooled: dict[bytes, np.ndarray] = {}
         broken: list[float] = []
         for ci, mu in enumerate(centres):
-            problem = prune(effective_problem(cm, mu, sigma, lam=cfg.lam), cfg.cutoff_pct)
+            full = effective_problem(cm, mu, sigma, lam=cfg.lam)
+            problem = prune(full, cfg.cutoff_pct)
             if cfg.fixing:
                 fixed, reduced = fix_variables(problem)
             else:
@@ -336,8 +333,7 @@ def run_qamlz(
                     ]
                 for si, s_full in enumerate(states):
                     rng_flip = np.random.default_rng((cfg.seed, _K_FLIP, t, ci, k, si))
-                    s_rand = flip_step(mu, s_full, cm, sigma, t, cfg.p_flip, cfg.q_flip,
-                                       rng_flip, lam=cfg.lam)
+                    s_rand = flip_step(full, s_full, t, cfg.p_flip, cfg.q_flip, rng_flip)
                     mu_new = zoom_update(mu, s_rand, sigma)
                     pooled.setdefault(mu_new.tobytes(), mu_new)
         scored = sorted(

@@ -12,11 +12,11 @@ from qamlz import Dataset, GeneratorSpec, IsingProblem
 from qamlz.errors import ConfigError, DataError
 
 
-def make_problem(h, couplers: dict, lam: float = 0.0) -> IsingProblem:
+def make_problem(h, couplers: dict) -> IsingProblem:
     """Problem from fields and a {(i, j): value} coupler mapping with i < j."""
     keys = sorted(couplers)
     return IsingProblem(h=np.asarray(h, dtype=np.float64), pairs=np.array(keys, dtype=np.int64),
-                        values=np.array([couplers[k] for k in keys], dtype=np.float64), lam=lam)
+                        values=np.array([couplers[k] for k in keys], dtype=np.float64))
 
 
 def coupler_dict(problem: IsingProblem) -> dict:

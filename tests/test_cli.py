@@ -87,6 +87,16 @@ class TestGen:
         assert b == pytest.approx(200_000.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("schema", [None, ["x", "x"]])
+def test_repeated_csv_column_is_data_error(tmp_path, capsys, schema):
+    path = tmp_path / "events.csv"
+    header = "tag,weight,process,x,x" if schema is None else "tag,weight,process,x"
+    path.write_text(header + "\n1,1.0,signal,0.5,2.0\n-1,2.0,wjets,-0.5,1.0\n")
+    cfg = _base_config(tmp_path, data={"csv": str(path), "schema": schema})
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert "'x'" in capsys.readouterr().err
+
+
 def test_csv_schema_read_from_quoted_header(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text('tag,weight,process,"a,b",c\n1,1.0,signal,0.5,2.0\n-1,2.0,wjets,-0.5,1.0\n')
@@ -224,6 +234,30 @@ class TestEval:
 
     def test_missing_model_is_data_error(self, tmp_path):
         cfg = _base_config(tmp_path)
+        assert main(["eval", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("text", ['{"mu": [1, 2], "del', '{"mu": [1, 2]}', "[1]"],
+                             ids=["truncated", "missing-key", "not-an-object"])
+    def test_malformed_model_is_data_error(self, tmp_path, capsys, text):
+        cfg = _base_config(tmp_path)
+        model_path = tmp_path / "out" / "model.json"
+        model_path.parent.mkdir()
+        model_path.write_text(text)
+        assert main(["eval", "--config", str(cfg)]) == 3
+        assert str(model_path) in capsys.readouterr().err
+
+    def test_model_of_wrong_size_is_data_error(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["mu"] = doc["mu"][:-1]
+        model_path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(cfg)]) == 3
+        assert "the model has 6 spins" in capsys.readouterr().err
+
+    def test_model_path_that_is_a_directory_is_data_error(self, tmp_path):
+        cfg = _base_config(tmp_path, model=str(tmp_path))
         assert main(["eval", "--config", str(cfg)]) == 3
 
 

@@ -272,6 +272,18 @@ class TestLoad:
         with pytest.raises(DataError, match="row 2 has 3 cells"):
             load_events(p, ["x"])
 
+    def test_repeated_header_column_names_it(self, tmp_path):
+        p = self._write(tmp_path, "tag,weight,process,x,x\n1,1.0,signal,0.5,2.0\n")
+        with pytest.raises(DataError, match=r"names \['x'\] more than once"):
+            load_events(p)
+
+    def test_repeated_schema_name_rejected(self, tmp_path):
+        p = self._write(tmp_path, "tag,weight,process,x\n1,1.0,signal,0.5\n")
+        with pytest.raises(DataError, match=r"schema names \['x'\] more than once"):
+            load_events(p, ["x", "x"])
+        with pytest.raises(DataError, match="more than once"):
+            Dataset(("x", "y", "x"), np.zeros((1, 3)), [1], [1.0], ["signal"])
+
     def test_unknown_columns_ignored_and_order_kept(self, tmp_path):
         p = self._write(
             tmp_path,

@@ -406,7 +406,7 @@ class TestEnergy:
 def test_problem_json_round_trip(rng):
     p = random_problem(rng, 9, coupler_density=0.5)
     doc = p.to_dict()
-    q = make_problem(doc["h"], {(a, b): v for a, b, v in doc["J"]}, lam=doc["lambda"])
+    q = make_problem(doc["h"], {(a, b): v for a, b, v in doc["J"]})
     np.testing.assert_array_equal(q.h, p.h)
     assert coupler_dict(q) == coupler_dict(p)
     assert q.n_spins == p.n_spins

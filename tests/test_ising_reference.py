@@ -41,7 +41,7 @@ def _tied_problem(rng, n):
             if rng.random() < 0.6:
                 couplers[(a, b)] = (float(rng.choice(_LEVELS)) if rng.random() < 0.5
                                     else float(rng.uniform(-1.0, 1.0)))
-    return make_problem(h, couplers, lam=float(rng.choice([0.0, 0.1])))
+    return make_problem(h, couplers)
 
 
 def _effective(rng, n_var, offset_range):
@@ -102,14 +102,13 @@ def test_wire_format_literal():
     assert p.n_couplers == 5
     assert json.dumps(p.to_dict()) == (
         '{"n": 4, "h": [0.5, -0.25, 0.0, 1.0], '
-        '"J": [[0, 1, 0.0], [0, 2, -0.75], [1, 2, 0.75], [1, 3, 0.75], [2, 3, 0.25]], '
-        '"lambda": 0.0}'
+        '"J": [[0, 1, 0.0], [0, 2, -0.75], [1, 2, 0.75], [1, 3, 0.75], [2, 3, 0.25]]}'
     )
     assert json.dumps(prune(p, 60.0).to_dict()) == (
         '{"n": 4, "h": [0.5, -0.25, 0.0, 1.0], '
-        '"J": [[0, 2, -0.75], [1, 2, 0.75]], "lambda": 0.0}'
+        '"J": [[0, 2, -0.75], [1, 2, 0.75]]}'
     )
     assert json.dumps(prune(p, 20.0).to_dict()) == (
         '{"n": 4, "h": [0.5, -0.25, 0.0, 1.0], '
-        '"J": [[0, 2, -0.75], [1, 2, 0.75], [1, 3, 0.75], [2, 3, 0.25]], "lambda": 0.0}'
+        '"J": [[0, 2, -0.75], [1, 2, 0.75], [1, 3, 0.75], [2, 3, 0.25]]}'
     )

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamlz import (
     AnnealSchedule,
@@ -11,6 +13,7 @@ from qamlz import (
     ZoomConfig,
     build_couplings_from_signs,
     default_p_flip,
+    effective_problem,
     fit_feature_pipeline,
     flip_step,
     generate_synthetic,
@@ -91,37 +94,57 @@ def _flip_instance():
 class TestFlipStep:
     def test_zero_probabilities_identity(self):
         cm, mu_prev, s = _flip_instance()
-        out = flip_step(mu_prev, s, cm, 0.5, 0,
+        out = flip_step(effective_problem(cm, mu_prev, 0.5), s, 0,
                         0.0, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(out, s)
 
     def test_all_improving_identity(self):
         # feed the exact ground state: no spin flip can lower the energy,
         # so stage 1 never fires regardless of p
-        from qamlz import effective_problem, solve_exact
+        from qamlz import solve_exact
 
         cm, mu_prev, _ = _flip_instance()
         problem = effective_problem(cm, mu_prev, 0.5)
         ground = solve_exact(problem).spins[0]
-        out = flip_step(mu_prev, ground, cm, 0.5, 0,
-                        0.999, 0.0, np.random.default_rng(5))
+        out = flip_step(problem, ground, 0, 0.999, 0.0, np.random.default_rng(5))
         np.testing.assert_array_equal(out, ground)
 
     def test_golden_mask_regression(self):
         # frozen once from the reference stream: rng seed 12345, p=0.3, q=0.1
         cm, mu_prev, s = _flip_instance()
-        out = flip_step(mu_prev, s, cm, 0.5, 0,
+        out = flip_step(effective_problem(cm, mu_prev, 0.5), s, 0,
                         0.3, 0.1, np.random.default_rng(12345))
         flipped = list(np.flatnonzero(out != s))
         assert flipped == [8, 10, 13]
 
     def test_schedule_indexing(self):
         cm, mu_prev, s = _flip_instance()
-        a = flip_step(mu_prev, s, cm, 1.0, 3,
-                      (0.5, 0.4, 0.3, 0.2), (0.1,), np.random.default_rng(2))
-        b = flip_step(mu_prev, s, cm, 1.0, 9,
-                      (0.2,), (0.1,), np.random.default_rng(2))
+        problem = effective_problem(cm, mu_prev, 1.0)
+        a = flip_step(problem, s, 3, (0.5, 0.4, 0.3, 0.2), (0.1,), np.random.default_rng(2))
+        b = flip_step(problem, s, 9, (0.2,), (0.1,), np.random.default_rng(2))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("t", range(8))
+    def test_coupling_sum_formula_off_power_of_two(self, t):
+        # at sigma = 0.6**t the problem's couplers round as (x*sigma)*sigma and
+        # the formula's as x*(sigma*sigma); no flip decision may differ
+        cm, mu_prev, _ = _flip_instance()
+        sigma = 0.6**t
+        problem = effective_problem(cm, mu_prev, sigma)
+        h = sigma * (-cm.tag_sums + cm.pair_sums @ mu_prev)
+        j = cm.pair_sums * (sigma * sigma)
+        np.fill_diagonal(j, 0.0)
+        for k in range(20):
+            start = np.random.default_rng((t, k)).choice([-1, 1], size=cm.n_spins)
+            out = flip_step(problem, start, 0, 0.9, 0.1, np.random.default_rng(k))
+            rng = np.random.default_rng(k)
+            want = start.astype(np.float64)
+            u = rng.random(cm.n_spins)
+            for i in range(cm.n_spins):
+                if -2.0 * want[i] * (h[i] + j[i] @ want) < 0.0 and u[i] < 0.9:
+                    want[i] = -want[i]
+            want[rng.random(cm.n_spins) < 0.1] *= -1.0
+            np.testing.assert_array_equal(out, want.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +314,30 @@ class TestRunQamlz:
         np.testing.assert_array_equal(
             model.pipeline.transform(split.test), model2.pipeline.transform(split.test)
         )
+
+
+def _scaled(d: Dataset, k: int) -> Dataset:
+    return Dataset(d.schema, d.values, d.tags, d.weights * 2.0**k, d.processes)
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(-20, 40), seed=st.integers(0, 2**16),
+       pca=st.booleans(), fixing=st.booleans())
+def test_exact_training_invariant_under_power_of_two_weight_scale(k, seed, pca, fixing):
+    # every coupling sum, field and coupler scales by 2**k exactly, so the
+    # exact spectrum, the flip decisions and every distance are unchanged;
+    # lambda = 0 and the relative energy window d = None keep it so
+    split, names = _toy_split(n=160, seed=seed)
+    cfg = ZoomConfig(iterations=3, delta=0.1, offset_range=1, solver="exact", lam=0.0,
+                     cutoff_pct=50.0 if fixing else 0.0, fixing=fixing,
+                     schedule=AnnealSchedule(n_g=(2,), n_e=(2,)), seed=seed)
+    models = []
+    for scale in (0, k):
+        train, test = _scaled(split.train, scale), _scaled(split.test, scale)
+        weak_mode = "normalized" if pca else "density"
+        pipe = fit_feature_pipeline(train, names, weak_mode=weak_mode, n_bins=6, use_pca=pca)
+        models.append(run_qamlz(train, test, pipe, cfg))
+    base, scaled = models
+    np.testing.assert_array_equal(scaled.mu, base.mu)
+    assert ([r.train_distance for r in scaled.trajectory]
+            == [r.train_distance for r in base.trajectory])
