@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._kstest import ks_2samp
 from .dataset import Dataset, SampleSplit
 from .errors import ConfigError, DataError
 from .zoom import TrainedModel, ZoomConfig, run_qamlz
@@ -283,18 +284,17 @@ def overtraining_check(
 
     Classes are compared wherever both samples are non-empty; a statistic near
     0 with a large p-value means the classifier responds alike to events it
-    was and was not trained on.
+    was and was not trained on. The test is `qamlz._kstest.ks_2samp`, a numpy
+    implementation of the asymptotic two-sample test; its module docstring
+    lists how the p-value is computed.
     """
-    from scipy import stats  # slow to load: imported where used, so only `eval` pays for it
-
     out: dict[str, tuple[float, float]] = {}
     for name in train_scores:
         a = np.asarray(train_scores[name], dtype=np.float64)
         b = np.asarray(test_scores.get(name, ()), dtype=np.float64)
         if len(a) == 0 or len(b) == 0:
             continue
-        r = stats.ks_2samp(a, b, method="asymp")
-        out[name] = (float(r.statistic), float(r.pvalue))
+        out[name] = ks_2samp(a, b)
     return out
 
 

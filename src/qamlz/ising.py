@@ -185,10 +185,15 @@ class IsingProblem:
         return len(self.values)
 
     def dense_couplers(self) -> np.ndarray:
-        """Symmetric coupler matrix with zero diagonal."""
-        m = np.zeros((self.n_spins, self.n_spins))
-        i, j = self.pairs.T
-        m[i, j] = m[j, i] = self.values
+        """Symmetric coupler matrix with zero diagonal. It is built on the
+        first call and the same read-only array is returned after that."""
+        m = self.__dict__.get("_dense")
+        if m is None:
+            m = np.zeros((self.n_spins, self.n_spins))
+            i, j = self.pairs.T
+            m[i, j] = m[j, i] = self.values
+            m.setflags(write=False)
+            object.__setattr__(self, "_dense", m)
         return m
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

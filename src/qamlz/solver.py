@@ -279,8 +279,9 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
 
     Reported energies must match the problem's own evaluation to 1e-9. This is
     the wire format a hardware- or service-backed solver must speak. Spins,
-    energies and `broken_chain_fraction` must be JSON numbers. Any malformed
-    reply raises `DataError` naming the first bad sample.
+    energies and `broken_chain_fraction` must be JSON numbers, the last a
+    fraction in [0, 1]. Any malformed reply raises `DataError` naming the
+    first bad sample.
     """
     samples = doc.get("samples") if isinstance(doc, Mapping) else None
     if not isinstance(samples, list) or not samples:
@@ -304,8 +305,8 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
             f"sample {k}: reported energy {reported[k]} is not the problem energy {energies[k]}"
         )
     broken = doc.get("broken_chain_fraction", 0.0)
-    if not _is_number(broken):
-        raise DataError(f"broken_chain_fraction is not a number, got {broken!r}")
+    if not (_is_number(broken) and 0.0 <= broken <= 1.0):  # NaN fails the range
+        raise DataError(f"broken_chain_fraction must be a number in [0, 1], got {broken!r}")
     return SolverResult(spins=spins, energies=energies, broken_chain_fraction=float(broken))
 
 

@@ -369,14 +369,20 @@ class TestFomCommand:
         assert not (tmp_path / "out" / "fom.csv").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is slow to import; only the functions that use it load it
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only dependency: importing qamlz and a whole `eval`,
+    # overtraining KS test included, run without loading it
+    cfg = _base_config(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
     src = str(Path(qamlz.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import qamlz, qamlz.cli; "
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+            "print('scipy' in sys.modules); "
+            "print(qamlz.cli.main(['eval', '--config', sys.argv[2]]), 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, str(cfg)], capture_output=True,
+                         text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
+    assert json.loads((tmp_path / "out" / "overtraining.json").read_text())
 
 
 class TestExitCodes:
@@ -427,6 +433,20 @@ class TestExitCodes:
         doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
+
+    def test_nan_broken_chain_fraction_in_external_reply(self, tmp_path, capsys):
+        # a well-formed sample whose reply reports a NaN chain breakage
+        script = ("import json, sys; d = json.load(sys.stdin); "
+                  "e = sum(d['h']) + sum(v for _, _, v in d['J']); "
+                  "print(json.dumps({'samples': [{'spins': [1] * d['n'], 'energy': e}], "
+                  "'broken_chain_fraction': float('nan')}))")
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "broken_chain_fraction must be a number in [0, 1], got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train_log.jsonl").exists()
 
     @pytest.mark.parametrize("command, path, value", [
         ("train", "", []),

@@ -436,6 +436,14 @@ def test_coupler_store_sizes():
     assert (empty.n_spins, empty.n_couplers) == (2, 0)
 
 
+def test_dense_couplers_built_once_and_read_only():
+    p = IsingProblem(h=np.zeros(3), pairs=[[0, 2]], values=[1.5])
+    m = p.dense_couplers()
+    assert p.dense_couplers() is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 1] = 1.0
+
+
 def test_coupler_store_leaves_caller_arrays_writable():
     h = np.zeros(3)
     p = IsingProblem(h=h, pairs=np.zeros((0, 2), np.int64), values=np.zeros(0))

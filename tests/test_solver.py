@@ -378,10 +378,17 @@ class TestExternal:
                        "broken_chain_fraction": "0.5"}, "broken_chain_fraction"),
         (lambda s, e: {"samples": [{"spins": s, "energy": e}],
                        "broken_chain_fraction": False}, "broken_chain_fraction"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": float("nan")}, "broken_chain_fraction"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": -3.5}, "broken_chain_fraction"),
+        (lambda s, e: {"samples": [{"spins": s, "energy": e}],
+                       "broken_chain_fraction": 7}, "broken_chain_fraction"),
     ], ids=["nan-energy", "inf-energy", "second-sample-energy", "reply-list", "sample-list",
             "missing-energy", "text-energy", "null-energy", "fractional-spin", "ragged-spins",
             "text-breakage", "bool-and-text-values", "numeric-text-energy", "bool-spin",
-            "numeric-text-spin", "numeric-text-breakage", "bool-breakage"])
+            "numeric-text-spin", "numeric-text-breakage", "bool-breakage", "nan-breakage",
+            "negative-breakage", "breakage-above-one"])
     def test_malformed_reply_is_data_error(self, make_reply, match):
         from qamlz import DataError, parse_solver_reply
 
