@@ -11,16 +11,12 @@ from .dataset import (
     BASE_VARIABLES,
     PRESELECTION_VARIABLES,
     PROCESSES,
-    ConditionalCut,
-    Cut,
-    CutSet,
     Dataset,
     GeneratorSpec,
     ProcessModel,
     SampleSplit,
     apply_preselection,
     default_generator_spec,
-    default_preselection,
     generate_synthetic,
     load_events,
     split_samples,

@@ -18,13 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from ._codec import from_json
 from .dataset import (
     Dataset,
     GeneratorSpec,
     SampleSplit,
     apply_preselection,
     default_generator_spec,
-    default_preselection,
     generate_synthetic,
     load_events,
     split_samples,
@@ -69,7 +71,8 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n",
+                    encoding="utf-8")
 
 
 def load_config(path: str | Path) -> dict:
@@ -179,7 +182,10 @@ def _generator_from_config(cfg: Mapping) -> GeneratorSpec:
     doc = _object(cfg, "data.generator")
     if doc.get("preset") == "default" or "processes" not in doc:
         return default_generator_spec(**_options(cfg, "data.generator", _GENERATOR_PRESET))
-    return GeneratorSpec.from_dict(doc)
+    try:
+        return from_json(GeneratorSpec, doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad generator spec: {exc}") from exc
 
 
 def prepare_data(cfg: Mapping, seed: int) -> Dataset:
@@ -196,7 +202,7 @@ def prepare_data(cfg: Mapping, seed: int) -> Dataset:
     else:
         raise ConfigError("config needs data.csv or data.generator")
     if opts.get("preselection"):
-        data = apply_preselection(data, default_preselection())
+        data = apply_preselection(data)
     return data
 
 
@@ -261,10 +267,10 @@ def _train_once(cfg: Mapping, seed: int, solver: str | None):
 def cmd_train(cfg: Mapping, seed: int, out_dir: Path, solver: str | None) -> int:
     split, model = _train_once(cfg, seed, solver)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "model.json", model.to_dict())
+    _write_json(out_dir / "model.json", dataclasses.asdict(model))
     with (out_dir / "train_log.jsonl").open("w", encoding="utf-8") as fh:
         for rec in model.trajectory:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
     final = model.trajectory[-1]
     print(f"wrote {out_dir / 'model.json'}: {model.n_spins} spins, "
           f"final train distance {final.train_distance:.6g}, "
@@ -278,7 +284,7 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
     if not model_path.exists():
         raise DataError(f"model file not found: {model_path} (run `train` first?)")
     try:
-        model = TrainedModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
+        model = from_json(TrainedModel, json.loads(model_path.read_text(encoding="utf-8")))
     except (OSError, ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed model file {model_path}: {exc!r}") from exc
     data = prepare_data(cfg, seed)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +31,6 @@ BASE_VARIABLES = (
 
 #: Extra columns consumed only by the default preselection.
 PRESELECTION_VARIABLES = ("eta_jet1", "is_muon", "pt_lep2", "pt_jet2", "dphi_j1j2")
-
-_COMPARATORS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
-    "<": lambda v, t: v < t,
-    ">": lambda v, t: v > t,
-    "<=": lambda v, t: v <= t,
-    ">=": lambda v, t: v >= t,
-    "abs<": lambda v, t: np.abs(v) < t,
-}
 
 
 def _repeated(names: Sequence[str]) -> list[str]:
@@ -302,50 +293,6 @@ class GeneratorSpec:
             if v not in self.schema:
                 raise ConfigError(f"integer variable {v!r} not in schema")
 
-    # -- JSON mirror ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": list(self.schema),
-            "processes": {
-                n: {"mean": list(pm.mean), "cov": [list(r) for r in pm.cov]}
-                for n, pm in self.processes.items()
-            },
-            "signal_fraction": self.signal_fraction,
-            "background_fractions": dict(self.background_fractions),
-            "s_tot": self.s_tot,
-            "b_tot": self.b_tot,
-            "bounds": {v: list(b) for v, b in self.bounds.items()},
-            "integer_variables": list(self.integer_variables),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "GeneratorSpec":
-        try:
-            return cls(
-                schema=tuple(doc["schema"]),
-                processes={
-                    n: ProcessModel(tuple(p["mean"]), tuple(map(tuple, p["cov"])))
-                    for n, p in doc["processes"].items()
-                },
-                signal_fraction=float(doc["signal_fraction"]),
-                background_fractions={n: float(f) for n, f in doc["background_fractions"].items()},
-                s_tot=float(doc["s_tot"]),
-                b_tot=float(doc["b_tot"]),
-                bounds={v: (b[0], b[1]) for v, b in doc.get("bounds", {}).items()},
-                integer_variables=tuple(doc.get("integer_variables", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad generator spec: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GeneratorSpec":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read generator spec {path}: {exc}") from exc
-        return cls.from_dict(doc)
-
 
 _MAX_TRUNCATION_TRIES = 100
 #: events drawn together; bounds the size of the per-chunk arrays
@@ -453,84 +400,22 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cut:
-    variable: str
-    comparator: str
-    threshold: float
-
-    def __post_init__(self):
-        if self.comparator not in _COMPARATORS:
-            raise ConfigError(f"unknown comparator {self.comparator!r}")
-        if not np.isfinite(self.threshold):
-            raise ConfigError("cut threshold must be finite")
-
-    def mask(self, d: Dataset) -> np.ndarray:
-        return _COMPARATORS[self.comparator](d.column(self.variable), self.threshold)
-
-
-@dataclass(frozen=True)
-class ConditionalCut:
-    """Apply `then` only to events passing `condition`; others pass unconditionally."""
-
-    condition: Cut
-    then: Cut
-
-    def mask(self, d: Dataset) -> np.ndarray:
-        return ~self.condition.mask(d) | self.then.mask(d)
-
-
-@dataclass(frozen=True)
-class CutSet:
-    cuts: tuple[Cut, ...] = ()
-    conditional_cuts: tuple[ConditionalCut, ...] = ()
-
-    def variables(self) -> tuple[str, ...]:
-        out = [c.variable for c in self.cuts]
-        for cc in self.conditional_cuts:
-            out += [cc.condition.variable, cc.then.variable]
-        return tuple(dict.fromkeys(out))
-
-    def mask(self, d: Dataset) -> np.ndarray:
-        keep = np.ones(len(d), dtype=bool)
-        for c in self.cuts:
-            keep &= c.mask(d)
-        for cc in self.conditional_cuts:
-            keep &= cc.mask(d)
-        return keep
-
-
-def default_preselection() -> CutSet:
+def apply_preselection(d: Dataset) -> Dataset:
     """Kinematic preselection favouring a hard-MET, single-lepton topology.
 
-    Muon/electron thresholds differ, so the lepton requirements are expressed
-    as cuts conditional on the `is_muon` flag; the dijet-angle veto applies
-    only when a second hard jet is present.
+    Keeps exactly the events passing every cut; event order is preserved.
+    Muon/electron thresholds differ, so the lepton requirements depend on the
+    `is_muon` flag; the dijet-angle veto applies only when a second hard jet
+    is present. A cut variable absent from the schema is a `DataError`.
     """
-    return CutSet(
-        cuts=(
-            Cut("met", ">", 280.0),
-            Cut("pt_jet1", ">", 110.0),
-            Cut("eta_jet1", "abs<", 2.4),
-            Cut("ht", ">", 200.0),
-            Cut("pt_lep2", "<=", 20.0),  # veto additional lepton above 20 GeV
-        ),
-        conditional_cuts=(
-            ConditionalCut(Cut("is_muon", ">=", 0.5), Cut("pt_lep", ">", 3.5)),
-            ConditionalCut(Cut("is_muon", "<", 0.5), Cut("pt_lep", ">", 5.0)),
-            ConditionalCut(Cut("is_muon", ">=", 0.5), Cut("eta_lep", "abs<", 2.4)),
-            ConditionalCut(Cut("is_muon", "<", 0.5), Cut("eta_lep", "abs<", 2.5)),
-            ConditionalCut(Cut("pt_jet2", ">", 60.0), Cut("dphi_j1j2", "<", 2.5)),
-        ),
-    )
-
-
-def apply_preselection(d: Dataset, cuts: CutSet) -> Dataset:
-    """Keep exactly the events passing every cut; event order is preserved."""
-    for v in cuts.variables():
-        if v not in d.schema:
-            raise DataError(f"cut variable {v!r} absent from schema")
-    return d.select(cuts.mask(d))
+    c = d.column
+    lepton = np.where(c("is_muon") >= 0.5,
+                      (c("pt_lep") > 3.5) & (np.abs(c("eta_lep")) < 2.4),
+                      (c("pt_lep") > 5.0) & (np.abs(c("eta_lep")) < 2.5))
+    keep = ((c("met") > 280.0) & (c("pt_jet1") > 110.0) & (np.abs(c("eta_jet1")) < 2.4)
+            & (c("ht") > 200.0) & (c("pt_lep2") <= 20.0)  # veto a second lepton above 20 GeV
+            & lepton & ((c("pt_jet2") <= 60.0) | (c("dphi_j1j2") < 2.5)))
+    return d.select(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,6 @@ class UncertaintyReport:
         return cls(max_foms=tuple(float(v) for v in arr),
                    mean=float(arr.mean()), std=float(arr.std(ddof=1)))
 
-    def to_dict(self) -> dict:
-        return {"max_foms": list(self.max_foms), "mean": self.mean, "std": self.std}
-
 
 def run_uncertainty(
     cfg: ZoomConfig,
@@ -282,9 +279,11 @@ def overtraining_check(
 ) -> dict[str, tuple[float, float]]:
     """Two-sample KS statistic and asymptotic p-value per class.
 
-    Classes are compared wherever both samples are non-empty; a statistic near
-    0 with a large p-value means the classifier responds alike to events it
-    was and was not trained on. The test is `qamlz._kstest.ks_2samp`, a numpy
+    Classes are compared wherever both samples are non-empty, except a class
+    with a single event on each side: its effective size m*n/(m+n) = 0.5
+    rounds to 0 and leaves the p-value undefined. A statistic near 0 with a
+    large p-value means the classifier responds alike to events it was and
+    was not trained on. The test is `qamlz._kstest.ks_2samp`, a numpy
     implementation of the asymptotic two-sample test; its module docstring
     lists how the p-value is computed.
     """
@@ -292,7 +291,7 @@ def overtraining_check(
     for name in train_scores:
         a = np.asarray(train_scores[name], dtype=np.float64)
         b = np.asarray(test_scores.get(name, ()), dtype=np.float64)
-        if len(a) == 0 or len(b) == 0:
+        if len(a) == 0 or len(b) == 0 or len(a) == len(b) == 1:
             continue
         out[name] = ks_2samp(a, b)
     return out

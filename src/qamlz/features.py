@@ -10,7 +10,7 @@ optional PCA rotation complete the feature pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,31 +81,6 @@ class WeakClassifierSet:
         n_bins = self.responses.shape[1]
         bins = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, n_bins - 1)
         return self.responses[np.arange(self.n_classifiers)[None, :], bins]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "var_names": list(self.var_names),
-            "lo": [float(v) for v in self.lo],
-            "hi": [float(v) for v in self.hi],
-            "edges": None if self.edges is None else [float(v) for v in self.edges],
-            "responses": None if self.responses is None
-            else [[float(v) for v in row] for row in self.responses],
-            "constant_variables": list(self.constant_variables),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "WeakClassifierSet":
-        return cls(
-            mode=doc["mode"],
-            var_names=tuple(doc["var_names"]),
-            lo=np.asarray(doc["lo"], dtype=np.float64),
-            hi=np.asarray(doc["hi"], dtype=np.float64),
-            edges=None if doc.get("edges") is None else np.asarray(doc["edges"], dtype=np.float64),
-            responses=None if doc.get("responses") is None
-            else np.asarray(doc["responses"], dtype=np.float64),
-            constant_variables=tuple(doc.get("constant_variables", ())),
-        )
 
 
 def _ranges(train: Dataset, variables: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -288,21 +263,6 @@ class PcaTransform:
         for a in (self.mean, self.components, self.eigenvalues):
             a.setflags(write=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "components": [[float(v) for v in row] for row in self.components],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "PcaTransform":
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            components=np.asarray(doc["components"], dtype=np.float64),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-        )
-
 
 def fit_pca(matrix: np.ndarray) -> PcaTransform:
     """Eigendecomposition of the sample covariance (ddof=1), all components kept.
@@ -368,23 +328,6 @@ class FeaturePipeline:
         if self.pca is not None:
             x = apply_pca(self.pca, x)
         return self.weak.evaluate_matrix(x)
-
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "derived": list(self.derived),
-            "pca": None if self.pca is None else self.pca.to_dict(),
-            "weak": self.weak.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "FeaturePipeline":
-        return cls(
-            variables=tuple(doc["variables"]),
-            derived=tuple(doc["derived"]),
-            pca=None if doc.get("pca") is None else PcaTransform.from_dict(doc["pca"]),
-            weak=WeakClassifierSet.from_dict(doc["weak"]),
-        )
 
 
 def fit_feature_pipeline(

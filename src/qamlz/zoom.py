@@ -119,16 +119,6 @@ class IterationRecord:
     n_candidates: int
     broken_chain_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "sigma": self.sigma,
-            "train_distance": self.train_distance,
-            "test_distance": self.test_distance,
-            "n_candidates": self.n_candidates,
-            "broken_chain_fraction": self.broken_chain_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class TrainedModel:
@@ -138,8 +128,8 @@ class TrainedModel:
     delta: float
     offset_range: int
     pipeline: FeaturePipeline
-    trajectory: tuple[IterationRecord, ...]
-    settings: Mapping[str, object]
+    trajectory: tuple[IterationRecord, ...] = ()
+    settings: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mu.shape != (self.n_spins,):
@@ -156,36 +146,6 @@ class TrainedModel:
 
     def augmented_set(self):
         return augment(self.pipeline.weak, self.delta, self.offset_range)
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": [float(v) for v in self.mu],
-            "delta": self.delta,
-            "offset_range": self.offset_range,
-            "pipeline": self.pipeline.to_dict(),
-            "trajectory": [r.to_dict() for r in self.trajectory],
-            "settings": dict(self.settings),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "TrainedModel":
-        return cls(
-            mu=np.asarray(doc["mu"], dtype=np.float64),
-            delta=float(doc["delta"]),
-            offset_range=int(doc["offset_range"]),
-            pipeline=FeaturePipeline.from_dict(doc["pipeline"]),
-            trajectory=tuple(
-                IterationRecord(
-                    t=int(r["t"]), sigma=float(r["sigma"]),
-                    train_distance=float(r["train_distance"]),
-                    test_distance=float(r["test_distance"]),
-                    n_candidates=int(r["n_candidates"]),
-                    broken_chain_fraction=float(r["broken_chain_fraction"]),
-                )
-                for r in doc.get("trajectory", [])
-            ),
-            settings=dict(doc.get("settings", {})),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import qamlz
-from qamlz import FomParams, ZoomConfig, fom
+from qamlz import FomParams, ZoomConfig, cli, fom, score_events
 from qamlz.cli import main, prepare_data
+
+DATA = Path(__file__).parent / "data"
 
 
 def _base_config(tmp_path: Path, **over) -> Path:
@@ -49,6 +51,16 @@ def _base_config(tmp_path: Path, **over) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+def _without(doc: dict, *path: str) -> dict:
+    """`doc` with the key at `path` deleted, in place."""
+    *parents, key = path
+    node = doc
+    for name in parents:
+        node = node[name]
+    del node[key]
+    return doc
 
 
 def _read_csv(path: Path):
@@ -236,8 +248,13 @@ class TestEval:
         cfg = _base_config(tmp_path)
         assert main(["eval", "--config", str(cfg)]) == 3
 
-    @pytest.mark.parametrize("text", ['{"mu": [1, 2], "del', '{"mu": [1, 2]}', "[1]"],
-                             ids=["truncated", "missing-key", "not-an-object"])
+    @pytest.mark.parametrize("text", [
+        '{"mu": [1, 2], "del', '{"mu": [1, 2]}', "[1]",
+        '{"mu": [1, 2], "delta": 0.1, "offset_range": 0, "pipeline": 5}',
+        json.dumps(_without(json.loads((DATA / "model_density_pca.json").read_text()),
+                            "pipeline", "weak", "edges")),
+    ], ids=["truncated", "missing-key", "not-an-object", "pipeline-not-an-object",
+            "density-without-edges"])
     def test_malformed_model_is_data_error(self, tmp_path, capsys, text):
         cfg = _base_config(tmp_path)
         model_path = tmp_path / "out" / "model.json"
@@ -245,6 +262,35 @@ class TestEval:
         model_path.write_text(text)
         assert main(["eval", "--config", str(cfg)]) == 3
         assert str(model_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal, over", [
+        ("model_normalized.json", {"weak_mode": "normalized"}),
+        ("model_density_pca.json", {"pca": True}),
+    ], ids=["normalized", "density-pca"])
+    def test_model_file_is_pinned(self, tmp_path, monkeypatch, literal, over):
+        # `train` writes the checked-in model byte for byte, and `eval` reads it
+        # back to a model that scores like the one `train` held in memory
+        trained, read = [], []
+        run_qamlz, fom_scan_dataset = cli.run_qamlz, cli.fom_scan_dataset
+        monkeypatch.setattr(cli, "run_qamlz",
+                            lambda *a, **k: trained.append(run_qamlz(*a, **k)) or trained[-1])
+        monkeypatch.setattr(cli, "fom_scan_dataset",
+                            lambda m, *a, **k: read.append(m) or fom_scan_dataset(m, *a, **k))
+        cfg = _base_config(tmp_path, **over)
+        assert main(["train", "--config", str(cfg)]) == 0
+        pinned = DATA / literal
+        assert (tmp_path / "out" / "model.json").read_text() == pinned.read_text()
+        cfg = _base_config(tmp_path, model=str(pinned), **over)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        probe = prepare_data(json.loads(cfg.read_text()), seed=99)
+        assert score_events(read[0], probe).tobytes() == score_events(trained[0], probe).tobytes()
+
+    def test_model_without_trajectory_and_settings_loads(self, tmp_path):
+        doc = json.loads((DATA / "model_normalized.json").read_text())
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(_without(_without(doc, "trajectory"), "settings")))
+        cfg = _base_config(tmp_path, model=str(model_path), weak_mode="normalized")
+        assert main(["eval", "--config", str(cfg)]) == 0
 
     def test_model_of_wrong_size_is_data_error(self, tmp_path, capsys):
         cfg = _base_config(tmp_path)
@@ -414,6 +460,19 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
         assert "at row 5, column 'weight'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("bounds", {"v0": [0.0]}),
+        ("bounds", {"v0": [0.0, None, 5.0]}),
+        ("processes", [1]),
+    ], ids=["bound-of-one-entry", "bound-of-three-entries", "processes-not-an-object"])
+    def test_malformed_generator_spec(self, tmp_path, capsys, key, value):
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["data"]["generator"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen", "--config", str(cfg)]) == 2
+        assert "config error: bad generator spec" in capsys.readouterr().err
 
     def test_invalid_zoom_config(self, tmp_path):
         cfg = _base_config(tmp_path)

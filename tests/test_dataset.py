@@ -1,22 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qamlz import (
     ConfigError,
-    Cut,
-    CutSet,
     DataError,
     Dataset,
     GeneratorSpec,
     ProcessModel,
     apply_preselection,
     default_generator_spec,
-    default_preselection,
     generate_synthetic,
     load_events,
     split_samples,
     two_gaussian_spec,
 )
+from qamlz._codec import from_json
 from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES
 
 from conftest import reference_generate_synthetic
@@ -125,8 +125,8 @@ class TestGenerate:
         spec = default_generator_spec()
         path = tmp_path / "spec.json"
         import json
-        path.write_text(json.dumps(spec.to_dict()))
-        spec2 = GeneratorSpec.from_json(path)
+        path.write_text(json.dumps(dataclasses.asdict(spec)))
+        spec2 = from_json(GeneratorSpec, json.loads(path.read_text()))
         a = generate_synthetic(spec, 50, seed=1)
         b = generate_synthetic(spec2, 50, seed=1)
         assert a.to_csv() == b.to_csv()
@@ -354,30 +354,26 @@ class TestPreselection:
         values = np.array(d.values, copy=True)
         values[:, col] = 279.0
         low = Dataset(d.schema, values, d.tags, d.weights, list(d.processes))
-        assert len(apply_preselection(low, default_preselection())) == 0
-
-    def test_empty_cutset_is_identity(self):
-        d = _random_preselection_dataset(40, seed=2)
-        out = apply_preselection(d, CutSet())
-        assert out.to_csv() == d.to_csv()
+        assert len(apply_preselection(low)) == 0
 
     def test_matches_per_event_predicate_oracle(self):
         d = _random_preselection_dataset(100, seed=3)
-        kept = apply_preselection(d, default_preselection())
+        kept = apply_preselection(d)
         mask = [_passes_default_cuts(dict(zip(d.schema, row))) for row in d.values]
         assert kept.to_csv() == d.select(mask).to_csv()
 
     def test_idempotent(self):
         d = _random_preselection_dataset(200, seed=4)
-        cuts = default_preselection()
-        once = apply_preselection(d, cuts)
-        twice = apply_preselection(once, cuts)
+        once = apply_preselection(d)
+        twice = apply_preselection(once)
         assert once.to_csv() == twice.to_csv()
 
     def test_missing_variable_errors(self):
-        d = generate_synthetic(_spec_1d(), 10, seed=1)
-        with pytest.raises(DataError, match="absent from schema"):
-            apply_preselection(d, CutSet(cuts=(Cut("met", ">", 280.0),)))
+        d = _random_preselection_dataset(10, seed=5)
+        kept = [v for v in d.schema if v != "dphi_j1j2"]
+        d = Dataset(kept, d.matrix(kept), d.tags, d.weights, list(d.processes))
+        with pytest.raises(DataError, match="'dphi_j1j2' not in schema"):
+            apply_preselection(d)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ class TestOvertraining:
             hits += out["ttbar"][1] > 0.01
         assert hits >= 95
 
+    def test_one_event_on_each_side_is_skipped(self):
+        # m*n/(m+n) = 0.5 rounds to an effective size of 0, whose p-value is NaN
+        out = overtraining_check({"signal": [0.1], "wjets": [0.1, 0.3]},
+                                 {"signal": [0.2], "wjets": [0.2]})
+        assert list(out) == ["wjets"]
+        assert all(math.isfinite(p) for _, p in out.values())
+
     def test_monotone_transform_invariance(self, rng):
         a = rng.normal(size=400)
         b = rng.normal(0.3, 1.1, size=400)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from qamlz import (
     variable_set,
     weak_fit,
 )
+from qamlz._codec import from_json
 from qamlz.dataset import BASE_VARIABLES
 from qamlz.features import FeaturePipeline
 
@@ -348,8 +351,8 @@ class TestPipeline:
         probe = generate_synthetic(spec, 50, seed=2)
         pipe = fit_feature_pipeline(train, ["x", "y"], weak_mode="density",
                                     n_bins=8, use_pca=True)
-        doc = pipe.to_dict()
-        pipe2 = FeaturePipeline.from_dict(doc)
+        doc = dataclasses.asdict(pipe)
+        pipe2 = from_json(FeaturePipeline, doc)
         np.testing.assert_array_equal(pipe.transform(probe), pipe2.transform(probe))
         batch = pipe.transform(probe)
         for i in range(len(probe)):

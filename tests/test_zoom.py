@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from qamlz import (
     weighted_distance,
     zoom_update,
 )
+from qamlz._codec import from_json
 from qamlz.ising import sign_pm1
 from qamlz.solver import at_iteration
 
@@ -35,6 +37,10 @@ def _exact_config(**kw):
     )
     defaults.update(kw)
     return ZoomConfig(**defaults)
+
+
+def _model_json(model) -> str:
+    return json.dumps(dataclasses.asdict(model), sort_keys=True, default=np.ndarray.tolist)
 
 
 def _toy_split(n=400, seed=1, sep=1.0, n_var=2):
@@ -208,7 +214,7 @@ class TestRunQamlz:
                          seed=9)
         a = run_qamlz(split.train, split.test, pipe, cfg)
         b = run_qamlz(split.train, split.test, pipe, cfg)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert _model_json(a) == _model_json(b)
 
     def test_distance_non_increasing_with_exact_solver(self):
         # The update mu -> mu + sigma*s is forced (s = 0 is not a spin
@@ -276,7 +282,7 @@ class TestRunQamlz:
         )
         a = run_qamlz(split.train, split.test, pipe, cfg)
         b = run_qamlz(split.train, split.test, pipe, cfg)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert _model_json(a) == _model_json(b)
         for t, rec in enumerate(a.trajectory):
             assert 1 <= rec.n_candidates <= at_iteration(cfg.schedule.n_e, t)
 
@@ -307,8 +313,8 @@ class TestRunQamlz:
         split, names = _toy_split(n=200, seed=14)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         model = run_qamlz(split.train, split.test, pipe, _exact_config(seed=7))
-        doc = json.loads(json.dumps(model.to_dict()))
-        model2 = TrainedModel.from_dict(doc)
+        doc = json.loads(json.dumps(dataclasses.asdict(model), default=np.ndarray.tolist))
+        model2 = from_json(TrainedModel, doc)
         np.testing.assert_array_equal(model.mu, model2.mu)
         assert model2.trajectory == model.trajectory
         np.testing.assert_array_equal(
