@@ -1,18 +1,23 @@
-"""One Metropolis sweep over every read of a simulated-annealing batch.
+"""Blocks of Metropolis sweeps over every read of a simulated-annealing batch.
 
-`solve_sa` runs one sweep per ladder temperature through `SWEEP`. The
-reference is `numpy_sweep`. `SWEEP` is the same sweep compiled from
+`solve_sa` runs its temperature ladder through `SWEEP` a block of sweeps at a
+time. The reference is `numpy_sweep`. `SWEEP` is the same sweep compiled from
 `_sa_sweep.c` with the system C compiler (`cc`) when this module is first
 imported, or `numpy_sweep` itself when there is no compiler on PATH, the cache
 directory cannot be written or the library does not load; one line on stderr
 says so. Compiling at import, not at the first solve, keeps the compiler out
 of the solves a caller times.
 
-Both sweeps perform the same floating-point operations in the same order, so
-they give the same samples. The one difference is `exp`: the C library's and
-numpy's vectorised versions disagree in the last ulp on about 5% of
-arguments. That flips an acceptance only when the uniform falls inside that
-ulp, about once in 1e16 updates.
+Both sweeps walk the couplers as compressed sparse rows
+(`IsingProblem.neighbours`): an accepted flip of spin i updates only the
+fields of i's neighbours. A dense row would also subtract c*0.0 from every
+other field, which changes at most the sign of a zero field, and a zero
+field's sign never changes a decision. Both perform the same floating-point
+operations in the same order, so they give the same samples. The one
+difference is `exp`: the C library's and numpy's vectorised versions disagree
+in the last ulp on about 5% of arguments. That flips an acceptance only when
+the uniform falls inside that ulp, about once in 1e16 updates. The C sweep
+skips `exp` where its result is exactly 0.0, which rejects either way.
 
 The library is cached as `$XDG_CACHE_HOME/qamlz/sa_sweep-<key>.so` (default
 `~/.cache/qamlz/`), with a key hashed from the source, the flags and the
@@ -38,21 +43,24 @@ SOURCE = Path(__file__).with_name("_sa_sweep.c")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def numpy_sweep(state, fields, j_sym, h, uniforms, temp) -> None:
-    """One sweep in place over (reads, n) `state` and coupling `fields`:
-    spins in index order, all reads at once, spin i accepting with the
-    uniforms[i] row (shape (n, reads)) at temperature `temp`.
+def numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
+    """Sweeps in place over (reads, n) `state` and coupling `fields`, one per
+    entry of `temps`: spins in index order, all reads at once, spin i of sweep
+    b accepting with the uniforms[b, i] row (shape (sweeps, n, reads)).
 
-    A flip of spin i in a read only shifts that read's fields by
-    -2*s_i*J[i,:], so cold sweeps (few accepted flips) cost O(reads) per spin
-    instead of a full matvec.
+    A flip of spin i in a read only shifts that read's fields at i's
+    neighbours nb[start[i]:start[i + 1]] by -2*s_i*vals[...], so cold sweeps
+    (few accepted flips) cost O(reads) per spin instead of a full matvec.
     """
-    for i in range(state.shape[1]):
-        delta = -2.0 * state[:, i] * (fields[:, i] + h[i])
-        accept = (delta <= 0.0) | (uniforms[i] < np.exp(-np.maximum(delta, 0.0) / temp))
-        if accept.any():
-            fields[accept] -= (2.0 * state[accept, i])[:, None] * j_sym[i]
-            state[accept, i] *= -1.0
+    for temp, u in zip(temps, uniforms):
+        for i in range(state.shape[1]):
+            delta = -2.0 * state[:, i] * (fields[:, i] + h[i])
+            accept = (delta <= 0.0) | (u[i] < np.exp(-np.maximum(delta, 0.0) / temp))
+            if accept.any():
+                reads = np.flatnonzero(accept)
+                row = slice(start[i], start[i + 1])
+                fields[np.ix_(reads, nb[row])] -= (2.0 * state[reads, i])[:, None] * vals[row]
+                state[reads, i] *= -1.0
 
 
 def _library() -> Path:
@@ -86,18 +94,25 @@ def _library() -> Path:
 def _compiled_sweep():
     """`numpy_sweep`'s signature over the C function."""
     out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    fn = ctypes.CDLL(str(_library())).sa_sweep
-    fn.argtypes = [out, out, matrix, vector, matrix, ctypes.c_double, ctypes.c_long, ctypes.c_long]
+    cube = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
+    fn = ctypes.CDLL(str(_library())).sa_sweeps
+    fn.argtypes = [out, out, index, index, vector, vector, cube, vector,
+                   ctypes.c_long, ctypes.c_long, ctypes.c_long]
     fn.restype = None
 
-    def compiled_sweep(state, fields, j_sym, h, uniforms, temp) -> None:
+    def compiled_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
         reads, n = state.shape
-        if not (fields.shape == (reads, n) and j_sym.shape == (n, n) and h.shape == (n,)
-                and uniforms.shape == (n, reads)):
+        sweeps = len(temps)
+        if not (fields.shape == (reads, n) and h.shape == (n,) and start.shape == (n + 1,)
+                and uniforms.shape == (sweeps, n, reads)):
             raise ValueError("sweep arrays disagree in shape")
-        fn(state, fields, j_sym, h, uniforms, temp, reads, n)
+        # the C loop writes fields[nb[k]] for k in [start[0], start[n])
+        if not (start[0] == 0 and (np.diff(start) >= 0).all()
+                and nb.shape == vals.shape == (start[-1],) and ((0 <= nb) & (nb < n)).all()):
+            raise ValueError("neighbour arrays are not compressed sparse rows over the spins")
+        fn(state, fields, start, nb, vals, h, uniforms, temps, sweeps, reads, n)
 
     return compiled_sweep
 

@@ -162,7 +162,7 @@ _ZOOM = {"iterations": _integer, "base": _number, "delta": _number,
          "offset_range": _integer, "p_flip": _or_null(_list(_number)),
          "q_flip": _or_null(_list(_number)), "cutoff_pct": _number, "fixing": _boolean,
          "solver": _string, "external_command": _or_null(_list(_string)),
-         "lambda": _number}
+         "external_timeout": _or_null(_number), "lambda": _number}
 _SCHEDULE = {"n_reads": _integer, "sweeps": _integer, "t_hot": _or_null(_number),
              "t_cold": _number, "n_g": _list(_integer), "n_e": _list(_integer),
              "d": _list(_or_null(_number))}
@@ -179,9 +179,14 @@ _SCAN = {"delta": _list(_number), "offset_range": _list(_integer),
 
 
 def _generator_from_config(cfg: Mapping) -> GeneratorSpec:
+    """The default spec for a `preset` of "default", or the inline spec of an
+    object with a `processes` key; any other generator is a `ConfigError`."""
     doc = _object(cfg, "data.generator")
-    if doc.get("preset") == "default" or "processes" not in doc:
+    if doc.get("preset") == "default":
         return default_generator_spec(**_options(cfg, "data.generator", _GENERATOR_PRESET))
+    if "preset" in doc or "processes" not in doc:
+        raise _bad("data.generator",
+                   '{"preset": "default"} or an inline spec with a "processes" key', doc)
     try:
         return from_json(GeneratorSpec, doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -196,14 +196,24 @@ class IsingProblem:
             object.__setattr__(self, "_dense", m)
         return m
 
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every coupler seen from both ends, as (spin, neighbour, value)
-        arrays sorted by spin, then neighbour: per-spin sums accumulated in
-        this order add in ascending neighbour order."""
-        i, j = self.pairs.T
-        spin, nb = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((nb, spin))
-        return spin[order], nb[order], np.concatenate([self.values, self.values])[order]
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every coupler seen from both ends, as compressed sparse rows
+        (start, nb, vals): spin i's neighbours are nb[start[i]:start[i + 1]],
+        ascending, with their couplers in vals[start[i]:start[i + 1]], so
+        per-spin sums accumulated in this order add in ascending neighbour
+        order. The three read-only arrays are built on the first call and the
+        same ones are returned after that."""
+        csr = self.__dict__.get("_csr")
+        if csr is None:
+            i, j = self.pairs.T
+            spin, nb = np.concatenate([i, j]), np.concatenate([j, i])
+            order = np.lexsort((nb, spin))
+            start = np.searchsorted(spin[order], np.arange(self.n_spins + 1))
+            csr = (start, nb[order], np.concatenate([self.values, self.values])[order])
+            for arr in csr:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_csr", csr)
+        return csr
 
     def to_dict(self) -> dict:
         return {
@@ -301,8 +311,7 @@ def fix_variables(p: IsingProblem) -> tuple[dict[int, int], IsingProblem]:
     """
     n = p.n_spins
     h = p.h.copy()
-    spin, nbs, vals = p.adjacency()
-    start = np.searchsorted(spin, np.arange(n + 1))
+    start, nbs, vals = p.neighbours()
     alive = np.ones(n, dtype=bool)
     assignments: dict[int, int] = {}
     frontier = alive.copy()

@@ -29,6 +29,10 @@ EXACT_SPIN_LIMIT = 24
 #: configurations enumerated per block; small enough that the block's
 #: (configurations x couplers) temporaries stay in cache
 _ENUM_CHUNK = 1 << 12
+#: uniforms drawn per block of SA sweeps (1 MiB), or one sweep's if that is
+#: more: each block is one kernel call, and drawing every sweep's uniforms at
+#: once would hold n_spins * n_reads * sweeps doubles
+_SWEEP_CHUNK = 1 << 17
 
 
 def at_iteration(schedule, t: int):
@@ -76,7 +80,8 @@ class AnnealSchedule:
         from the problem scale when not set explicitly."""
         hot = self.t_hot
         if hot is None:
-            spin, _, v = p.adjacency()
+            start, _, v = p.neighbours()
+            spin = np.repeat(np.arange(p.n_spins), np.diff(start))
             # bincount adds in input order: ascending neighbour order per spin
             row = np.bincount(spin, weights=np.abs(v), minlength=p.n_spins)
             scale = float((np.abs(p.h) + row).max(initial=0.0))
@@ -156,9 +161,12 @@ def solve_sa(
     (spin, read) is drawn per sweep regardless of acceptance so the stream is
     state-independent. `init` overrides the seeded +-1 starting states (shape
     (n_reads, n_spins)); acceptance draws are unaffected, which lets callers
-    pair runs across a gauge relabeling. Each sweep runs compiled C when a
-    compiler was found at import, else numpy; both give the same samples
-    (see `qamlz._sweep`).
+    pair runs across a gauge relabeling. The ladder runs in blocks of sweeps
+    holding at most `_SWEEP_CHUNK` uniforms, one kernel call and one
+    (sweeps, n_spins, n_reads) draw per block: the same doubles that one draw
+    per sweep gives. Each block runs compiled C when a compiler was found at
+    import, else numpy; both walk the couplers as sparse rows and give the
+    same samples (see `qamlz._sweep`).
     """
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
@@ -170,14 +178,17 @@ def solve_sa(
         if init.shape != (sched.n_reads, n) or not np.isin(init, (-1, 1)).all():
             raise ConfigError("init must be a +-1 array of shape (n_reads, n_spins)")
         state = np.array(init, dtype=np.float64, order="C")
-    j_sym = p.dense_couplers()
-    # local coupling fields, maintained incrementally by the sweep
-    fields = state @ j_sym
+    # local coupling fields, maintained incrementally by the sweep; the dense
+    # product's rounding feeds every later sweep
+    fields = state @ p.dense_couplers()
+    start, nb, vals = p.neighbours()
+    temps = sched.ladder(p)
+    block = max(1, _SWEEP_CHUNK // max(1, n * sched.n_reads))
     sweep = _sweep.SWEEP
-    for temp in sched.ladder(p):
-        # one draw per sweep: drawing every sweep's uniforms at once would
-        # hold n_spins * n_reads * sweeps doubles
-        sweep(state, fields, j_sym, p.h, rng_sweep.random((n, sched.n_reads)), temp)
+    for b in range(0, len(temps), block):
+        t = temps[b:b + block]
+        sweep(state, fields, start, nb, vals, p.h,
+              rng_sweep.random((len(t), n, sched.n_reads)), t)
     spins = state.astype(np.int8)
     return SolverResult(spins=spins, energies=energies_batch(p, spins))
 

@@ -10,6 +10,7 @@ randomness is drawn from streams keyed by (seed, iteration, candidate, gauge).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -54,7 +55,8 @@ def default_p_flip(iterations: int) -> tuple[float, ...]:
 class ZoomConfig:
     """Training-loop settings. Flip schedules default to the halving series
     above; `p_flip` and `q_flip` are deliberately explicit configuration, and
-    q must not exceed p anywhere (both may be zero)."""
+    q must not exceed p anywhere (both may be zero). `external_timeout` bounds
+    each external-solver call in seconds; None waits without limit."""
 
     iterations: int = 8
     base: float = 0.5
@@ -68,6 +70,7 @@ class ZoomConfig:
     solver: str = "sa"
     chain: ChainConfig = field(default_factory=ChainConfig)
     external_command: tuple[str, ...] | None = None
+    external_timeout: float | None = None
     lam: float = 0.0
     seed: int = 0
 
@@ -91,6 +94,8 @@ class ZoomConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.solver == "external" and not self.external_command:
             raise ConfigError("solver 'external' needs an external_command")
+        if self.external_timeout is not None and not 0.0 < self.external_timeout < math.inf:
+            raise ConfigError("external_timeout must be a positive number of seconds or null")
         if not 0.0 <= self.cutoff_pct <= 100.0:
             raise ConfigError("cutoff_pct must be in [0, 100]")
         if not 0 <= self.seed < 2**64:
@@ -207,7 +212,7 @@ def _solve_backend(problem, cfg: ZoomConfig, t: int, seed: tuple):
     if cfg.solver == "sa":
         return solve_sa(problem, cfg.schedule, seed=seed)
     if cfg.solver == "external":
-        return solve_external(problem, cfg.external_command)
+        return solve_external(problem, cfg.external_command, timeout=cfg.external_timeout)
     cc = cfg.chain
     strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
     return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed, strength=strength)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -154,7 +155,7 @@ class TestTrain:
                 "schedule": {"n_reads": 200, "sweeps": 1000, "t_hot": None, "t_cold": 0.01,
                              "n_g": [50, 10], "n_e": [1], "d": [None]},
                 "chain": {"length": 4, "strength": 1.0, "strength_schedule": None},
-                "external_command": None,
+                "external_command": None, "external_timeout": None,
             },
         }
         outputs = []
@@ -474,10 +475,47 @@ class TestExitCodes:
         assert main(["gen", "--config", str(cfg)]) == 2
         assert "config error: bad generator spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator", [
+        {"schema": ["v0"], "proceses": {}},
+        {"preset": "other"},
+        {},
+    ], ids=["misspelled-processes", "unknown-preset", "empty"])
+    def test_generator_neither_preset_nor_inline(self, tmp_path, capsys, generator):
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["data"]["generator"] = generator
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert '{"preset": "default"} or an inline spec with a "processes" key' in err
+        assert not (tmp_path / "out" / "events.csv").exists()
+
     def test_invalid_zoom_config(self, tmp_path):
         cfg = _base_config(tmp_path)
         doc = json.loads(cfg.read_text())
         doc["zoom"]["base"] = 2.0
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+
+    def test_hung_external_solver_times_out(self, tmp_path, capsys):
+        # the command is the interpreter itself, so the timeout kills the sleeper
+        script = "import time; time.sleep(60)"
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script],
+                           external_timeout=0.5)
+        cfg.write_text(json.dumps(doc))
+        began = time.monotonic()
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert time.monotonic() - began < 30
+        assert "timed out after 0.5 seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, "5", [5]])
+    def test_bad_external_timeout(self, tmp_path, timeout):
+        cfg = _base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", "0"],
+                           external_timeout=timeout)
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 2
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qamlz import AnnealSchedule, ChainConfig, _sweep, solve_chain_emulated, solve_sa
+from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, prune, solve_chain_emulated,
+                   solve_sa, solver)
 
 from conftest import make_problem, random_problem
 
@@ -76,16 +77,104 @@ def test_kernel_matches_numpy_sweep_in_chain_emulation(monkeypatch):
     assert compiled.broken_chain_fraction > 0  # the chains do break, so decoding is exercised
 
 
+def _sparse_problem(rng, n, cutoff_pct, scale=1.0):
+    """A pruned random problem with some kept couplers stored as 0.0 and
+    spin 0 left without neighbours."""
+    p = prune(random_problem(rng, n, scale=scale), cutoff_pct)
+    kept = (p.pairs != 0).all(axis=1)
+    values = p.values[kept]
+    values[::7] = 0.0
+    return IsingProblem(h=p.h, pairs=p.pairs[kept], values=values)
+
+
+@pytest.mark.parametrize("sweeps", [2, 17, 200])
+@pytest.mark.parametrize("n, reads", [(84, 100), (30, 7), (12, 3)])
+def test_kernel_matches_numpy_sweep_on_pruned_problems(monkeypatch, n, reads, sweeps):
+    rng = np.random.default_rng(n * 1000 + sweeps)
+    sched = AnnealSchedule(n_reads=reads, sweeps=sweeps)
+    for cutoff_pct, scale in [(85.0, 1.0), (95.0, 2.0 ** -5), (50.0, 0.01)]:
+        p = _sparse_problem(rng, n, cutoff_pct, scale)
+        start, _, vals = p.neighbours()
+        assert start[1] == 0 and (vals == 0.0).any()
+        _assert_same(*_compiled_and_reference(monkeypatch, solve_sa, p, sched, seed=(n, sweeps)))
+
+
+def test_kernel_matches_numpy_sweep_past_exp_underflow(monkeypatch):
+    # at t_cold = 1e-9 a flip costing more than 7.46e-7 has -delta/temp below
+    # -746, where the C sweep rejects without calling exp
+    rng = np.random.default_rng(13)
+    sched = AnnealSchedule(n_reads=50, sweeps=60, t_cold=1e-9)
+    for p in (_sparse_problem(rng, 40, 85.0), random_problem(rng, 12, scale=2.0 ** -10)):
+        compiled, reference = _compiled_and_reference(monkeypatch, solve_sa, p, sched, seed=6)
+        _assert_same(compiled, reference)
+        s = compiled.spins.astype(np.float64)
+        delta = -2.0 * s * (s @ p.dense_couplers() + p.h)  # each single flip's cost
+        assert (delta / sched.t_cold > 746.0).mean() > 0.5
+
+
+def test_block_draw_equals_per_sweep_draws():
+    n, reads, k = 84, 100, 15
+    assert max(1, solver._SWEEP_CHUNK // (n * reads)) == k
+    block = np.random.default_rng((1, 7)).random((k, n, reads))
+    rng = np.random.default_rng((1, 7))
+    np.testing.assert_array_equal(block, [rng.random((n, reads)) for _ in range(k)])
+
+
+def test_solve_sa_calls_the_sweep_once_per_block(monkeypatch):
+    calls = []
+
+    def recording(state, fields, start, nb, vals, h, uniforms, temps):
+        calls.append((uniforms.shape, len(temps)))
+        _sweep.numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps)
+
+    p = _sparse_problem(np.random.default_rng(2), 84, 85.0)
+    monkeypatch.setattr(_sweep, "SWEEP", recording)
+    solve_sa(p, AnnealSchedule(n_reads=100, sweeps=200), seed=1)
+    assert calls == [((15, 84, 100), 15)] * 13 + [((5, 84, 100), 5)]
+    assert all(np.prod(shape) <= solver._SWEEP_CHUNK for shape, _ in calls)
+
+
+def test_neighbour_rows_built_once_and_read_only():
+    p = IsingProblem(h=np.zeros(5), pairs=[[0, 3], [1, 3], [1, 4], [3, 4]],
+                     values=[1.5, 0.0, -2.0, 0.25])
+    csr = p.neighbours()
+    assert p.neighbours() is csr
+    start, nb, vals = csr
+    np.testing.assert_array_equal(start, [0, 1, 3, 3, 6, 8])
+    np.testing.assert_array_equal(nb, [3, 3, 4, 0, 1, 4, 1, 3])
+    np.testing.assert_array_equal(vals, [1.5, 0.0, -2.0, 1.5, 0.0, 0.25, -2.0, 0.25])
+    for arr in csr:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_kernel_rejects_disagreeing_arrays():
-    state, fields = np.ones((3, 2)), np.zeros((3, 2))
-    j_sym, h, uniforms = np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3))
-    with pytest.raises(ValueError, match="disagree in shape"):
-        _sweep.SWEEP(state, fields, j_sym, h, np.zeros((3, 2)), 1.0)
-    with pytest.raises(ctypes.ArgumentError):  # the C loop walks rows: column-major is refused
-        _sweep.SWEEP(np.asfortranarray(state), fields, j_sym, h, uniforms, 1.0)
-    with pytest.raises(ctypes.ArgumentError):
-        _sweep.SWEEP(state, fields, j_sym, h.astype(np.float32), uniforms, 1.0)
+    reads, n = 3, 2
+    state, fields, h = np.ones((reads, n)), np.zeros((reads, n)), np.zeros(n)
+    start, nb, vals = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.5])
+    uniforms, temps = np.zeros((4, n, reads)), np.ones(4)
+
+    def sweep(**over):
+        args = dict(state=state, fields=fields, start=start, nb=nb, vals=vals, h=h,
+                    uniforms=uniforms, temps=temps)
+        _sweep.SWEEP(**{**args, **over})
+
+    sweep()
+    for over in [dict(uniforms=np.zeros((4, reads, n))), dict(temps=np.ones(3)),
+                 dict(start=np.array([0, 2]))]:
+        with pytest.raises(ValueError, match="disagree in shape"):
+            sweep(**over)
+    for over in [dict(start=np.array([1, 1, 2])), dict(start=np.array([0, 2, 1])),
+                 dict(nb=np.array([1, 2])), dict(nb=np.array([-1, 0])),
+                 dict(nb=np.array([1])), dict(vals=np.array([0.5]))]:
+        with pytest.raises(ValueError, match="not compressed sparse rows"):
+            sweep(**over)
+    # the C loop walks rows: column-major is refused, and so are other dtypes
+    for over in [dict(state=np.asfortranarray(state)), dict(h=h.astype(np.float32)),
+                 dict(nb=nb.astype(np.int32))]:
+        with pytest.raises(ctypes.ArgumentError):
+            sweep(**over)
 
 
 # ---------------------------------------------------------------------------
