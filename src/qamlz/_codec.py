@@ -1,13 +1,17 @@
-"""The JSON mirror of the model and generator-spec dataclasses.
+"""The one reader of typed values from parsed JSON: config sections, the
+inline generator spec and `model.json`.
 
-The dataclass fields are the file format. Writing is `dataclasses.asdict`
-dumped with `json.dumps(..., default=np.ndarray.tolist)`; reading is
-`from_json`, which rebuilds a value from the type hints of those fields.
+The model and spec dataclass fields are their file format. Writing is
+`dataclasses.asdict` dumped with `json.dumps(..., default=np.ndarray.tolist)`;
+reading is `from_json`, which rebuilds a value from the type hints of those
+fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import sys
 import types
 import typing
 from collections.abc import Mapping
@@ -15,40 +19,93 @@ from dataclasses import MISSING
 
 import numpy as np
 
+from .errors import ConfigError
 
-def _mapping(doc) -> Mapping:
-    if not isinstance(doc, Mapping):
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+
+def is_number(v) -> bool:
+    """A JSON number: int or float, not bool (nor a numeric string)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    # JSON admits NaN and Infinity, and an integer too large for a float
+    return is_number(v) and abs(v) <= sys.float_info.max
+
+
+#: kind -> (what a value must be, the test it must pass)
+_KINDS = {
+    # an integer may be written as an integral number such as 8.0
+    int: ("an integer", lambda v: is_number(v) and (isinstance(v, int) or v.is_integer())),
+    float: ("a finite number", _finite),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    Mapping: ("an object", lambda v: isinstance(v, Mapping)),
+}
+
+
+def _check(kind, doc, where: str):
+    what, test = _KINDS[kind]
+    if not test(doc):
+        raise ConfigError(f"{where or 'config'} must be {what}, got {json.dumps(doc)}")
     return doc
 
 
-def from_json(kind, doc):
-    """`doc`, a parsed JSON value, read as a value of the type `kind`.
+def from_json(kind, doc, where: str, **given):
+    """`doc`, a parsed JSON value, read as a value of the type `kind`; any
+    error is a `ConfigError` naming the dotted path, `where`, of the bad value.
 
-    A dataclass is rebuilt field by field; an absent key takes the field's
-    default, or raises `KeyError` when the field has none. `X | None` gives
-    None or an X, `np.ndarray` a float64 array, `tuple[X, ...]` and
-    `Mapping[str, X]` convert each entry, and a fixed `tuple[X, Y]` must have
-    exactly that many entries. `int` and `float` go through `int()` and
-    `float()`; any other kind is passed through unchanged.
+    A bool, int, float or str must pass its `_KINDS` test and is converted
+    to `kind`. `X | None` gives None or an X, `np.ndarray` a float64 array
+    from a rectangular list of finite numbers, `tuple[X, ...]` and
+    `Mapping[str, X]` read each entry, a fixed `tuple[X, Y]` must have
+    exactly that many entries, and `object` passes any value through. A
+    table `{key: kind}` gives {key: value} for the keys present. A dataclass
+    is read as the table of its fields, keyed by `metadata["key"]` where a
+    field has one; an absent key takes the field's default, or is an error
+    when the field has none. `given` sets fields of the outermost dataclass,
+    which are then not read. A key that is not in the table or dataclass is
+    an error.
     """
+    at = f"{where}." if where else ""
     if dataclasses.is_dataclass(kind):
-        doc, hints = _mapping(doc), typing.get_type_hints(kind)
-        return kind(**{
-            f.name: from_json(hints[f.name], doc[f.name])
-            for f in dataclasses.fields(kind)
-            if f.name in doc or (f.default is MISSING and f.default_factory is MISSING)
-        })
+        hints = typing.get_type_hints(kind)
+        fields = {f.metadata.get("key", f.name): f
+                  for f in dataclasses.fields(kind) if f.name not in given}
+        values = from_json({k: hints[f.name] for k, f in fields.items()}, doc, where)
+        for key, f in fields.items():
+            if key not in values and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{at}{key} is missing")
+        return kind(**given, **{fields[k].name: v for k, v in values.items()})
+    if isinstance(kind, Mapping):
+        unknown = [k for k in _check(Mapping, doc, where) if k not in kind]
+        if unknown:
+            import difflib  # only a bad document pays for the import
+
+            close = difflib.get_close_matches(unknown[0], list(kind), n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigError(f"{where or 'config'} has an unknown key {unknown[0]!r}{hint}")
+        return {k: from_json(kind[k], v, at + k) for k, v in doc.items()}
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):  # X | None
         (inner,) = (a for a in args if a is not type(None))
-        return None if doc is None else from_json(inner, doc)
+        return None if doc is None else from_json(inner, doc, where)
     if kind is np.ndarray:
-        return np.asarray(doc, dtype=np.float64)
+        # a ragged list gives an array of lists, which are not numbers
+        arr = np.array(_check(list, doc, where), dtype=object)
+        if not all(map(_finite, arr.flat)):
+            raise ConfigError(f"{where} must be a rectangular list of finite numbers")
+        return arr.astype(np.float64)
     if origin is tuple:
+        items = _check(list, doc, where)
         if args[1:] == (...,):
-            return tuple(from_json(args[0], v) for v in doc)
-        return tuple(from_json(a, v) for a, v in zip(args, doc, strict=True))
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)} entries, "
+                              f"got {json.dumps(doc)}")
+        return tuple(from_json(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, items)))
     if origin is Mapping:
-        return {k: from_json(args[1], v) for k, v in _mapping(doc).items()}
-    return kind(doc) if kind in (int, float) else doc
+        return {k: from_json(args[1], v, at + k) for k, v in _check(Mapping, doc, where).items()}
+    if kind is object:
+        return doc
+    return kind(_check(kind, doc, where))

@@ -42,7 +42,6 @@ from .evaluate import (
 )
 from .features import FeaturePipeline, fit_feature_pipeline, variable_set
 from .ising import keep_count
-from .solver import AnnealSchedule, ChainConfig, _is_number
 from .zoom import TrainedModel, ZoomConfig, run_qamlz
 
 #: grid points whose post-prune coupler count exceeds this have no hardware
@@ -75,135 +74,73 @@ def _write_json(path: Path, doc) -> None:
                     encoding="utf-8")
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _bad("config", "an object", doc)
-    return doc
 
 
 # ---------------------------------------------------------------------------
-# Config reader: each present key is checked and converted by its kind; an
-# absent key is not passed on, so its default lives only with its owner.
+# Config -> objects. Every value is read by `from_json`: a section that is a
+# dataclass by its fields, any other by a {key: kind} table. An absent key is
+# not passed on, so its default lives only with its owner.
 # ---------------------------------------------------------------------------
 
 
-def _bad(where: str, what: str, value) -> ConfigError:
-    return ConfigError(f"{where} must be {what}, got {json.dumps(value)}")
-
-
-def _kind(what: str, test, convert=None):
-    """A converter for values that pass `test`; any other value is a
-    `ConfigError` naming the key and the kind it must be."""
-    def read(value, where: str):
-        if not test(value):
-            raise _bad(where, what, value)
-        return value if convert is None else convert(value)
-    return read
-
-
-# an integer may be written as an integral number such as 8.0
-_integer = _kind("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
-                 int)
-# JSON admits NaN and Infinity, and an integer too large for a float
-_number = _kind("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
-                float)
-_boolean = _kind("true or false", lambda v: isinstance(v, bool))
-_string = _kind("a string", lambda v: isinstance(v, str))
-
-
-def _list(kind):
-    def convert(value, where: str) -> tuple:
-        if not isinstance(value, list):
-            raise _bad(where, "a list", value)
-        return tuple(kind(v, f"{where}[{i}]") for i, v in enumerate(value))
-    return convert
-
-
-def _or_null(kind):
-    def convert(value, where: str):
-        return None if value is None else kind(value, where)
-    return convert
-
-
-def _object(cfg: Mapping, path: str) -> Mapping:
-    """The object at the dotted `path` ("" is the whole config); {} when absent."""
-    doc, keys = cfg, path.split(".") if path else []
-    for depth, key in enumerate(keys, 1):
-        doc = doc.get(key, {})
-        if not isinstance(doc, dict):
-            raise _bad(".".join(keys[:depth]), "an object", doc)
-    return doc
-
+_CONFIG = {"seed": int, "out_dir": str, "model": str, "variables": object, "weak_mode": str,
+           "n_bins": int, "pca": bool, "data": object, "zoom": object, "fom": object,
+           "scan": object, "fom_curve": object}
+_DATA = {"csv": str, "schema": tuple[str, ...] | None, "generator": object, "n_events": int,
+         "preselection": bool, "qa_fraction": float, "assess_processes": tuple[str, ...]}
+_PRESET = {"preset": str, "s_tot": float, "b_tot": float, "signal_fraction": float}
+_FOM = {"f": float, "min_counts": int, "grid_points": int}
+_SCAN = {"delta": tuple[float, ...], "offset_range": tuple[int, ...],
+         "cutoff_pct": tuple[float, ...], "fixing": tuple[bool, ...],
+         "n_runs": int, "coupler_budget": int}
+_FOM_CURVE = dict.fromkeys("sbf", tuple[float, ...])
 
 #: config keys whose parameter has another name
-_PARAM = {"lambda": "lam", "pca": "use_pca"}
+_PARAM = {"pca": "use_pca"}
 
 
-def _options(cfg: Mapping, path: str, kinds: Mapping) -> dict:
-    """{parameter: converted value} for each key of `kinds` present at `path`."""
-    doc = _object(cfg, path)
-    prefix = path + "." if path else ""
-    return {_PARAM.get(key, key): kind(doc[key], prefix + key)
-            for key, kind in kinds.items() if key in doc}
+def _section(cfg: Mapping, key: str, table: Mapping) -> dict:
+    """The `key` section of the config read by `table`; {} when absent."""
+    return from_json(table, cfg.get(key, {}), key)
 
 
-_DATA = {"csv": _string, "schema": _or_null(_list(_string)), "n_events": _integer,
-         "preselection": _boolean}
-_GENERATOR_PRESET = {"s_tot": _number, "b_tot": _number, "signal_fraction": _number}
-_SPLIT = {"qa_fraction": _number, "assess_processes": _list(_string)}
-_PIPELINE = {"weak_mode": _string, "n_bins": _integer, "pca": _boolean}
-_ZOOM = {"iterations": _integer, "base": _number, "delta": _number,
-         "offset_range": _integer, "p_flip": _or_null(_list(_number)),
-         "q_flip": _or_null(_list(_number)), "cutoff_pct": _number, "fixing": _boolean,
-         "solver": _string, "external_command": _or_null(_list(_string)),
-         "external_timeout": _or_null(_number), "lambda": _number}
-_SCHEDULE = {"n_reads": _integer, "sweeps": _integer, "t_hot": _or_null(_number),
-             "t_cold": _number, "n_g": _list(_integer), "n_e": _list(_integer),
-             "d": _list(_or_null(_number))}
-_CHAIN = {"length": _integer, "strength": _number,
-          "strength_schedule": _or_null(_list(_number))}
-_SCAN = {"delta": _list(_number), "offset_range": _list(_integer),
-         "cutoff_pct": _list(_number), "fixing": _list(_boolean),
-         "n_runs": _integer, "coupler_budget": _integer}
+def _pick(opts: Mapping, *keys: str) -> dict:
+    """{parameter: value} for each of `keys` present in `opts`."""
+    return {_PARAM.get(k, k): opts[k] for k in keys if k in opts}
 
 
-# ---------------------------------------------------------------------------
-# Config -> objects
-# ---------------------------------------------------------------------------
-
-
-def _generator_from_config(cfg: Mapping) -> GeneratorSpec:
+def _generator_from_config(doc) -> GeneratorSpec:
     """The default spec for a `preset` of "default", or the inline spec of an
     object with a `processes` key; any other generator is a `ConfigError`."""
-    doc = _object(cfg, "data.generator")
-    if doc.get("preset") == "default":
-        return default_generator_spec(**_options(cfg, "data.generator", _GENERATOR_PRESET))
-    if "preset" in doc or "processes" not in doc:
-        raise _bad("data.generator",
-                   '{"preset": "default"} or an inline spec with a "processes" key', doc)
+    where = "data.generator"
+    if isinstance(doc, Mapping) and doc.get("preset") == "default":
+        return default_generator_spec(**_pick(from_json(_PRESET, doc, where),
+                                              "s_tot", "b_tot", "signal_fraction"))
+    if not isinstance(doc, Mapping) or "preset" in doc or "processes" not in doc:
+        raise ConfigError(f'{where} must be {{"preset": "default"}} or an inline spec '
+                          f'with a "processes" key, got {json.dumps(doc)}')
     try:
-        return from_json(GeneratorSpec, doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_json(GeneratorSpec, doc, where)
+    except ConfigError as exc:
         raise ConfigError(f"bad generator spec: {exc}") from exc
 
 
 def prepare_data(cfg: Mapping, seed: int) -> Dataset:
-    opts = _options(cfg, "data", _DATA)
+    opts = _section(cfg, "data", _DATA)
     if "csv" in opts:
         data = load_events(opts["csv"], opts.get("schema"))
-    elif "generator" in _object(cfg, "data"):
-        spec = _generator_from_config(cfg)
-        inline = _options(cfg, "data.generator", {"n_events": _integer})
-        n_events = opts.get("n_events", inline.get("n_events"))
-        if n_events is None or n_events <= 0:
+    elif "generator" in opts:
+        spec = _generator_from_config(opts["generator"])
+        if opts.get("n_events", 0) <= 0:
             raise ConfigError("data.n_events must be a positive integer")
-        data = generate_synthetic(spec, n_events, seed)
+        data = generate_synthetic(spec, opts["n_events"], seed)
     else:
         raise ConfigError("config needs data.csv or data.generator")
     if opts.get("preselection"):
@@ -212,35 +149,38 @@ def prepare_data(cfg: Mapping, seed: int) -> Dataset:
 
 
 def prepare_split(cfg: Mapping, data: Dataset, seed: int) -> SampleSplit:
-    return split_samples(data, seed=seed, **_options(cfg, "data", _SPLIT))
+    opts = _section(cfg, "data", _DATA)
+    return split_samples(data, seed=seed, **_pick(opts, "qa_fraction", "assess_processes"))
 
 
 def prepare_pipeline(cfg: Mapping, train: Dataset) -> FeaturePipeline:
-    selector = cfg.get("variables", "beta")
+    top = from_json(_CONFIG, cfg, "")
+    selector = top.get("variables", "beta")
     if not isinstance(selector, str):
-        selector = _list(_string)(selector, "variables")
+        selector = from_json(tuple[str, ...], selector, "variables")
     variables, derived, weak_mode = variable_set(selector)
     return fit_feature_pipeline(train, variables=variables, derived=derived,
-                                **{"weak_mode": weak_mode, **_options(cfg, "", _PIPELINE)})
+                                **{"weak_mode": weak_mode,
+                                   **_pick(top, "weak_mode", "n_bins", "pca")})
 
 
 def zoom_config(cfg: Mapping, seed: int, solver: str | None = None) -> ZoomConfig:
-    opts = _options(cfg, "zoom", _ZOOM)
-    if solver:
-        opts["solver"] = solver
-    return ZoomConfig(
-        **opts,
-        schedule=AnnealSchedule(**_options(cfg, "zoom.schedule", _SCHEDULE)),
-        chain=ChainConfig(**_options(cfg, "zoom.chain", _CHAIN)),
-        seed=seed,
-    )
+    """The `zoom` section; the run's seed is the config's top-level `seed`."""
+    doc = cfg.get("zoom", {})
+    if solver and isinstance(doc, Mapping):
+        doc = {**doc, "solver": solver}
+    return from_json(ZoomConfig, doc, "zoom", seed=seed)
 
 
 def fom_settings(cfg: Mapping) -> dict:
     """FomParams and the cut-scan options, as keyword arguments of
     `fom_scan_dataset` and `run_uncertainty`."""
-    return {"params": FomParams(**_options(cfg, "fom", {"f": _number})),
-            **_options(cfg, "fom", {"min_counts": _integer, "grid_points": _integer})}
+    opts = _section(cfg, "fom", _FOM)
+    if opts.get("grid_points", 2) < 2:
+        raise ConfigError(f"fom.grid_points must be >= 2, got {opts['grid_points']}")
+    if opts.get("min_counts", 0) < 0:
+        raise ConfigError(f"fom.min_counts must be >= 0, got {opts['min_counts']}")
+    return {"params": FomParams(**_pick(opts, "f")), **_pick(opts, "min_counts", "grid_points")}
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +225,14 @@ def cmd_train(cfg: Mapping, seed: int, out_dir: Path, solver: str | None) -> int
 
 def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
     settings = fom_settings(cfg)
-    model_path = Path(_options(cfg, "", {"model": _string}).get("model", out_dir / "model.json"))
+    model_path = Path(from_json(_CONFIG, cfg, "").get("model", out_dir / "model.json"))
     if not model_path.exists():
         raise DataError(f"model file not found: {model_path} (run `train` first?)")
     try:
-        model = from_json(TrainedModel, json.loads(model_path.read_text(encoding="utf-8")))
-    except (OSError, ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed model file {model_path}: {exc!r}") from exc
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        model = from_json(TrainedModel, doc, "model")
+    except (OSError, ValueError, ConfigError) as exc:
+        raise DataError(f"malformed model file {model_path}: {exc}") from exc
     data = prepare_data(cfg, seed)
     split = prepare_split(cfg, data, seed)
     curve = fom_scan_dataset(model, split.assess, **settings)
@@ -338,9 +279,9 @@ def _scan_point(args: tuple) -> tuple:
 
 
 def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: int) -> int:
-    if not _object(cfg, "scan"):
+    opts = _section(cfg, "scan", _SCAN)
+    if not opts:
         raise ConfigError("config needs a `scan` section with grid axes")
-    opts = _options(cfg, "scan", _SCAN)
     zcfg = zoom_config(cfg, seed, solver)
     axes = [opts.get(name, (getattr(zcfg, name),))
             for name in ("delta", "offset_range", "cutoff_pct", "fixing")]
@@ -355,6 +296,8 @@ def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: i
     pipeline = prepare_pipeline(cfg, split.train)
     points = list(itertools.product(*axes))
     tasks = [(split, pipeline, zcfg, fom_kwargs, p, n_runs, budget) for p in points]
+    # the pool starts all its workers at once, so it is no larger than the grid
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, tasks))
@@ -368,9 +311,9 @@ def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: i
 
 
 def cmd_fom(cfg: Mapping, out_dir: Path) -> int:
-    if not _object(cfg, "fom_curve"):
+    opts = _section(cfg, "fom_curve", _FOM_CURVE)
+    if not opts:
         raise ConfigError("config needs a `fom_curve` section with s, b and f lists")
-    opts = _options(cfg, "fom_curve", dict.fromkeys("sbf", _list(_number)))
     s_values, b_values = opts.get("s", ()), opts.get("b", ())
     f_values = opts.get("f", (FomParams().f,))
     if not s_values or not b_values:
@@ -415,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        top = _options(cfg, "", {"seed": _integer, "out_dir": _string})
+        top = from_json(_CONFIG, cfg, "")
         seed = args.seed if args.seed is not None else top.get("seed", 0)
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")

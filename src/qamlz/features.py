@@ -214,6 +214,8 @@ def variable_set(selector: str | Sequence[str]) -> tuple[tuple[str, ...], tuple[
     combinations. A custom list selects those variables with density mode.
     """
     if not isinstance(selector, str):
+        if not selector:
+            raise ConfigError("variables must name at least one variable")
         return tuple(selector), (), "density"
     key = selector.lower() if selector.lower() in ("alpha", "beta") else selector
     if key == "alpha":

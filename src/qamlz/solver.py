@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _sweep
+from ._codec import is_number
 from .errors import ConfigError, DataError
 from .ising import IsingProblem, energies_batch
 
@@ -72,6 +73,8 @@ class AnnealSchedule:
             raise ConfigError("gauge counts must be >= 1")
         if not self.n_e or any(e < 1 for e in self.n_e):
             raise ConfigError("excited-state caps must be >= 1")
+        if any(w is not None and w < 0 for w in self.d):
+            raise ConfigError("energy windows d must be >= 0 or null")
         if not self.d:
             object.__setattr__(self, "d", (None,))
 
@@ -300,11 +303,11 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     spins = np.empty((len(samples), p.n_spins), dtype=np.int8)
     reported = np.empty(len(samples))
     for k, rec in enumerate(samples):
-        if not isinstance(rec, Mapping) or not _is_number(rec.get("energy")):
+        if not isinstance(rec, Mapping) or not is_number(rec.get("energy")):
             raise DataError(f"sample {k}: needs `spins` and a numeric `energy`")
         s = rec.get("spins")
         if not (isinstance(s, list) and len(s) == p.n_spins
-                and all(_is_number(v) and v in (-1, 1) for v in s)):
+                and all(is_number(v) and v in (-1, 1) for v in s)):
             raise DataError(f"sample {k}: spins must be a +-1 vector of length {p.n_spins}")
         spins[k] = s
         reported[k] = rec["energy"]
@@ -316,14 +319,9 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
             f"sample {k}: reported energy {reported[k]} is not the problem energy {energies[k]}"
         )
     broken = doc.get("broken_chain_fraction", 0.0)
-    if not (_is_number(broken) and 0.0 <= broken <= 1.0):  # NaN fails the range
+    if not (is_number(broken) and 0.0 <= broken <= 1.0):  # NaN fails the range
         raise DataError(f"broken_chain_fraction must be a number in [0, 1], got {broken!r}")
     return SolverResult(spins=spins, energies=energies, broken_chain_fraction=float(broken))
-
-
-def _is_number(v) -> bool:
-    """A JSON number: int or float, not bool (nor a numeric string)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def solve_external(p: IsingProblem, command: Sequence[str],

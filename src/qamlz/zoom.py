@@ -71,7 +71,7 @@ class ZoomConfig:
     chain: ChainConfig = field(default_factory=ChainConfig)
     external_command: tuple[str, ...] | None = None
     external_timeout: float | None = None
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     seed: int = 0
 
     def __post_init__(self):

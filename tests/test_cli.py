@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import qamlz
-from qamlz import FomParams, ZoomConfig, cli, fom, score_events
+from qamlz import AnnealSchedule, ChainConfig, FomParams, ZoomConfig, cli, fom, score_events
+from qamlz._codec import from_json
 from qamlz.cli import main, prepare_data
 
 DATA = Path(__file__).parent / "data"
@@ -61,6 +64,16 @@ def _without(doc: dict, *path: str) -> dict:
     for name in parents:
         node = node[name]
     del node[key]
+    return doc
+
+
+def _set(doc: dict, path: str, value) -> dict:
+    """`doc` with the value at the dotted `path` set, in place."""
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
     return doc
 
 
@@ -293,6 +306,29 @@ class TestEval:
         cfg = _base_config(tmp_path, model=str(model_path), weak_mode="normalized")
         assert main(["eval", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("path, value", [
+        ("offset_range", 0.7),
+        ("mu", ["0.5"]),
+        ("extra", 1),
+        ("pipeline.weak.mode_", "density"),
+        ("trajectory", [{"t": "0"}]),
+    ], ids=["fractional-offset-range", "string-weight", "unknown-key", "unknown-nested-key",
+            "string-in-trajectory"])
+    def test_model_value_of_wrong_kind_is_data_error(self, tmp_path, capsys, path, value):
+        # offset_range 0 makes int(0.7) a model of the right size
+        cfg = _base_config(tmp_path, zoom={"iterations": 1, "offset_range": 0, "solver": "exact",
+                                           "schedule": {"n_g": [1]}})
+        assert main(["train", "--config", str(cfg)]) == 0
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        if path == "mu":
+            value = value * len(doc["mu"])
+        model_path.write_text(json.dumps(_set(doc, path, value)))
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"malformed model file {model_path}: model" in err
+        assert not (tmp_path / "out" / "fom_curve.csv").exists()
+
     def test_model_of_wrong_size_is_data_error(self, tmp_path, capsys):
         cfg = _base_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -360,6 +396,32 @@ class TestScan:
         seq = (tmp_path / "out" / "scan.csv").read_bytes()
         main(["scan", "--config", str(cfg), "--jobs", "2"])
         assert (tmp_path / "out" / "scan.csv").read_bytes() == seq
+
+    def test_pool_is_no_larger_than_the_grid(self, tmp_path, monkeypatch):
+        # a process pool starts all its workers at the first submit
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "run_uncertainty",
+                            lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
+        cfg = self._scan_config(tmp_path, delta=[0.05, 0.1])
+        assert main(["scan", "--config", str(cfg), "--jobs", "64"]) == 0
+        assert sizes == [2]
+        assert main(["scan", "--config", str(cfg), "--jobs", "2"]) == 0
+        assert sizes == [2, 2]
 
     @pytest.mark.parametrize("offset_range", [3, 5])
     @pytest.mark.parametrize("cutoff", [0.0, 85.0])
@@ -430,6 +492,49 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     lines = out.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 False")
     assert json.loads((tmp_path / "out" / "overtraining.json").read_text())
+
+
+def test_good_config_leaves_difflib_unloaded(tmp_path):
+    # difflib serves only the message of an unknown key
+    cfg = _base_config(tmp_path, fom_curve={"s": [50.0], "b": [1000.0]})
+    src = str(Path(qamlz.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qamlz.cli; "
+            "print('difflib' in sys.modules); "
+            "print(qamlz.cli.main(['fom', '--config', sys.argv[2]]), 'difflib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, str(cfg)], capture_output=True,
+                         text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def _keys(kind) -> set:
+    """The keys the reader accepts for a table or a dataclass."""
+    if isinstance(kind, dict):
+        return set(kind)
+    return {f.metadata.get("key", f.name) for f in dataclasses.fields(kind)}
+
+
+def test_readme_config_block_matches_the_reader():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    # the reader accepts every key of the block ...
+    from_json(cli._CONFIG, doc, "")
+    for name, table in (("data", cli._DATA), ("fom", cli._FOM), ("scan", cli._SCAN),
+                        ("fom_curve", cli._FOM_CURVE)):
+        from_json(table, doc[name], name)
+    from_json(cli._PRESET, doc["data"]["generator"], "data.generator")
+    cli.zoom_config(doc, seed=0)
+    # ... and the block shows every key the reader accepts
+    zoom = doc["zoom"]
+    for keys, shown in (
+        (_keys(cli._CONFIG), doc), (_keys(cli._DATA), doc["data"]),
+        (_keys(cli._PRESET), doc["data"]["generator"]), (_keys(cli._FOM), doc["fom"]),
+        (_keys(cli._SCAN), doc["scan"]), (_keys(cli._FOM_CURVE), doc["fom_curve"]),
+        (_keys(ZoomConfig) - {"seed"}, zoom), (_keys(AnnealSchedule), zoom["schedule"]),
+        (_keys(ChainConfig), zoom["chain"]),
+    ):
+        assert keys == set(shown)
 
 
 class TestExitCodes:
@@ -575,6 +680,44 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("train", "zoom.cutof_pct", 50.0,
+         "zoom has an unknown key 'cutof_pct' (did you mean 'cutoff_pct'?)"),
+        ("train", "sede", 3, "config has an unknown key 'sede' (did you mean 'seed'?)"),
+        ("train", "data.n_event", 600, "data has an unknown key 'n_event'"),
+        ("train", "zoom.schedule.n_read", 5, "zoom.schedule has an unknown key 'n_read'"),
+        ("train", "zoom.chain.lenght", 2, "zoom.chain has an unknown key 'lenght'"),
+        ("train", "zoom.seed", 3, "zoom has an unknown key 'seed'"),
+        ("eval", "fom.grid_point", 51, "fom has an unknown key 'grid_point'"),
+        ("scan", "scan", {"delta": [0.1], "n_run": 2}, "scan has an unknown key 'n_run'"),
+        ("fom", "fom_curve", {"s": [1.0], "b": [1.0], "g": [0.2]},
+         "fom_curve has an unknown key 'g'"),
+        ("gen", "data.generator.integer_variabels", ["v0"],
+         "data.generator has an unknown key 'integer_variabels'"),
+        ("gen", "data.generator.n_events", 600, "data.generator has an unknown key 'n_events'"),
+        ("gen", "data.generator", {"preset": "default", "processes": {}},
+         "data.generator has an unknown key 'processes'"),
+        ("gen", "data.generator.s_tot", "7000",
+         'data.generator.s_tot must be a finite number, got "7000"'),
+        ("gen", "data.generator.b_tot", True, "data.generator.b_tot must be a finite number"),
+        ("gen", "data.generator.processes.signal.mean", [1.5, "1"],
+         "data.generator.processes.signal.mean[1] must be a finite number"),
+        ("train", "zoom.schedule.d", [-1.0], "energy windows d must be >= 0 or null"),
+        ("eval", "fom.grid_points", -1, "fom.grid_points must be >= 2, got -1"),
+        ("eval", "fom.grid_points", 1, "fom.grid_points must be >= 2, got 1"),
+        ("eval", "fom.min_counts", -5, "fom.min_counts must be >= 0, got -5"),
+        ("train", "variables", [], "variables must name at least one variable"),
+    ])
+    def test_bad_config_value_is_named(self, tmp_path, capsys, command, path, value, message):
+        cfg = _base_config(tmp_path, scan={"delta": [0.1]}, fom_curve={"s": [1.0], "b": [1.0]})
+        if command == "eval":
+            assert main(["train", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps(_set(json.loads(cfg.read_text()), path, value)))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(f.name not in ("model.json", "train_log.jsonl")
+                       for f in (tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize("command, path, value, key", [
         ("eval", "fom.f", math.nan, "fom.f"),

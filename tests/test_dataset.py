@@ -126,7 +126,7 @@ class TestGenerate:
         path = tmp_path / "spec.json"
         import json
         path.write_text(json.dumps(dataclasses.asdict(spec)))
-        spec2 = from_json(GeneratorSpec, json.loads(path.read_text()))
+        spec2 = from_json(GeneratorSpec, json.loads(path.read_text()), "spec")
         a = generate_synthetic(spec, 50, seed=1)
         b = generate_synthetic(spec2, 50, seed=1)
         assert a.to_csv() == b.to_csv()

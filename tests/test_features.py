@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -351,8 +352,9 @@ class TestPipeline:
         probe = generate_synthetic(spec, 50, seed=2)
         pipe = fit_feature_pipeline(train, ["x", "y"], weak_mode="density",
                                     n_bins=8, use_pca=True)
-        doc = dataclasses.asdict(pipe)
-        pipe2 = from_json(FeaturePipeline, doc)
+        # through JSON text, the format the reader reads
+        doc = json.loads(json.dumps(dataclasses.asdict(pipe), default=np.ndarray.tolist))
+        pipe2 = from_json(FeaturePipeline, doc, "pipeline")
         np.testing.assert_array_equal(pipe.transform(probe), pipe2.transform(probe))
         batch = pipe.transform(probe)
         for i in range(len(probe)):

@@ -314,7 +314,7 @@ class TestRunQamlz:
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         model = run_qamlz(split.train, split.test, pipe, _exact_config(seed=7))
         doc = json.loads(json.dumps(dataclasses.asdict(model), default=np.ndarray.tolist))
-        model2 = from_json(TrainedModel, doc)
+        model2 = from_json(TrainedModel, doc, "model")
         np.testing.assert_array_equal(model.mu, model2.mu)
         assert model2.trajectory == model.trajectory
         np.testing.assert_array_equal(
