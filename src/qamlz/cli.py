@@ -153,12 +153,17 @@ def prepare_split(cfg: Mapping, data: Dataset, seed: int) -> SampleSplit:
     return split_samples(data, seed=seed, **_pick(opts, "qa_fraction", "assess_processes"))
 
 
-def prepare_pipeline(cfg: Mapping, train: Dataset) -> FeaturePipeline:
-    top = from_json(_CONFIG, cfg, "")
+def _variables(top: Mapping) -> tuple:
+    """`variable_set` of the config's `variables` selector."""
     selector = top.get("variables", "beta")
     if not isinstance(selector, str):
         selector = from_json(tuple[str, ...], selector, "variables")
-    variables, derived, weak_mode = variable_set(selector)
+    return variable_set(selector)
+
+
+def prepare_pipeline(cfg: Mapping, train: Dataset) -> FeaturePipeline:
+    top = from_json(_CONFIG, cfg, "")
+    variables, derived, weak_mode = _variables(top)
     return fit_feature_pipeline(train, variables=variables, derived=derived,
                                 **{"weak_mode": weak_mode,
                                    **_pick(top, "weak_mode", "n_bins", "pca")})
@@ -181,6 +186,19 @@ def fom_settings(cfg: Mapping) -> dict:
     if opts.get("min_counts", 0) < 0:
         raise ConfigError(f"fom.min_counts must be >= 0, got {opts['min_counts']}")
     return {"params": FomParams(**_pick(opts, "f")), **_pick(opts, "min_counts", "grid_points")}
+
+
+def check_config(cfg: Mapping, seed: int, solver: str | None) -> None:
+    """Read every config section once, so an unknown key or a bad value is a
+    `ConfigError` whichever sections the command goes on to use."""
+    data = _section(cfg, "data", _DATA)
+    if "generator" in data:
+        _generator_from_config(data["generator"])
+    zoom_config(cfg, seed, solver)
+    fom_settings(cfg)
+    _section(cfg, "scan", _SCAN)
+    _section(cfg, "fom_curve", _FOM_CURVE)
+    _variables(from_json(_CONFIG, cfg, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         out_dir = Path(top.get("out_dir", "out"))
+        check_config(cfg, seed, args.solver)
         if args.command == "gen":
             return cmd_gen(cfg, seed, out_dir)
         if args.command == "train":

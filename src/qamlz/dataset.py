@@ -139,13 +139,11 @@ class Dataset:
     def to_csv(self, path: str | Path | None = None) -> str | None:
         """Write `tag,weight,process,<schema...>` rows; returns the text when path is None."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("tag", "weight", "process") + self.schema)
-        for i in range(len(self)):
-            writer.writerow(
-                [int(self.tags[i]), repr(float(self.weights[i])), str(self.processes[i])]
-                + [repr(float(v)) for v in self.values[i]]
-            )
+        csv.writer(buf, lineterminator="\n").writerow(("tag", "weight", "process") + self.schema)
+        # process names and numbers hold no character a CSV must quote
+        for tag, weight, process, values in zip(self.tags.tolist(), self.weights.tolist(),
+                                                self.processes, self.values.tolist()):
+            buf.write(",".join((str(tag), repr(weight), process, *map(repr, values))) + "\n")
         text = buf.getvalue()
         if path is None:
             return text
@@ -181,6 +179,21 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
         if missing:
             raise DataError(f"{path}: missing required columns {missing}")
         col = {name: header.index(name) for name in header}
+
+        def _num(row: list[str], r: int, name: str) -> float:
+            cell = row[col[name]]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric value {cell!r} at row {r}, column {name!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: non-finite value {cell!r} at row {r}, column {name!r}"
+                )
+            return value
+
         rows_v, rows_t, rows_w, rows_p = [], [], [], []
         for r, row in enumerate(reader, start=1):
             if not row:
@@ -189,25 +202,10 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
                 raise DataError(
                     f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
                 )
-
-            def _num(name: str) -> float:
-                cell = row[col[name]]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {r}, column {name!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite value {cell!r} at row {r}, column {name!r}"
-                    )
-                return value
-
-            tag = _num("tag")
+            tag = _num(row, r, "tag")
             if tag not in (-1.0, 1.0):
                 raise DataError(f"{path}: tag must be +1 or -1 at row {r}, got {row[col['tag']]!r}")
-            weight = _num("weight")
+            weight = _num(row, r, "weight")
             if weight < 0:
                 raise DataError(f"{path}: negative weight at row {r}")
             process = row[col["process"]].strip()
@@ -215,7 +213,7 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
                 raise DataError(
                     f"{path}: unknown process {process!r} at row {r}; expected one of {PROCESSES}"
                 )
-            rows_v.append([_num(v) for v in schema])
+            rows_v.append([_num(row, r, name) for name in schema])
             rows_t.append(int(tag))
             rows_w.append(weight)
             rows_p.append(process)

@@ -259,7 +259,13 @@ def energy(p: IsingProblem, spins: Sequence[int] | np.ndarray) -> float:
 
 
 def energies_batch(p: IsingProblem, spins: np.ndarray) -> np.ndarray:
-    """Energies of a (n_configs, n_spins) batch of +-1 configurations."""
+    """Energies of a (n_configs, n_spins) batch of +-1 configurations.
+
+    A row's last bits depend on the batch's row count: OpenBLAS gemv sums
+    whole groups of four rows in one order and the rows left over in another.
+    So `energy(p, s)`, a batch of one row, can differ in the last bit from the
+    same state's energy inside `solve_exact`, which scores whole quads.
+    """
     s = np.asarray(spins, dtype=np.float64)
     e = s @ p.h
     if p.n_couplers:

@@ -27,9 +27,13 @@ from .errors import ConfigError, DataError
 from .ising import IsingProblem, energies_batch
 
 EXACT_SPIN_LIMIT = 24
-#: configurations enumerated per block; small enough that the block's
-#: (configurations x couplers) temporaries stay in cache
-_ENUM_CHUNK = 1 << 12
+#: fast energies scored per block of the exact enumeration (128 KiB of
+#: float64): the fastest of 2**13..2**15 at 17 and 20 spins
+_ENUM_CHUNK = 1 << 14
+#: candidates scored again per `energies_batch` call: whole quads, and the
+#: (rows x couplers) temporaries of a 24-spin problem stay near 2 MiB
+_RESCORE_ROWS = 1 << 10
+_UNIT_ROUNDOFF = 2.0 ** -53
 #: uniforms drawn per block of SA sweeps (1 MiB), or one sweep's if that is
 #: more: each block is one kernel call, and drawing every sweep's uniforms at
 #: once would hold n_spins * n_reads * sweeps doubles
@@ -118,33 +122,85 @@ class SolverResult:
 
 def solve_exact(p: IsingProblem, keep: int = 32) -> SolverResult:
     """Enumerate all 2**n configurations (n <= 24) and return the lowest
-    `keep` states of the spectrum, energy-ascending with index-order ties."""
+    `keep` states of the spectrum, energy-ascending with index-order ties.
+
+    Configuration k sets spin i to +1 where bit i of k is set. The n spins
+    split into a = n // 2 low and b = n - a high ones, so every energy is
+    E_lo[lo] + E_hi[hi] + s_hi . J_x . s_lo, with J_x the couplers between
+    the halves: one (rows x a) @ (a x 2**a) product scores a block of high
+    states against every low state. Those fast energies only select
+    candidates: a state is one if its fast energy is within `_exact_margin`
+    of the keep-th lowest among the kept states and its block. The
+    candidates are scored again by `energies_batch` in whole aligned quads of
+    configurations 4q..4q+3, and ranked by (energy, index). A row's last
+    bits in `energies_batch` depend on where it falls among the batch's groups
+    of four rows, so whole quads give each state the bits it gets in a batch
+    of all 2**n configurations.
+    """
     n = p.n_spins
     if n > EXACT_SPIN_LIMIT:
         raise ConfigError(
             f"exact solver supports at most {EXACT_SPIN_LIMIT} spins, got {n}"
         )
-    total = 1 << n
-    keep = min(keep, total)
-    bits = np.arange(n, dtype=np.uint32)
-    best_e = np.empty(0)
+    keep = min(keep, 1 << n)
+    a = n // 2
+    lo, hi = _spin_table(a), _spin_table(n - a)
+    upper = np.zeros((n, n))
+    upper[tuple(p.pairs.T)] = p.values
+    e_lo = lo @ p.h[:a] + ((lo @ upper[:a, :a]) * lo).sum(axis=1)
+    e_hi = hi @ p.h[a:] + ((hi @ upper[a:, a:]) * hi).sum(axis=1)
+    field_lo = hi @ upper[:a, a:].T  # each high state's couplings onto the low spins
+    margin = _exact_margin(p)
+    rows = max(4, _ENUM_CHUNK >> a)  # four high states or more: whole quads
     best_idx = np.empty(0, dtype=np.int64)
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        spins = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
-        e = energies_batch(p, spins)
-        cat_e = np.concatenate([best_e, e])
-        cat_i = np.concatenate([best_idx, idx])
-        # equal energies sit in index order in cat_e (the kept states, sorted,
-        # then this block), so a stable sort breaks ties by index; only states
-        # no worse than the keep-th lowest energy need sorting
-        part = np.arange(len(cat_e))
-        if len(cat_e) > keep:
-            part = np.flatnonzero(cat_e <= np.partition(cat_e, keep - 1)[keep - 1])
-        part = part[np.argsort(cat_e[part], kind="stable")][:keep]
-        best_e, best_idx = cat_e[part], cat_i[part]
-    spins = (((best_idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
-    return SolverResult(spins=spins, energies=best_e)
+    best_e = best_f = np.empty(0)
+    for h0 in range(0, len(hi), rows):
+        f = (field_lo[h0:h0 + rows] @ lo.T + e_hi[h0:h0 + rows, None] + e_lo).ravel()
+        # the kept states and this block: their keep-th lowest fast energy is
+        # no lower than that of all 2**n states, so it is a safe cut
+        seen = np.concatenate([best_f, f])
+        cut = np.partition(seen, keep - 1)[keep - 1] if len(seen) > keep else np.inf
+        quads = np.unique(np.flatnonzero(f <= cut + margin) >> 2)
+        pos = (quads[:, None] * 4 + np.arange(4)).ravel()
+        pos = pos[pos < len(f)]  # a quad is clipped only when 2**n < 4
+        idx = pos + (h0 << a)
+        cat_idx = np.concatenate([best_idx, idx])
+        cat_e = np.concatenate([best_e, *(
+            energies_batch(p, _spins(idx[k:k + _RESCORE_ROWS], n))
+            for k in range(0, len(idx), _RESCORE_ROWS))])
+        cat_f = np.concatenate([best_f, f[pos]])
+        order = np.lexsort((cat_idx, cat_e))[:keep]
+        best_idx, best_e, best_f = cat_idx[order], cat_e[order], cat_f[order]
+    return SolverResult(spins=_spins(best_idx, n), energies=best_e)
+
+
+def _exact_margin(p: IsingProblem) -> float:
+    """Candidate margin 4 gamma_L (sum|h| + sum|J|), with u = 2**-53 and
+    gamma_L = L u / (1 - L u).
+
+    Each energy term reaches the fast sum, and the `energies_batch` sum,
+    through at most L = n**2 + 2 roundings. So both energies of a state lie
+    within d = gamma_L (sum|h| + sum|J|) of its exact energy, and within 2d of
+    each other. The keep states whose fast energies are at most a cut c have
+    `energies_batch` energies at most c + 2d, so every state the ranking keeps
+    has a fast energy of at most c + 4d. Neither sum needs more than
+    max(n + 1, n (n - 1) / 2) roundings; for n >= 2 the 3 or more to spare
+    cover the rounding of the margin itself and of c + margin, and with fewer
+    spins both sums are exact.
+    """
+    terms = p.n_spins ** 2 + 2
+    gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+    return 4.0 * gamma * float(np.abs(p.h).sum() + np.abs(p.values).sum())
+
+
+def _spin_table(n: int) -> np.ndarray:
+    """(2**n, n) float64 +-1 table whose row k holds the bits of k."""
+    return _spins(np.arange(1 << n), n).astype(np.float64)
+
+
+def _spins(idx: np.ndarray, n: int) -> np.ndarray:
+    """+-1 int8 configurations of the enumeration indices `idx`."""
+    return (((idx[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -10,6 +12,7 @@ import pytest
 
 from qamlz import Dataset, GeneratorSpec, IsingProblem
 from qamlz.errors import ConfigError, DataError
+from qamlz.ising import energies_batch
 
 
 def make_problem(h, couplers: dict) -> IsingProblem:
@@ -143,6 +146,40 @@ def reference_t_hot(sched, problem: IsingProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Chunked enumeration: the exact solver that split-half enumeration replaced,
+# kept to pin `solve_exact` byte for byte
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_exact(problem: IsingProblem, keep: int, chunk: int) -> tuple:
+    """(spins, energies) of the `keep` lowest configurations, scored by
+    `energies_batch` in index-order blocks of `chunk` and merged by a stable
+    sort."""
+    n = problem.n_spins
+    total = 1 << n
+    keep = min(keep, total)
+    bits = np.arange(n, dtype=np.uint32)
+    best_e = np.empty(0)
+    best_idx = np.empty(0, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        spins = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
+        e = energies_batch(problem, spins)
+        cat_e = np.concatenate([best_e, e])
+        cat_i = np.concatenate([best_idx, idx])
+        # equal energies sit in index order in cat_e (the kept states, sorted,
+        # then this block), so a stable sort breaks ties by index; only states
+        # no worse than the keep-th lowest energy need sorting
+        part = np.arange(len(cat_e))
+        if len(cat_e) > keep:
+            part = np.flatnonzero(cat_e <= np.partition(cat_e, keep - 1)[keep - 1])
+        part = part[np.argsort(cat_e[part], kind="stable")][:keep]
+        best_e, best_idx = cat_e[part], cat_i[part]
+    spins = (((best_idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int8)
+    return spins, best_e
+
+
+# ---------------------------------------------------------------------------
 # Per-event generation loop: the scalar implementation that chunked
 # generation replaced, kept to pin the chunked code bit for bit
 # ---------------------------------------------------------------------------
@@ -205,6 +242,21 @@ def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) 
         )
     weights = np.where(tags == 1, spec.s_tot / n_sig, spec.b_tot / n_bg)
     return Dataset(spec.schema, values, tags, weights, processes)
+
+
+# ---------------------------------------------------------------------------
+# CSV writer loop: the per-row `csv.writer` text `Dataset.to_csv` reproduces
+# ---------------------------------------------------------------------------
+
+
+def reference_to_csv(d: Dataset) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("tag", "weight", "process") + d.schema)
+    for i in range(len(d)):
+        writer.writerow([int(d.tags[i]), repr(float(d.weights[i])), str(d.processes[i])]
+                        + [repr(float(v)) for v in d.values[i]])
+    return buf.getvalue()
 
 
 @pytest.fixture

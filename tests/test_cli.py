@@ -708,6 +708,14 @@ class TestExitCodes:
         ("eval", "fom.grid_points", 1, "fom.grid_points must be >= 2, got 1"),
         ("eval", "fom.min_counts", -5, "fom.min_counts must be >= 0, got -5"),
         ("train", "variables", [], "variables must name at least one variable"),
+        # every section is read up front, whether or not the command uses it
+        ("gen", "zoom.cutof_pct", 50.0,
+         "zoom has an unknown key 'cutof_pct' (did you mean 'cutoff_pct'?)"),
+        ("eval", "scan", {"delta": [0.1], "n_run": 2}, "scan has an unknown key 'n_run'"),
+        ("eval", "zoom.schedule.n_read", 5, "zoom.schedule has an unknown key 'n_read'"),
+        ("fom", "data.generator.integer_variabels", ["v0"],
+         "data.generator has an unknown key 'integer_variabels'"),
+        ("gen", "variables", "gamma", "unknown variable set 'gamma'"),
     ])
     def test_bad_config_value_is_named(self, tmp_path, capsys, command, path, value, message):
         cfg = _base_config(tmp_path, scan={"delta": [0.1]}, fom_curve={"s": [1.0], "b": [1.0]})

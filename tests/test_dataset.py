@@ -19,7 +19,7 @@ from qamlz import (
 from qamlz._codec import from_json
 from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES
 
-from conftest import reference_generate_synthetic
+from conftest import reference_generate_synthetic, reference_to_csv
 
 
 def _spec_1d(sig_mean=1.0, bkg_mean=-1.0):
@@ -299,6 +299,25 @@ class TestLoad:
         d.to_csv(p)
         d2 = load_events(p, d.schema)
         assert d.to_csv() == d2.to_csv()
+
+
+class TestToCsv:
+    def test_default_spec_matches_the_csv_writer(self):
+        d = generate_synthetic(default_generator_spec(), 300, seed=7)
+        assert d.to_csv() == reference_to_csv(d)
+
+    def test_extreme_values_match_the_csv_writer(self, tmp_path):
+        values = [[-0.0, 1e-300], [1e300, -1e300], [5e-324, 0.1], [3.0, 1e16]]
+        d = Dataset(("a b", 'q"uote,d'), values, [1, -1, 1, -1], [0.0, 1e-300, 1e300, 2.5],
+                    ["signal", "wjets", "ttbar", "other"])
+        assert d.to_csv() == reference_to_csv(d)
+        d.to_csv(tmp_path / "d.csv")
+        assert load_events(tmp_path / "d.csv", d.schema).to_csv() == reference_to_csv(d)
+
+    def test_empty_schema_and_no_events(self):
+        for d in (Dataset((), np.zeros((2, 0)), [1, -1], [1.0, 2.0], ["signal", "other"]),
+                  Dataset(("x",), np.zeros((0, 1)), [], [], [])):
+            assert d.to_csv() == reference_to_csv(d)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from qamlz import (
 from qamlz import solver
 from qamlz.solver import SolverResult, at_iteration, expand_chains
 
-from conftest import brute_force_energy, coupler_dict, make_problem, random_problem
+from conftest import (brute_force_energy, coupler_dict, make_problem, random_problem,
+                      reference_solve_exact)
 
 
 def _fast_schedule(**kw):
@@ -89,26 +90,98 @@ class TestExact:
         assert energy(p, candidate) == pytest.approx(res.energies[0], abs=1e-12)
 
     @pytest.mark.parametrize("n", [11, 14])
-    def test_block_size_does_not_change_the_spectrum(self, rng, monkeypatch, n):
+    def test_block_size_does_not_change_the_spectrum(self, rng, n):
         # integer fields and couplers tie many energies, so the index-order
         # tie break across block boundaries is exercised
         for _ in range(3):
-            p = make_problem(rng.integers(-1, 2, size=n).astype(float),
-                             {(a, b): float(rng.integers(-1, 2))
-                              for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5})
-            results = []
-            for chunk in (1 << 20, 1 << 12, 1000):
-                monkeypatch.setattr(solver, "_ENUM_CHUNK", chunk)
-                results.append(solve_exact(p, keep=64))
-            for res in results[1:]:
-                np.testing.assert_array_equal(res.spins, results[0].spins)
-                np.testing.assert_array_equal(res.energies, results[0].energies)
+            p = _integer_problem(rng, n)
+            results = [reference_solve_exact(p, 64, chunk) for chunk in (1 << 20, 1 << 12, 1000)]
+            for spins, energies in results[1:]:
+                np.testing.assert_array_equal(spins, results[0][0])
+                np.testing.assert_array_equal(energies, results[0][1])
+            _assert_same_bytes(solve_exact(p, keep=64), *results[0])
             # the kept states are the lowest of the spectrum, ties in index order
             idx = np.arange(1 << n)
             spins = ((idx[:, None] >> np.arange(n)) & 1) * 2 - 1
             e = np.array([energy(p, s) for s in spins])
             order = np.lexsort((idx, e))[:64]
-            np.testing.assert_array_equal(results[0].spins, spins[order])
+            np.testing.assert_array_equal(results[0][0], spins[order])
+
+
+def _integer_problem(rng, n: int):
+    """Fields and couplers in {-1, 0, 1}: many exactly tied energies."""
+    return make_problem(rng.integers(-1, 2, size=n).astype(float),
+                        {(a, b): float(rng.integers(-1, 2))
+                         for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5})
+
+
+def _near_tie_problem(rng, n: int):
+    """Integer fields and couplers in [-2, 2], the fields nudged by a few
+    2**-50: the low states sit a few ulps apart, inside the margin."""
+    return make_problem(rng.integers(-2, 3, size=n) + rng.integers(-3, 4, size=n) * 2.0 ** -50,
+                        {(a, b): float(rng.integers(-2, 3))
+                         for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5})
+
+
+def _assert_same_bytes(res, spins, energies):
+    np.testing.assert_array_equal(res.spins, spins)
+    assert res.energies.tobytes() == energies.tobytes()
+
+
+class TestExactOracle:
+    """`solve_exact` against the chunked enumeration it replaced, byte for
+    byte. The reference ranks every state by (energy, index), so its lowest
+    `keep` for a large keep hold the answer to every smaller keep as a prefix.
+    A keep above 2**n is tried up to 12 spins, where the reference can sort
+    the whole spectrum."""
+
+    def _check(self, p):
+        n = p.n_spins
+        keeps = (1, 32, 64, (1 << n) + 1) if n <= 12 else (1, 32, 64)
+        spins, energies = reference_solve_exact(p, max(keeps), 1 << 12)
+        for keep in keeps:
+            k = min(keep, 1 << n)
+            _assert_same_bytes(solve_exact(p, keep=keep), spins[:k], energies[:k])
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_random_floats(self, n):
+        rng = np.random.default_rng(100 + n)
+        for scale in (1e-3, 1.0, 1e3):
+            self._check(random_problem(rng, n, coupler_density=0.7, scale=scale))
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_integer_ties(self, n):
+        self._check(_integer_problem(np.random.default_rng(200 + n), n))
+
+    @pytest.mark.parametrize("n", range(4, 19))  # fewer spins leave no near ties
+    def test_near_ties_inside_the_margin(self, n):
+        p = _near_tie_problem(np.random.default_rng(300 + n), n)
+        energies = reference_solve_exact(p, 64, 1 << 12)[1]
+        # distinct low energies closer together than the margin: the fast
+        # energies alone could not rank them
+        gaps = np.diff(np.unique(energies))
+        assert ((gaps > 0) & (gaps < solver._exact_margin(p))).any()
+        self._check(p)
+
+    def test_dense_twenty_spins(self):
+        p = random_problem(np.random.default_rng(400), 20)
+        assert p.n_couplers == 190
+        self._check(p)
+
+    def test_all_states_tied(self):
+        # every fast energy equals the cut, so every block is re-scored whole
+        for n in (0, 1, 2, 5, 13):
+            self._check(make_problem(np.zeros(n), {(a, a + 1): 0.0 for a in range(n - 1)}))
+
+    @pytest.mark.parametrize("chunk", [1, 64, 1 << 20])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, chunk):
+        rng = np.random.default_rng(500)
+        problems = [_near_tie_problem(rng, 13), random_problem(rng, 15), _integer_problem(rng, 9)]
+        expected = [solve_exact(p, keep=40) for p in problems]
+        monkeypatch.setattr(solver, "_ENUM_CHUNK", chunk)
+        monkeypatch.setattr(solver, "_RESCORE_ROWS", 4)
+        for p, exp in zip(problems, expected):
+            _assert_same_bytes(solve_exact(p, keep=40), exp.spins, exp.energies)
 
 
 # ---------------------------------------------------------------------------
