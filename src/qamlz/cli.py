@@ -15,6 +15,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,7 +41,7 @@ from .evaluate import (
     run_uncertainty,
     scores_by_process,
 )
-from .features import FeaturePipeline, fit_feature_pipeline, variable_set
+from .features import fit_feature_pipeline, variable_set
 from .ising import keep_count
 from .zoom import TrainedModel, ZoomConfig, run_qamlz
 
@@ -55,18 +56,12 @@ FOM_CURVE_HEADER = ("cut", "fom", "s_yield", "b_yield",
 FOM_TABLE_HEADER = ("s", "b", "f", "fom")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """The csv module writes each float as the shortest digits that read back to it."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -84,9 +79,9 @@ def load_config(path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# Config -> objects. Every value is read by `from_json`: a section that is a
-# dataclass by its fields, any other by a {key: kind} table. An absent key is
-# not passed on, so its default lives only with its owner.
+# Config -> objects. Every value is read once, by `from_json`: a section that
+# is a dataclass by its fields, any other by a {key: kind} table. An absent
+# key is not passed on, so its default lives only with its owner.
 # ---------------------------------------------------------------------------
 
 
@@ -96,24 +91,30 @@ _CONFIG = {"seed": int, "out_dir": str, "model": str, "variables": object, "weak
 _DATA = {"csv": str, "schema": tuple[str, ...] | None, "generator": object, "n_events": int,
          "preselection": bool, "qa_fraction": float, "assess_processes": tuple[str, ...]}
 _PRESET = {"preset": str, "s_tot": float, "b_tot": float, "signal_fraction": float}
-_FOM = {"f": float, "min_counts": int, "grid_points": int}
 _SCAN = {"delta": tuple[float, ...], "offset_range": tuple[int, ...],
          "cutoff_pct": tuple[float, ...], "fixing": tuple[bool, ...],
          "n_runs": int, "coupler_budget": int}
 _FOM_CURVE = dict.fromkeys("sbf", tuple[float, ...])
-
-#: config keys whose parameter has another name
-_PARAM = {"pca": "use_pca"}
-
-
-def _section(cfg: Mapping, key: str, table: Mapping) -> dict:
-    """The `key` section of the config read by `table`; {} when absent."""
-    return from_json(table, cfg.get(key, {}), key)
+#: the scan axes, each a `ZoomConfig` field
+_AXES = ("delta", "offset_range", "cutoff_pct", "fixing")
 
 
-def _pick(opts: Mapping, *keys: str) -> dict:
-    """{parameter: value} for each of `keys` present in `opts`."""
-    return {_PARAM.get(k, k): opts[k] for k in keys if k in opts}
+@dataclass(frozen=True)
+class Config:
+    """The config document, read and checked by `read_config`."""
+
+    seed: int
+    out_dir: Path
+    model: Path
+    data: Mapping  # the `data` section without its generator
+    generator: GeneratorSpec | None
+    features: Mapping  # keyword arguments of `fit_feature_pipeline`
+    zoom: ZoomConfig
+    fom: FomParams
+    n_runs: int
+    coupler_budget: int
+    grid: tuple[ZoomConfig, ...]  # one per scan point; () without a `scan` section
+    fom_curve: Mapping
 
 
 def _generator_from_config(doc) -> GeneratorSpec:
@@ -121,8 +122,9 @@ def _generator_from_config(doc) -> GeneratorSpec:
     object with a `processes` key; any other generator is a `ConfigError`."""
     where = "data.generator"
     if isinstance(doc, Mapping) and doc.get("preset") == "default":
-        return default_generator_spec(**_pick(from_json(_PRESET, doc, where),
-                                              "s_tot", "b_tot", "signal_fraction"))
+        preset = from_json(_PRESET, doc, where)
+        del preset["preset"]
+        return default_generator_spec(**preset)
     if not isinstance(doc, Mapping) or "preset" in doc or "processes" not in doc:
         raise ConfigError(f'{where} must be {{"preset": "default"}} or an inline spec '
                           f'with a "processes" key, got {json.dumps(doc)}')
@@ -132,73 +134,74 @@ def _generator_from_config(doc) -> GeneratorSpec:
         raise ConfigError(f"bad generator spec: {exc}") from exc
 
 
-def prepare_data(cfg: Mapping, seed: int) -> Dataset:
-    opts = _section(cfg, "data", _DATA)
-    if "csv" in opts:
-        data = load_events(opts["csv"], opts.get("schema"))
-    elif "generator" in opts:
-        spec = _generator_from_config(opts["generator"])
-        if opts.get("n_events", 0) <= 0:
+def read_config(doc, seed: int | None = None, solver: str | None = None) -> Config:
+    """Read every section of the config document once, so an unknown key or a
+    bad value is a `ConfigError` before any command runs, whichever sections
+    it goes on to use. `seed` and `solver` override the document's."""
+    top = from_json(_CONFIG, doc, "")
+    seed = top.get("seed", 0) if seed is None else seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
+    out_dir = Path(top.get("out_dir", "out"))
+    data = from_json(_DATA, top.get("data", {}), "data")
+    generator = data.pop("generator", None)
+
+    selector = top.get("variables", "beta")
+    if not isinstance(selector, str):
+        selector = from_json(tuple[str, ...], selector, "variables")
+    variables, derived, weak_mode = variable_set(selector)
+    features = {"variables": variables, "derived": derived, "weak_mode": weak_mode,
+                **{k: top[k] for k in ("weak_mode", "n_bins") if k in top}}
+    if "pca" in top:
+        features["use_pca"] = top["pca"]
+
+    zoom = top.get("zoom", {})
+    if solver and isinstance(zoom, Mapping):
+        zoom = {**zoom, "solver": solver}
+    zoom = from_json(ZoomConfig, zoom, "zoom", seed=seed)
+
+    scan = from_json(_SCAN, top.get("scan", {}), "scan")
+    n_runs = scan.get("n_runs", 2)
+    budget = scan.get("coupler_budget", DEFAULT_COUPLER_BUDGET)
+    axes = [scan.get(name, (getattr(zoom, name),)) for name in _AXES]
+    if scan and not all(axes):
+        raise ConfigError("scan grid axes must be non-empty")
+    if n_runs < 2:
+        raise ConfigError(f"scan.n_runs must be >= 2 for a standard deviation, got {n_runs}")
+    if budget < 0:
+        raise ConfigError(f"scan.coupler_budget must be >= 0, got {budget}")
+    if scan and seed + n_runs - 1 >= 2**64:
+        raise ConfigError(f"seed + scan.n_runs - 1 must be below 2**64, since run k of a "
+                          f"grid point trains at seed + k; got seed {seed}")
+    grid = tuple(dataclasses.replace(zoom, **dict(zip(_AXES, point)))
+                 for point in itertools.product(*axes)) if scan else ()
+
+    return Config(
+        seed=seed, out_dir=out_dir, model=Path(top.get("model", out_dir / "model.json")),
+        data=data, generator=None if generator is None else _generator_from_config(generator),
+        features=features, zoom=zoom, fom=from_json(FomParams, top.get("fom", {}), "fom"),
+        n_runs=n_runs, coupler_budget=budget, grid=grid,
+        fom_curve=from_json(_FOM_CURVE, top.get("fom_curve", {}), "fom_curve"),
+    )
+
+
+def prepare_data(cfg: Config) -> Dataset:
+    if "csv" in cfg.data:
+        data = load_events(cfg.data["csv"], cfg.data.get("schema"))
+    elif cfg.generator is not None:
+        if cfg.data.get("n_events", 0) <= 0:
             raise ConfigError("data.n_events must be a positive integer")
-        data = generate_synthetic(spec, opts["n_events"], seed)
+        data = generate_synthetic(cfg.generator, cfg.data["n_events"], cfg.seed)
     else:
         raise ConfigError("config needs data.csv or data.generator")
-    if opts.get("preselection"):
+    if cfg.data.get("preselection"):
         data = apply_preselection(data)
     return data
 
 
-def prepare_split(cfg: Mapping, data: Dataset, seed: int) -> SampleSplit:
-    opts = _section(cfg, "data", _DATA)
-    return split_samples(data, seed=seed, **_pick(opts, "qa_fraction", "assess_processes"))
-
-
-def _variables(top: Mapping) -> tuple:
-    """`variable_set` of the config's `variables` selector."""
-    selector = top.get("variables", "beta")
-    if not isinstance(selector, str):
-        selector = from_json(tuple[str, ...], selector, "variables")
-    return variable_set(selector)
-
-
-def prepare_pipeline(cfg: Mapping, train: Dataset) -> FeaturePipeline:
-    top = from_json(_CONFIG, cfg, "")
-    variables, derived, weak_mode = _variables(top)
-    return fit_feature_pipeline(train, variables=variables, derived=derived,
-                                **{"weak_mode": weak_mode,
-                                   **_pick(top, "weak_mode", "n_bins", "pca")})
-
-
-def zoom_config(cfg: Mapping, seed: int, solver: str | None = None) -> ZoomConfig:
-    """The `zoom` section; the run's seed is the config's top-level `seed`."""
-    doc = cfg.get("zoom", {})
-    if solver and isinstance(doc, Mapping):
-        doc = {**doc, "solver": solver}
-    return from_json(ZoomConfig, doc, "zoom", seed=seed)
-
-
-def fom_settings(cfg: Mapping) -> dict:
-    """FomParams and the cut-scan options, as keyword arguments of
-    `fom_scan_dataset` and `run_uncertainty`."""
-    opts = _section(cfg, "fom", _FOM)
-    if opts.get("grid_points", 2) < 2:
-        raise ConfigError(f"fom.grid_points must be >= 2, got {opts['grid_points']}")
-    if opts.get("min_counts", 0) < 0:
-        raise ConfigError(f"fom.min_counts must be >= 0, got {opts['min_counts']}")
-    return {"params": FomParams(**_pick(opts, "f")), **_pick(opts, "min_counts", "grid_points")}
-
-
-def check_config(cfg: Mapping, seed: int, solver: str | None) -> None:
-    """Read every config section once, so an unknown key or a bad value is a
-    `ConfigError` whichever sections the command goes on to use."""
-    data = _section(cfg, "data", _DATA)
-    if "generator" in data:
-        _generator_from_config(data["generator"])
-    zoom_config(cfg, seed, solver)
-    fom_settings(cfg)
-    _section(cfg, "scan", _SCAN)
-    _section(cfg, "fom_curve", _FOM_CURVE)
-    _variables(from_json(_CONFIG, cfg, ""))
+def prepare_split(cfg: Config) -> SampleSplit:
+    opts = {k: cfg.data[k] for k in ("qa_fraction", "assess_processes") if k in cfg.data}
+    return split_samples(prepare_data(cfg), seed=cfg.seed, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +209,10 @@ def check_config(cfg: Mapping, seed: int, solver: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(cfg: Mapping, seed: int, out_dir: Path) -> int:
-    data = prepare_data(cfg, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "events.csv"
+def cmd_gen(cfg: Config) -> int:
+    data = prepare_data(cfg)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / "events.csv"
     data.to_csv(path)
     sig = data.tags == 1
     print(f"wrote {path}: {len(data)} events "
@@ -218,59 +221,49 @@ def cmd_gen(cfg: Mapping, seed: int, out_dir: Path) -> int:
     return 0
 
 
-def _train_once(cfg: Mapping, seed: int, solver: str | None):
-    data = prepare_data(cfg, seed)
-    split = prepare_split(cfg, data, seed)
-    pipeline = prepare_pipeline(cfg, split.train)
-    zcfg = zoom_config(cfg, seed, solver)
-    model = run_qamlz(split.train, split.test, pipeline, zcfg)
-    return split, model
-
-
-def cmd_train(cfg: Mapping, seed: int, out_dir: Path, solver: str | None) -> int:
-    split, model = _train_once(cfg, seed, solver)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "model.json", dataclasses.asdict(model))
-    with (out_dir / "train_log.jsonl").open("w", encoding="utf-8") as fh:
+def cmd_train(cfg: Config) -> int:
+    split = prepare_split(cfg)
+    pipeline = fit_feature_pipeline(split.train, **cfg.features)
+    model = run_qamlz(split.train, split.test, pipeline, cfg.zoom)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(cfg.out_dir / "model.json", dataclasses.asdict(model))
+    with (cfg.out_dir / "train_log.jsonl").open("w", encoding="utf-8") as fh:
         for rec in model.trajectory:
             fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
     final = model.trajectory[-1]
-    print(f"wrote {out_dir / 'model.json'}: {model.n_spins} spins, "
+    print(f"wrote {cfg.out_dir / 'model.json'}: {model.n_spins} spins, "
           f"final train distance {final.train_distance:.6g}, "
           f"test distance {final.test_distance:.6g}")
     return 0
 
 
-def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
-    settings = fom_settings(cfg)
-    model_path = Path(from_json(_CONFIG, cfg, "").get("model", out_dir / "model.json"))
-    if not model_path.exists():
-        raise DataError(f"model file not found: {model_path} (run `train` first?)")
+def cmd_eval(cfg: Config) -> int:
+    if not cfg.model.exists():
+        raise DataError(f"model file not found: {cfg.model} (run `train` first?)")
     try:
-        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc = json.loads(cfg.model.read_text(encoding="utf-8"))
         model = from_json(TrainedModel, doc, "model")
     except (OSError, ValueError, ConfigError) as exc:
-        raise DataError(f"malformed model file {model_path}: {exc}") from exc
-    data = prepare_data(cfg, seed)
-    split = prepare_split(cfg, data, seed)
-    curve = fom_scan_dataset(model, split.assess, **settings)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise DataError(f"malformed model file {cfg.model}: {exc}") from exc
+    split = prepare_split(cfg)
+    curve = fom_scan_dataset(model, split.assess, cfg.fom)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     columns = (curve.cuts, curve.fom_values, curve.s_yields, curve.b_yields,
                curve.n_signal, curve.n_background, curve.valid.astype(int))
-    _write_csv(out_dir / "fom_curve.csv", FOM_CURVE_HEADER,
+    _write_csv(cfg.out_dir / "fom_curve.csv", FOM_CURVE_HEADER,
                zip(*(c.tolist() for c in columns)))
-    _write_json(out_dir / "eval_summary.json", {
+    _write_json(cfg.out_dir / "eval_summary.json", {
         "best_cut": curve.best_cut,
         "best_fom": None if curve.no_valid_cut else curve.best_fom,
         "s_at_best": curve.s_at_best,
         "b_at_best": curve.b_at_best,
         "no_valid_cut": curve.no_valid_cut,
-        "f": settings["params"].f,
+        "f": cfg.fom.f,
     })
     report = overtraining_check(
         scores_by_process(model, split.train), scores_by_process(model, split.test)
     )
-    _write_json(out_dir / "overtraining.json", {
+    _write_json(cfg.out_dir / "overtraining.json", {
         name: {"statistic": stat, "p_value": pval}
         for name, (stat, pval) in sorted(report.items())
     })
@@ -284,36 +277,22 @@ def cmd_eval(cfg: Mapping, seed: int, out_dir: Path) -> int:
 
 def _scan_point(args: tuple) -> tuple:
     """One grid point, executed possibly in a worker process."""
-    (split, pipeline, zcfg, fom_kwargs, point, n_runs, budget) = args
-    delta, offset_range, cutoff_pct, fixing = point
-    n_spins = pipeline.n_var * (2 * offset_range + 1)
-    if keep_count(n_spins * (n_spins - 1) // 2, cutoff_pct) > budget:
-        return (delta, offset_range, cutoff_pct, fixing, "", "", "no embedding")
-    zcfg = dataclasses.replace(
-        zcfg, delta=delta, offset_range=offset_range, cutoff_pct=cutoff_pct, fixing=fixing,
-    )
-    report = run_uncertainty(zcfg, split, pipeline, n_runs=n_runs, **fom_kwargs)
-    return (delta, offset_range, cutoff_pct, fixing, report.mean, report.std, "ok")
+    split, pipeline, zcfg, params, n_runs, budget = args
+    point = tuple(getattr(zcfg, name) for name in _AXES)
+    n_spins = pipeline.n_var * (2 * zcfg.offset_range + 1)
+    if keep_count(n_spins * (n_spins - 1) // 2, zcfg.cutoff_pct) > budget:
+        return (*point, "", "", "no embedding")
+    report = run_uncertainty(zcfg, split, pipeline, n_runs=n_runs, params=params)
+    return (*point, report.mean, report.std, "ok")
 
 
-def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: int) -> int:
-    opts = _section(cfg, "scan", _SCAN)
-    if not opts:
+def cmd_scan(cfg: Config, jobs: int) -> int:
+    if not cfg.grid:
         raise ConfigError("config needs a `scan` section with grid axes")
-    zcfg = zoom_config(cfg, seed, solver)
-    axes = [opts.get(name, (getattr(zcfg, name),))
-            for name in ("delta", "offset_range", "cutoff_pct", "fixing")]
-    if any(len(a) == 0 for a in axes):
-        raise ConfigError("scan grid axes must be non-empty")
-    n_runs = opts.get("n_runs", 2)
-    budget = opts.get("coupler_budget", DEFAULT_COUPLER_BUDGET)
-    fom_kwargs = fom_settings(cfg)
-
-    data = prepare_data(cfg, seed)
-    split = prepare_split(cfg, data, seed)
-    pipeline = prepare_pipeline(cfg, split.train)
-    points = list(itertools.product(*axes))
-    tasks = [(split, pipeline, zcfg, fom_kwargs, p, n_runs, budget) for p in points]
+    split = prepare_split(cfg)
+    pipeline = fit_feature_pipeline(split.train, **cfg.features)
+    tasks = [(split, pipeline, zcfg, cfg.fom, cfg.n_runs, cfg.coupler_budget)
+             for zcfg in cfg.grid]
     # the pool starts all its workers at once, so it is no larger than the grid
     jobs = min(jobs, len(tasks))
     if jobs > 1:
@@ -321,28 +300,28 @@ def cmd_scan(cfg: Mapping, seed: int, out_dir: Path, solver: str | None, jobs: i
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(task) for task in tasks]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "scan.csv", SCAN_HEADER, rows)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(cfg.out_dir / "scan.csv", SCAN_HEADER, rows)
     infeasible = sum(1 for r in rows if r[-1] == "no embedding")
-    print(f"wrote {out_dir / 'scan.csv'}: {len(rows)} grid points, {infeasible} infeasible")
+    print(f"wrote {cfg.out_dir / 'scan.csv'}: {len(rows)} grid points, {infeasible} infeasible")
     return 4 if infeasible else 0
 
 
-def cmd_fom(cfg: Mapping, out_dir: Path) -> int:
-    opts = _section(cfg, "fom_curve", _FOM_CURVE)
+def cmd_fom(cfg: Config) -> int:
+    opts = cfg.fom_curve
     if not opts:
         raise ConfigError("config needs a `fom_curve` section with s, b and f lists")
     s_values, b_values = opts.get("s", ()), opts.get("b", ())
     f_values = opts.get("f", (FomParams().f,))
-    if not s_values or not b_values:
-        raise ConfigError("fom_curve.s and fom_curve.b must be non-empty")
+    if not (s_values and b_values and f_values):
+        raise ConfigError("fom_curve.s, fom_curve.b and fom_curve.f must be non-empty")
     rows = [
         (s, b, f, fom(s, b, f))
         for s, b, f in itertools.product(s_values, b_values, f_values)
     ]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "fom.csv", FOM_TABLE_HEADER, rows)
-    print(f"wrote {out_dir / 'fom.csv'}: {len(rows)} rows")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(cfg.out_dir / "fom.csv", FOM_TABLE_HEADER, rows)
+    print(f"wrote {cfg.out_dir / 'fom.csv'}: {len(rows)} rows")
     return 0
 
 
@@ -375,22 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        top = from_json(_CONFIG, cfg, "")
-        seed = args.seed if args.seed is not None else top.get("seed", 0)
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        out_dir = Path(top.get("out_dir", "out"))
-        check_config(cfg, seed, args.solver)
+        cfg = read_config(load_config(args.config), args.seed, args.solver)
         if args.command == "gen":
-            return cmd_gen(cfg, seed, out_dir)
+            return cmd_gen(cfg)
         if args.command == "train":
-            return cmd_train(cfg, seed, out_dir, args.solver)
+            return cmd_train(cfg)
         if args.command == "eval":
-            return cmd_eval(cfg, seed, out_dir)
+            return cmd_eval(cfg)
         if args.command == "scan":
-            return cmd_scan(cfg, seed, out_dir, args.solver, max(1, args.jobs))
-        return cmd_fom(cfg, out_dir)
+            return cmd_scan(cfg, max(1, args.jobs))
+        return cmd_fom(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -44,15 +44,22 @@ REFERENCE_BDT_FOM = (1.44, 0.06)
 
 @dataclass(frozen=True)
 class FomParams:
-    """f is the relative background systematic."""
+    """The config's `fom` section: f is the relative background systematic; a cut
+    scan has `grid_points` cuts, valid where each class keeps >= `min_counts` events."""
 
     f: float = 0.20
+    min_counts: int = 20
+    grid_points: int = 201
 
     def __post_init__(self):
         if not 0.0 <= self.f < math.inf:
             raise ConfigError(
                 f"relative background uncertainty f must be finite and >= 0, got {self.f}"
             )
+        if self.grid_points < 2:
+            raise ConfigError(f"fom.grid_points must be >= 2, got {self.grid_points}")
+        if self.min_counts < 0:
+            raise ConfigError(f"fom.min_counts must be >= 0, got {self.min_counts}")
 
 
 def asimov_significance(s: float, b: float) -> float:
@@ -69,7 +76,8 @@ def asimov_significance(s: float, b: float) -> float:
 def fom(s: float, b: float, params: FomParams | float = FomParams()) -> float:
     """Expected-significance figure of merit with background systematic f*B.
 
-    The f -> 0 limit is returned analytically. A numerically negative radicand
+    The f -> 0 limit, and any value the formula cannot hold in floats, is
+    returned analytically (`_fom_scaled`). A numerically negative radicand
     (possible only through cancellation) is clamped to 0 with a warning.
     """
     if not isinstance(params, FomParams):
@@ -81,16 +89,33 @@ def fom(s: float, b: float, params: FomParams | float = FomParams()) -> float:
         raise ConfigError("signal yield must be non-negative")
     if s == 0:
         return 0.0
-    if f == 0:
-        return asimov_significance(s, b)
-    s2 = (f * b) ** 2
-    t1 = (s + b) * math.log((s + b) * (b + s2) / (b * b + (s + b) * s2))
-    t2 = (b * b / s2) * math.log1p(s2 * s / (b * (b + s2)))
-    radicand = 2.0 * (t1 - t2)
+    try:
+        s2 = (f * b) ** 2
+        t1 = (s + b) * math.log((s + b) * (b + s2) / (b * b + (s + b) * s2))
+        t2 = (b * b / s2) * math.log1p(s2 * s / (b * (b + s2)))
+        radicand = 2.0 * (t1 - t2)
+    except (OverflowError, ZeroDivisionError):
+        radicand = math.nan
+    if not math.isfinite(radicand):
+        return _fom_scaled(s, b, f)
     if radicand < 0:
         warnings.warn("negative figure-of-merit radicand clamped to 0", RuntimeWarning)
         return 0.0
     return math.sqrt(radicand)
+
+
+def _fom_scaled(s: float, b: float, f: float) -> float:
+    """`fom` from x = S/B and r = f^2 B, for inputs whose formula leaves the float
+    range: Z^2 = 2B((1+x) ln(1 + x/(1 + (1+x)r)) - ln(1 + rx/(1+r))/r). Beyond
+    r = 1e-30 or 1e30 the O(r) or O(1/r) rest is below rounding: Z is then the
+    Asimov limit or sqrt(2B(S - B ln(1+S/B)))/(fB). Cancellation below 0 gives 0."""
+    x, r = s / b, f * b * f
+    if r < 1e-30:
+        return asimov_significance(s, b)
+    if r > 1e30:
+        return math.sqrt(2.0 * (x - math.log1p(x))) / f
+    g = (1 + x) * math.log1p(x / (1 + (1 + x) * r)) - math.log1p(r * x / (1 + r)) / r
+    return math.sqrt(2.0 * max(g, 0.0)) * math.sqrt(b)
 
 
 def _fom_or_limit(s: float, b: float, params: FomParams) -> float:
@@ -157,14 +182,12 @@ def fom_scan(
     background_weights: np.ndarray,
     params: FomParams = FomParams(),
     grid: np.ndarray | None = None,
-    grid_points: int = 201,
-    min_counts: int = 20,
 ) -> FomCurve:
     """Scan the figure of merit over cuts on a score.
 
-    The default grid is `grid_points` even steps across the pooled score
+    The default grid is `params.grid_points` even steps across the pooled score
     range. S(c) and B(c) are the weighted yields with score > c; cuts keeping
-    fewer than `min_counts` raw events in either class are marked invalid.
+    fewer than `params.min_counts` raw events in either class are invalid.
     """
     ss = np.asarray(signal_scores, dtype=np.float64)
     bs = np.asarray(background_scores, dtype=np.float64)
@@ -177,7 +200,7 @@ def fom_scan(
         hi = float(max(ss.max(), bs.max()))
         if lo == hi:
             lo, hi = lo - 1.0, hi + 1.0
-        grid = np.linspace(lo, hi, grid_points)
+        grid = np.linspace(lo, hi, params.grid_points)
     else:
         grid = np.sort(np.asarray(grid, dtype=np.float64))
 
@@ -193,7 +216,7 @@ def fom_scan(
     values = np.array(
         [_fom_or_limit(s, b, params) for s, b in zip(s_yields, b_yields)]
     )
-    valid = (n_sig >= min_counts) & (n_bkg >= min_counts)
+    valid = (n_sig >= params.min_counts) & (n_bkg >= params.min_counts)
     if valid.any():
         vi = np.flatnonzero(valid)
         best_i = vi[int(np.argmax(values[vi]))]
@@ -214,7 +237,6 @@ def fom_scan_dataset(
     model: TrainedModel,
     d: Dataset,
     params: FomParams = FomParams(),
-    **kwargs,
 ) -> FomCurve:
     """Score a dataset with the model and scan the tags' weighted yields."""
     scores = score_events(model, d)
@@ -222,7 +244,7 @@ def fom_scan_dataset(
     if not sig.any() or sig.all():
         raise DataError("dataset must contain both signal and background events")
     return fom_scan(
-        scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params, **kwargs
+        scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params
     )
 
 
@@ -250,18 +272,17 @@ def run_uncertainty(
     pipeline,
     n_runs: int = 10,
     params: FomParams = FomParams(),
-    **scan,
 ) -> UncertaintyReport:
     """Train `n_runs` models differing only in seed and report the sample mean
     and standard deviation of their maximal figures of merit on the assess
-    sample. `scan` keywords (`grid_points`, `min_counts`) go to `fom_scan`."""
+    sample."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2 for a defined standard deviation")
     foms = []
     for k in range(n_runs):
         run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
         model = run_qamlz(data.train, data.test, pipeline, run_cfg)
-        curve = fom_scan_dataset(model, data.assess, params, **scan)
+        curve = fom_scan_dataset(model, data.assess, params)
         if curve.no_valid_cut:
             raise DataError("no valid cut on the assess sample; lower min_counts")
         foms.append(curve.best_fom)
@@ -312,13 +333,11 @@ def rank_variables(
     d: Dataset,
     variables: Sequence[str],
     params: FomParams = FomParams(),
-    **scan,
 ) -> list[tuple[str, float]]:
     """Rank variables by the best figure of merit a one-sided cut achieves.
 
     Both cut orientations are tried (a raw variable may prefer either tail)
     and the better one kept; the result is sorted by descending maximum.
-    `scan` keywords (`grid_points`, `min_counts`) go to `fom_scan`.
     """
     sig = d.tags == 1
     if not sig.any() or sig.all():
@@ -329,7 +348,7 @@ def rank_variables(
         best = -math.inf
         for direction in (1.0, -1.0):
             curve = fom_scan(direction * v[sig], d.weights[sig],
-                             direction * v[~sig], d.weights[~sig], params, **scan)
+                             direction * v[~sig], d.weights[~sig], params)
             if not curve.no_valid_cut and curve.best_fom > best:
                 best = curve.best_fom
         ranked.append((name, best))

@@ -98,6 +98,10 @@ class ZoomConfig:
             raise ConfigError("external_timeout must be a positive number of seconds or null")
         if not 0.0 <= self.cutoff_pct <= 100.0:
             raise ConfigError("cutoff_pct must be in [0, 100]")
+        if self.offset_range < 0:
+            raise ConfigError("offset_range must be >= 0")
+        if self.offset_range > 0 and not self.delta > 0:
+            raise ConfigError("delta must be > 0 when offset_range > 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
 

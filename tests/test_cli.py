@@ -14,8 +14,7 @@ import pytest
 
 import qamlz
 from qamlz import AnnealSchedule, ChainConfig, FomParams, ZoomConfig, cli, fom, score_events
-from qamlz._codec import from_json
-from qamlz.cli import main, prepare_data
+from qamlz.cli import main, prepare_data, read_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,7 +125,7 @@ def test_repeated_csv_column_is_data_error(tmp_path, capsys, schema):
 def test_csv_schema_read_from_quoted_header(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text('tag,weight,process,"a,b",c\n1,1.0,signal,0.5,2.0\n-1,2.0,wjets,-0.5,1.0\n')
-    data = prepare_data({"data": {"csv": str(path)}}, seed=0)
+    data = prepare_data(read_config({"data": {"csv": str(path)}}))
     assert tuple(data.schema) == ("a,b", "c")
     np.testing.assert_array_equal(data.values, [[0.5, 2.0], [-0.5, 1.0]])
 
@@ -296,7 +295,7 @@ class TestEval:
         assert (tmp_path / "out" / "model.json").read_text() == pinned.read_text()
         cfg = _base_config(tmp_path, model=str(pinned), **over)
         assert main(["eval", "--config", str(cfg)]) == 0
-        probe = prepare_data(json.loads(cfg.read_text()), seed=99)
+        probe = prepare_data(read_config(json.loads(cfg.read_text()), seed=99))
         assert score_events(read[0], probe).tobytes() == score_events(trained[0], probe).tobytes()
 
     def test_model_without_trajectory_and_settings_loads(self, tmp_path):
@@ -438,10 +437,10 @@ class TestScan:
         kept = prune(effective_problem(cm, np.zeros(n), 1.0), cutoff).n_couplers
         monkeypatch.setattr(cli, "run_uncertainty",
                             lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
-        point = (0.025, offset_range, cutoff, False)
+        zcfg = ZoomConfig(delta=0.025, offset_range=offset_range, cutoff_pct=cutoff)
 
         def status(budget):
-            task = (None, SimpleNamespace(n_var=n_var), ZoomConfig(), {}, point, 1, budget)
+            task = (None, SimpleNamespace(n_var=n_var), zcfg, FomParams(), 2, budget)
             return cli._scan_point(task)[-1]
 
         assert status(kept) == "ok"
@@ -470,6 +469,16 @@ class TestFomCommand:
     def test_missing_section(self, tmp_path):
         cfg = _base_config(tmp_path)
         assert main(["fom", "--config", str(cfg)]) == 2
+
+    def test_out_of_float_range_f(self, tmp_path):
+        # (f*B)**2 underflows, B*B/(f*B)**2 overflows, (f*B)**2 overflows
+        cfg = _base_config(tmp_path,
+                           fom_curve={"s": [10.0], "b": [100.0], "f": [1e-200, 1e-160, 1e200]})
+        assert main(["fom", "--config", str(cfg)]) == 0
+        values = [float(r["fom"]) for r in _read_csv(tmp_path / "out" / "fom.csv")]
+        assert values[:2] == [qamlz.asimov_significance(10.0, 100.0)] * 2
+        limit = math.sqrt(2 * 100 * (10 - 100 * math.log1p(10 / 100))) / (1e200 * 100)
+        assert values[2] == pytest.approx(limit, rel=1e-12)
 
     def test_negative_f_is_config_error(self, tmp_path, capsys):
         cfg = _base_config(tmp_path, fom_curve={"s": [50.0], "b": [1000.0], "f": [-0.2]})
@@ -519,17 +528,13 @@ def test_readme_config_block_matches_the_reader():
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//.*", "", block))
     # the reader accepts every key of the block ...
-    from_json(cli._CONFIG, doc, "")
-    for name, table in (("data", cli._DATA), ("fom", cli._FOM), ("scan", cli._SCAN),
-                        ("fom_curve", cli._FOM_CURVE)):
-        from_json(table, doc[name], name)
-    from_json(cli._PRESET, doc["data"]["generator"], "data.generator")
-    cli.zoom_config(doc, seed=0)
+    cfg = read_config(doc)
+    assert (cfg.zoom.cutoff_pct, cfg.fom.grid_points, len(cfg.grid)) == (85.0, 201, 16)
     # ... and the block shows every key the reader accepts
     zoom = doc["zoom"]
     for keys, shown in (
         (_keys(cli._CONFIG), doc), (_keys(cli._DATA), doc["data"]),
-        (_keys(cli._PRESET), doc["data"]["generator"]), (_keys(cli._FOM), doc["fom"]),
+        (_keys(cli._PRESET), doc["data"]["generator"]), (_keys(FomParams), doc["fom"]),
         (_keys(cli._SCAN), doc["scan"]), (_keys(cli._FOM_CURVE), doc["fom_curve"]),
         (_keys(ZoomConfig) - {"seed"}, zoom), (_keys(AnnealSchedule), zoom["schedule"]),
         (_keys(ChainConfig), zoom["chain"]),
@@ -726,6 +731,49 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not any(f.name not in ("model.json", "train_log.jsonl")
                        for f in (tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        # every point over budget used to exit 4 before n_runs was looked at
+        ("scan", "scan", {"delta": [0.1], "n_runs": 1, "coupler_budget": 0},
+         "scan.n_runs must be >= 2 for a standard deviation, got 1"),
+        ("scan", "scan.n_runs", 1, "scan.n_runs must be >= 2"),
+        ("scan", "scan.coupler_budget", -1, "scan.coupler_budget must be >= 0, got -1"),
+        ("scan", "seed", 2**64 - 1, "seed + scan.n_runs - 1 must be below 2**64"),
+        ("scan", "scan.cutoff_pct", [150.0], "cutoff_pct must be in [0, 100]"),
+        ("scan", "scan.offset_range", [-1], "offset_range must be >= 0"),
+        ("scan", "scan.delta", [0.0], "delta must be > 0 when offset_range > 0"),
+        ("scan", "scan.fixing", [], "scan grid axes must be non-empty"),
+        ("train", "zoom.offset_range", -1, "offset_range must be >= 0"),
+        ("train", "zoom.delta", 0.0, "delta must be > 0 when offset_range > 0"),
+        ("fom", "fom_curve.f", [], "fom_curve.f must be non-empty"),
+    ])
+    def test_bad_value_is_refused_before_any_data(self, tmp_path, monkeypatch, capsys,
+                                                  command, path, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("events were read or generated for a bad config")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(cli, "load_events", refuse)
+        cfg = _base_config(tmp_path, scan={"delta": [0.1], "offset_range": [1], "n_runs": 2},
+                           fom_curve={"s": [10.0], "b": [100.0]})
+        cfg.write_text(json.dumps(_set(json.loads(cfg.read_text()), path, value)))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "scan"])
+    def test_each_section_is_read_once(self, tmp_path, monkeypatch, command):
+        cfg = _base_config(tmp_path, scan={"delta": [0.1], "offset_range": [1], "n_runs": 2},
+                           fom_curve={"s": [10.0], "b": [100.0]})
+        if command == "eval":
+            assert main(["train", "--config", str(cfg)]) == 0
+        paths, read = [], cli.from_json
+        monkeypatch.setattr(cli, "from_json",
+                            lambda kind, doc, where, **given:
+                            paths.append(where) or read(kind, doc, where, **given))
+        assert main([command, "--config", str(cfg)]) == 0
+        sections = ["", "data", "data.generator", "variables", "zoom", "scan", "fom", "fom_curve"]
+        assert sorted(paths) == sorted(sections + (["model"] if command == "eval" else []))
 
     @pytest.mark.parametrize("command, path, value, key", [
         ("eval", "fom.f", math.nan, "fom.f"),

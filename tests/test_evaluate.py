@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,16 +30,24 @@ from qamlz.evaluate import REFERENCE_BDT_FOM, REFERENCE_DERIVED_FOM
 from qamlz.features import DERIVED_PRESETS
 
 
-def _mp_fom(s, b, f):
-    """High-precision direct evaluation oracle (50 digits)."""
+def _mp_fom(s, b, f, dps=50):
+    """High-precision direct evaluation oracle (`dps` digits)."""
     from mpmath import mp, mpf, log, sqrt
 
-    mp.dps = 50
-    s, b, f = mpf(s), mpf(b), mpf(f)
+    with mp.workdps(dps):
+        s, b, f = mpf(s), mpf(b), mpf(f)
+        s2 = (f * b) ** 2
+        t1 = (s + b) * log((s + b) * (b + s2) / (b * b + (s + b) * s2))
+        t2 = (b * b / s2) * log(1 + s2 * s / (b * (b + s2)))
+        return float(sqrt(2 * (t1 - t2)))
+
+
+def _float_fom(s, b, f):
+    """`fom`'s formula in floats, as it stood before the out-of-range limits."""
     s2 = (f * b) ** 2
-    t1 = (s + b) * log((s + b) * (b + s2) / (b * b + (s + b) * s2))
-    t2 = (b * b / s2) * log(1 + s2 * s / (b * (b + s2)))
-    return float(sqrt(2 * (t1 - t2)))
+    t1 = (s + b) * math.log((s + b) * (b + s2) / (b * b + (s + b) * s2))
+    t2 = (b * b / s2) * math.log1p(s2 * s / (b * (b + s2)))
+    return 2.0 * (t1 - t2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +90,40 @@ class TestFom:
 
     def test_float_param_shorthand(self):
         assert fom(100.0, 1000.0, 0.2) == fom(100.0, 1000.0, FomParams(f=0.2))
+
+    @pytest.mark.parametrize("s, b, f", [
+        (10.0, 100.0, 1e-200),  # (f*B)**2 underflows to 0
+        (10.0, 100.0, 1e-160),  # B*B/(f*B)**2 overflows
+        (10.0, 100.0, 1e200),  # (f*B)**2 overflows
+        (10.0, 100.0, 1.7e308),  # f*B overflows
+        (1e199, 1e200, 1e-100),  # B*B overflows, sigma_B^2/B = 1: neither limit
+        (1e-300, 1e-300, 1e150),  # B*B underflows, sigma_B^2/B = 1
+        (1e-300, 1e-300, 1.0),  # (f*B)**2 underflows
+    ])
+    def test_out_of_float_range_matches_high_precision_oracle(self, s, b, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing is clamped
+            got = fom(s, b, FomParams(f=f))
+        assert got == pytest.approx(_mp_fom(s, b, f, dps=1000), rel=1e-12)
+
+    def test_vanishing_f_gives_the_asimov_limit(self):
+        for f in (1e-160, 1e-200):
+            assert fom(10.0, 100.0, f) == asimov_significance(10.0, 100.0)
+        assert fom(10.0, 100.0, 1e-160) == pytest.approx(0.98399, abs=1e-5)
+
+    def test_in_range_values_keep_their_bits(self):
+        # where the float formula is finite and not clamped, fom is that formula
+        kept = 0
+        for s, b, f in itertools.product(np.geomspace(1e-3, 1e6, 10), np.geomspace(1e-2, 1e8, 11),
+                                         np.geomspace(1e-150, 1e100, 26)):
+            try:
+                radicand = _float_fom(s, b, f)
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(radicand) and radicand >= 0:
+                kept += 1
+                assert fom(s, b, f) == math.sqrt(radicand)
+        assert kept > 1000
 
     @pytest.mark.parametrize("f", [-0.2, math.nan, math.inf])
     def test_f_must_be_finite_and_non_negative(self, f):
@@ -190,7 +234,7 @@ class TestFomScan:
         scores_s = rng.uniform(1.0, 2.0, size=200)
         scores_b = rng.uniform(-2.0, -1.0, size=200)
         w = np.ones(200)
-        curve = fom_scan(scores_s, w, scores_b, w, FomParams(f=0.2), min_counts=0)
+        curve = fom_scan(scores_s, w, scores_b, w, FomParams(f=0.2, min_counts=0))
         assert -1.0 < curve.best_cut < 1.0
         assert curve.b_at_best == 0.0
         assert math.isinf(curve.best_fom)
@@ -201,8 +245,8 @@ class TestFomScan:
         w_s = rng.uniform(0.1, 1.0, size=500)
         w_b = rng.uniform(0.1, 1.0, size=500)
         grid = np.linspace(-2, 2, 101)
-        curve = fom_scan(scores_s, w_s, scores_b, w_b, FomParams(f=0.2), grid=grid,
-                         min_counts=5)
+        curve = fom_scan(scores_s, w_s, scores_b, w_b, FomParams(f=0.2, min_counts=5),
+                         grid=grid)
         for i, cut in enumerate(grid):
             s = w_s[scores_s > cut].sum()
             b = w_b[scores_b > cut].sum()
@@ -223,7 +267,7 @@ class TestFomScan:
     def test_no_valid_cut(self, rng):
         curve = fom_scan(
             rng.normal(size=5), np.ones(5), rng.normal(size=5), np.ones(5),
-            FomParams(), min_counts=20,
+            FomParams(min_counts=20),
         )
         assert curve.no_valid_cut
         assert curve.best_cut is None
@@ -237,7 +281,7 @@ class TestFomScan:
         # identity-zero scores: cuts below 0 keep everything
         s = np.zeros(100)
         curve = fom_scan(s, np.full(100, 1.0), np.zeros(300), np.full(300, 10.0),
-                         FomParams(f=0.2), min_counts=10)
+                         FomParams(f=0.2, min_counts=10))
         baseline = fom(100.0, 3000.0, FomParams(f=0.2))
         valid_values = curve.fom_values[curve.valid]
         assert np.allclose(valid_values, baseline)
@@ -271,7 +315,7 @@ class TestRunUncertainty:
         cfg = ZoomConfig(iterations=2, delta=0.1, offset_range=0, solver="exact",
                          p_flip=(0.0,), q_flip=(0.0,),
                          schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=11)
-        report = run_uncertainty(cfg, split, pipe, n_runs=3, min_counts=5)
+        report = run_uncertainty(cfg, split, pipe, n_runs=3, params=FomParams(min_counts=5))
         assert report.std == 0.0
         assert report.mean == report.max_foms[0]
 
@@ -282,7 +326,7 @@ class TestRunUncertainty:
             schedule=AnnealSchedule(n_reads=8, sweeps=40, n_g=(1,), n_e=(1,)),
             seed=5,
         )
-        report = run_uncertainty(cfg, split, pipe, n_runs=4, min_counts=5)
+        report = run_uncertainty(cfg, split, pipe, n_runs=4, params=FomParams(min_counts=5))
         assert len(report.max_foms) == 4
         assert report.std >= 0.0
         assert report.mean == pytest.approx(np.mean(report.max_foms))
@@ -360,7 +404,7 @@ class TestRankVariables:
                     np.where(tags == 1, 100.0 / (tags == 1).sum(),
                              1000.0 / (tags == -1).sum()),
                     ["signal" if t == 1 else "wjets" for t in tags])
-        ranked = rank_variables(d, ["oracle", "noise"], FomParams(f=0.2), min_counts=5)
+        ranked = rank_variables(d, ["oracle", "noise"], FomParams(f=0.2, min_counts=5))
         assert ranked[0][0] == "oracle"
         baseline = fom(100.0, 1000.0, FomParams(f=0.2))
         assert ranked[0][1] > baseline * 3
@@ -376,7 +420,7 @@ class TestRankVariables:
 
         d = Dataset(("exact",), tags.astype(float)[:, None], tags, np.ones(n),
                     ["signal" if t == 1 else "wjets" for t in tags])
-        ranked = rank_variables(d, ["exact"], FomParams(f=0.2), min_counts=0)
+        ranked = rank_variables(d, ["exact"], FomParams(f=0.2, min_counts=0))
         assert math.isinf(ranked[0][1])
 
     def test_published_ranking_metadata(self):
@@ -397,6 +441,6 @@ class TestRankVariables:
         values = np.stack([-tags + 0.1 * rng.normal(size=n)], axis=1)
         d = Dataset(("anti",), values, tags, np.ones(n),
                     ["signal" if t == 1 else "wjets" for t in tags])
-        ranked = rank_variables(d, ["anti"], FomParams(f=0.2), min_counts=5)
+        ranked = rank_variables(d, ["anti"], FomParams(f=0.2, min_counts=5))
         baseline = fom((tags == 1).sum(), (tags == -1).sum(), FomParams(f=0.2))
         assert ranked[0][1] > baseline
