@@ -31,7 +31,7 @@ from .features import (
     PcaTransform,
     WeakClassifierSet,
     apply_pca,
-    compute_derived,
+    feature_matrix,
     fit_feature_pipeline,
     fit_pca,
     normalize_fit,

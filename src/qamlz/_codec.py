@@ -51,6 +51,15 @@ def _check(kind, doc, where: str):
     return doc
 
 
+def did_you_mean(name: str, known) -> str:
+    """A message tail naming the closest of `known` to `name`,
+    " (did you mean 'x'?)", or "" when none is close."""
+    import difflib  # only a bad document pays for the import
+
+    close = difflib.get_close_matches(name, list(known), n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""
+
+
 def from_json(kind, doc, where: str, **given):
     """`doc`, a parsed JSON value, read as a value of the type `kind`; any
     error is a `ConfigError` naming the dotted path, `where`, of the bad value.
@@ -80,11 +89,8 @@ def from_json(kind, doc, where: str, **given):
     if isinstance(kind, Mapping):
         unknown = [k for k in _check(Mapping, doc, where) if k not in kind]
         if unknown:
-            import difflib  # only a bad document pays for the import
-
-            close = difflib.get_close_matches(unknown[0], list(kind), n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(f"{where or 'config'} has an unknown key {unknown[0]!r}{hint}")
+            raise ConfigError(f"{where or 'config'} has an unknown key "
+                              f"{unknown[0]!r}{did_you_mean(unknown[0], kind)}")
         return {k: from_json(kind[k], v, at + k) for k, v in doc.items()}
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):  # X | None

@@ -21,8 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._codec import from_json
+from ._codec import did_you_mean, from_json
 from .dataset import (
+    PROCESSES,
     Dataset,
     GeneratorSpec,
     SampleSplit,
@@ -145,12 +146,16 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     out_dir = Path(top.get("out_dir", "out"))
     data = from_json(_DATA, top.get("data", {}), "data")
     generator = data.pop("generator", None)
+    for name in data.get("assess_processes", ()):
+        if name not in PROCESSES:
+            raise ConfigError(f"data.assess_processes names an unknown process {name!r}"
+                              f"{did_you_mean(name, PROCESSES)}; expected one of {PROCESSES}")
 
     selector = top.get("variables", "beta")
     if not isinstance(selector, str):
         selector = from_json(tuple[str, ...], selector, "variables")
-    variables, derived, weak_mode = variable_set(selector)
-    features = {"variables": variables, "derived": derived, "weak_mode": weak_mode,
+    variables, weak_mode = variable_set(selector)
+    features = {"variables": variables, "weak_mode": weak_mode,
                 **{k: top[k] for k in ("weak_mode", "n_bins") if k in top}}
     if "pca" in top:
         features["use_pca"] = top["pca"]
@@ -312,7 +317,7 @@ def cmd_fom(cfg: Config) -> int:
     if not opts:
         raise ConfigError("config needs a `fom_curve` section with s, b and f lists")
     s_values, b_values = opts.get("s", ()), opts.get("b", ())
-    f_values = opts.get("f", (FomParams().f,))
+    f_values = opts.get("f", (cfg.fom.f,))
     if not (s_values and b_values and f_values):
         raise ConfigError("fom_curve.s, fom_curve.b and fom_curve.f must be non-empty")
     rows = [

@@ -121,19 +121,6 @@ class Dataset:
             self.processes[sel],
         )
 
-    def with_columns(self, names: Sequence[str], columns: np.ndarray) -> "Dataset":
-        """Extend the schema with new columns (shape (n, len(names)))."""
-        columns = np.asarray(columns, dtype=np.float64)
-        if columns.shape != (len(self), len(names)):
-            raise DataError("new column block has wrong shape")
-        return Dataset(
-            self.schema + tuple(names),
-            np.hstack([self.values, columns]),
-            self.tags,
-            self.weights,
-            self.processes,
-        )
-
     # -- CSV round trip ------------------------------------------------
 
     def to_csv(self, path: str | Path | None = None) -> str | None:
@@ -428,7 +415,6 @@ class SampleSplit:
     train: Dataset
     test: Dataset
     assess: Dataset
-    seed: int
 
 
 def split_samples(
@@ -460,7 +446,6 @@ def split_samples(
         train=d.select(train_idx),
         test=d.select(test_idx),
         assess=d.select(assess_idx),
-        seed=seed,
     )
 
 

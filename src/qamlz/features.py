@@ -154,9 +154,6 @@ class DerivedFormula:
     inputs: tuple[str, str]
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, with 0 where |den| < DIVISION_GUARD."""
@@ -206,46 +203,49 @@ SET_B_DERIVED = (
 )
 
 
-def variable_set(selector: str | Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...], str]:
-    """Resolve a named variable set to (variables, derived-presets, weak mode).
+def variable_set(selector: str | Sequence[str]) -> tuple[tuple[str, ...], str]:
+    """Resolve a named variable set to (variables, weak mode).
 
     "alpha" uses the base variables only normalized; "beta" the same variables
     through the density-ratio transform; "A" and "B" extend "beta" with derived
-    combinations. A custom list selects those variables with density mode.
+    combinations. A custom list selects those variables with density mode; it
+    may name derived presets too.
     """
     if not isinstance(selector, str):
         if not selector:
             raise ConfigError("variables must name at least one variable")
-        return tuple(selector), (), "density"
+        return tuple(selector), "density"
     key = selector.lower() if selector.lower() in ("alpha", "beta") else selector
     if key == "alpha":
-        return BASE_VARIABLES, (), "normalized"
+        return BASE_VARIABLES, "normalized"
     if key == "beta":
-        return BASE_VARIABLES, (), "density"
+        return BASE_VARIABLES, "density"
     if key == "A":
-        return BASE_VARIABLES + SET_A_DERIVED, SET_A_DERIVED, "density"
+        return BASE_VARIABLES + SET_A_DERIVED, "density"
     if key == "B":
-        return (BASE_VARIABLES + SET_A_DERIVED + SET_B_DERIVED,
-                SET_A_DERIVED + SET_B_DERIVED, "density")
+        return BASE_VARIABLES + SET_A_DERIVED + SET_B_DERIVED, "density"
     raise ConfigError(f"unknown variable set {selector!r} (expected alpha|beta|A|B or a list)")
 
 
-def compute_derived(d: Dataset, formulas: Sequence[DerivedFormula | str]) -> Dataset:
-    """Extend the dataset schema with derived columns, one per formula."""
-    resolved: list[DerivedFormula] = []
-    for f in formulas:
-        if isinstance(f, str):
-            if f not in DERIVED_PRESETS:
-                raise ConfigError(f"unknown derived preset {f!r}")
-            f = DERIVED_PRESETS[f]
-        resolved.append(f)
-    if not resolved:
-        return d
-    cols = np.empty((len(d), len(resolved)))
-    for j, f in enumerate(resolved):
-        a, b = f.inputs
-        cols[:, j] = f.evaluate(d.column(a), d.column(b))
-    return d.with_columns([f.name for f in resolved], cols)
+def feature_matrix(d: Dataset, variables: Sequence[str]) -> np.ndarray:
+    """The (n_events, k) matrix of `variables`: a `DERIVED_PRESETS` name that
+    the schema lacks is computed from its two input columns, any other
+    variable is read from the dataset.
+
+    The matrix is Fortran-ordered, as `Dataset.matrix` returns it: the bits of
+    the PCA covariance depend on the layout of its input.
+    """
+    cols = np.empty((len(variables), len(d)))
+    for j, name in enumerate(variables):
+        formula = DERIVED_PRESETS.get(name)
+        if formula is None or name in d.schema:
+            cols[j] = d.column(name)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols[j] = formula.fn(*map(d.column, formula.inputs))
+        if not np.isfinite(cols[j]).all():
+            raise DataError(f"derived variable {name!r} must be finite for every event")
+    return cols.T
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def apply_pca(t: PcaTransform, matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeaturePipeline:
-    """Derived columns -> variable selection -> optional PCA -> weak classifiers.
+    """Feature matrix -> optional PCA -> weak classifiers.
 
     `transform` produces the h-value matrix the annealing classifier consumes.
     The weak stage is fitted in the (possibly rotated) feature basis; its
@@ -311,7 +311,7 @@ class FeaturePipeline:
     """
 
     variables: tuple[str, ...]
-    derived: tuple[str, ...]
+    derived: tuple[str, ...]  # the presets among `variables`, a record for model.json
     pca: PcaTransform | None
     weak: WeakClassifierSet
 
@@ -319,14 +319,8 @@ class FeaturePipeline:
     def n_var(self) -> int:
         return self.weak.n_classifiers
 
-    def _feature_matrix(self, d: Dataset) -> np.ndarray:
-        needed = [f for f in self.derived if f not in d.schema]
-        if needed:
-            d = compute_derived(d, needed)
-        return d.matrix(self.variables)
-
     def transform(self, d: Dataset) -> np.ndarray:
-        x = self._feature_matrix(d)
+        x = feature_matrix(d, self.variables)
         if self.pca is not None:
             x = apply_pca(self.pca, x)
         return self.weak.evaluate_matrix(x)
@@ -335,22 +329,19 @@ class FeaturePipeline:
 def fit_feature_pipeline(
     train: Dataset,
     variables: Sequence[str],
-    derived: Sequence[str] = (),
     weak_mode: str = "density",
     n_bins: int = 50,
     use_pca: bool = False,
 ) -> FeaturePipeline:
     """Fit every pipeline stage on the training sample only."""
-    needed = [f for f in derived if f not in train.schema]
-    fitted_train = compute_derived(train, needed) if needed else train
-    x = fitted_train.matrix(variables)
+    x = feature_matrix(train, variables)
     pca = fit_pca(x) if use_pca else None
     if pca is not None:
         x = apply_pca(pca, x)
         names = tuple(f"pc_{k:02d}" for k in range(x.shape[1]))
     else:
         names = tuple(variables)
-    feat = Dataset(names, x, fitted_train.tags, fitted_train.weights, fitted_train.processes)
+    feat = Dataset(names, x, train.tags, train.weights, train.processes)
     if weak_mode == "normalized":
         weak = normalize_fit(feat, names)
     elif weak_mode == "density":
@@ -358,5 +349,7 @@ def fit_feature_pipeline(
     else:
         raise ConfigError(f"unknown weak mode {weak_mode!r}")
     return FeaturePipeline(
-        variables=tuple(variables), derived=tuple(derived), pca=pca, weak=weak,
+        variables=tuple(variables),
+        derived=tuple(v for v in variables if v in DERIVED_PRESETS),
+        pca=pca, weak=weak,
     )

@@ -12,6 +12,14 @@ import pytest
 
 from qamlz import Dataset, GeneratorSpec, IsingProblem
 from qamlz.errors import ConfigError, DataError
+from qamlz.features import (
+    DERIVED_PRESETS,
+    FeaturePipeline,
+    apply_pca,
+    fit_pca,
+    normalize_fit,
+    weak_fit,
+)
 from qamlz.ising import energies_batch
 
 
@@ -257,6 +265,75 @@ def reference_to_csv(d: Dataset) -> str:
         writer.writerow([int(d.tags[i]), repr(float(d.weights[i])), str(d.processes[i])]
                         + [repr(float(v)) for v in d.values[i]])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Derived columns through a second Dataset: the feature path that
+# `feature_matrix` replaced, kept to pin it and the pipeline bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_with_columns(d: Dataset, names, columns) -> Dataset:
+    """Extend the schema with new columns (shape (n, len(names)))."""
+    columns = np.asarray(columns, dtype=np.float64)
+    if columns.shape != (len(d), len(names)):
+        raise DataError("new column block has wrong shape")
+    return Dataset(d.schema + tuple(names), np.hstack([d.values, columns]),
+                   d.tags, d.weights, d.processes)
+
+
+def reference_compute_derived(d: Dataset, formulas) -> Dataset:
+    """Extend the dataset schema with derived columns, one per formula."""
+    resolved = []
+    for f in formulas:
+        if isinstance(f, str):
+            if f not in DERIVED_PRESETS:
+                raise ConfigError(f"unknown derived preset {f!r}")
+            f = DERIVED_PRESETS[f]
+        resolved.append(f)
+    if not resolved:
+        return d
+    cols = np.empty((len(d), len(resolved)))
+    for j, f in enumerate(resolved):
+        a, b = f.inputs
+        cols[:, j] = f.fn(np.asarray(d.column(a), dtype=np.float64),
+                          np.asarray(d.column(b), dtype=np.float64))
+    return reference_with_columns(d, [f.name for f in resolved], cols)
+
+
+def reference_feature_matrix(d: Dataset, variables, derived) -> np.ndarray:
+    """`derived` presets the schema lacks are computed into a second Dataset,
+    whose `matrix` gives the features."""
+    needed = [f for f in derived if f not in d.schema]
+    if needed:
+        d = reference_compute_derived(d, needed)
+    return d.matrix(variables)
+
+
+def reference_fit_feature_pipeline(train: Dataset, variables, derived=(), weak_mode="density",
+                                   n_bins=50, use_pca=False) -> FeaturePipeline:
+    needed = [f for f in derived if f not in train.schema]
+    fitted_train = reference_compute_derived(train, needed) if needed else train
+    x = fitted_train.matrix(variables)
+    pca = fit_pca(x) if use_pca else None
+    if pca is not None:
+        x = apply_pca(pca, x)
+        names = tuple(f"pc_{k:02d}" for k in range(x.shape[1]))
+    else:
+        names = tuple(variables)
+    feat = Dataset(names, x, fitted_train.tags, fitted_train.weights, fitted_train.processes)
+    if weak_mode == "normalized":
+        weak = normalize_fit(feat, names)
+    else:
+        weak = weak_fit(feat, n_bins=n_bins, variables=names)
+    return FeaturePipeline(variables=tuple(variables), derived=tuple(derived), pca=pca, weak=weak)
+
+
+def reference_transform(pipe: FeaturePipeline, d: Dataset) -> np.ndarray:
+    x = reference_feature_matrix(d, pipe.variables, pipe.derived)
+    if pipe.pca is not None:
+        x = apply_pca(pipe.pca, x)
+    return pipe.weak.evaluate_matrix(x)
 
 
 @pytest.fixture

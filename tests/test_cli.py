@@ -470,6 +470,13 @@ class TestFomCommand:
         cfg = _base_config(tmp_path)
         assert main(["fom", "--config", str(cfg)]) == 2
 
+    def test_f_defaults_to_the_fom_section(self, tmp_path):
+        cfg = _base_config(tmp_path, fom={"f": 0.5}, fom_curve={"s": [50.0], "b": [1000.0]})
+        assert main(["fom", "--config", str(cfg)]) == 0
+        (row,) = _read_csv(tmp_path / "out" / "fom.csv")
+        assert row["f"] == "0.5"
+        assert float(row["fom"]) == fom(50.0, 1000.0, FomParams(f=0.5))
+
     def test_out_of_float_range_f(self, tmp_path):
         # (f*B)**2 underflows, B*B/(f*B)**2 overflows, (f*B)**2 overflows
         cfg = _base_config(tmp_path,
@@ -571,6 +578,42 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
         assert "at row 5, column 'weight'" in capsys.readouterr().err
+
+    def _preset_csv(self, tmp_path, **cells) -> Path:
+        """400 default-preset events in a CSV, with every value of each named
+        column replaced."""
+        gen = _base_config(tmp_path, data={"generator": {"preset": "default"}, "n_events": 400})
+        assert main(["gen", "--config", str(gen)]) == 0
+        events = tmp_path / "out" / "events.csv"
+        with events.open() as fh:
+            rows = list(csv.reader(fh))
+        for name, value in cells.items():
+            j = rows[0].index(name)
+            for row in rows[1:]:
+                row[j] = value
+        with events.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return events
+
+    def test_non_finite_derived_value_is_data_error(self, tmp_path, capsys):
+        events = self._preset_csv(tmp_path, met="1e200", mt="1e200")
+        cfg = _base_config(tmp_path, data={"csv": str(events)}, variables="A")
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "derived variable 'met_mt_window' must be finite" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_custom_list_may_name_a_preset(self, tmp_path):
+        # the CSV lacks the preset's column; it used to be a data error
+        events = self._preset_csv(tmp_path)
+        cfg = _base_config(tmp_path, data={"csv": str(events)},
+                           variables=["met", "ht", "met_ht_window"])
+        assert main(["train", "--config", str(cfg)]) == 0
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert model["pipeline"]["variables"] == ["met", "ht", "met_ht_window"]
+        assert model["pipeline"]["derived"] == ["met_ht_window"]
+        assert main(["eval", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("key, value", [
         ("bounds", {"v0": [0.0]}),
@@ -746,6 +789,11 @@ class TestExitCodes:
         ("train", "zoom.offset_range", -1, "offset_range must be >= 0"),
         ("train", "zoom.delta", 0.0, "delta must be > 0 when offset_range > 0"),
         ("fom", "fom_curve.f", [], "fom_curve.f must be non-empty"),
+        # a misspelt process used to route no event to assess, with exit 0
+        ("train", "data.assess_processes", ["wjets", "ttbarr"],
+         "data.assess_processes names an unknown process 'ttbarr' (did you mean 'ttbar'?)"),
+        ("gen", "data.assess_processes", ["qcd"],
+         "data.assess_processes names an unknown process 'qcd'; expected one of"),
     ])
     def test_bad_value_is_refused_before_any_data(self, tmp_path, monkeypatch, capsys,
                                                   command, path, value, message):

@@ -14,11 +14,13 @@ from qamlz import (
     DataError,
     Dataset,
     apply_pca,
-    compute_derived,
+    default_generator_spec,
+    feature_matrix,
     fit_feature_pipeline,
     fit_pca,
     generate_synthetic,
     normalize_fit,
+    split_samples,
     two_gaussian_spec,
     variable_set,
     weak_fit,
@@ -26,6 +28,12 @@ from qamlz import (
 from qamlz._codec import from_json
 from qamlz.dataset import BASE_VARIABLES
 from qamlz.features import FeaturePipeline
+
+from conftest import (
+    reference_feature_matrix,
+    reference_fit_feature_pipeline,
+    reference_transform,
+)
 
 
 def _dataset(values, tags=None, weights=None, schema=None):
@@ -212,13 +220,13 @@ class TestDerived:
 
     def test_zero_factor(self):
         d = self._dataset_from_rows([_physics_row(met=280.0)])
-        out = compute_derived(d, ["met_mt_window"])
-        assert out.column("met_mt_window")[0] == 0.0
+        out = feature_matrix(d, ["met_mt_window"])
+        assert out[0, 0] == 0.0
 
     def test_simple_ratio(self):
         d = self._dataset_from_rows([_physics_row(pt_lep=30.0, met=300.0)])
-        out = compute_derived(d, ["pt_lep_over_met"])
-        assert out.column("pt_lep_over_met")[0] == pytest.approx(0.1)
+        out = feature_matrix(d, ["pt_lep_over_met"])
+        assert out[0, 0] == pytest.approx(0.1)
 
     def test_presets_match_hand_coded_expressions(self):
         rng = np.random.default_rng(4)
@@ -233,7 +241,8 @@ class TestDerived:
             for _ in range(50)
         ]
         d = self._dataset_from_rows(rows)
-        out = compute_derived(d, list(SET_A_DERIVED + SET_B_DERIVED))
+        names = list(SET_A_DERIVED + SET_B_DERIVED)
+        out = feature_matrix(d, names)
         hand = {
             "pt_lep_over_met": lambda r: r["pt_lep"] / r["met"],
             "pt_lep_over_pt_jet1": lambda r: r["pt_lep"] / r["pt_jet1"],
@@ -248,26 +257,38 @@ class TestDerived:
         assert set(hand) == set(DERIVED_PRESETS)
         for name, fn in hand.items():
             expected = [fn(r) for r in rows]
-            np.testing.assert_allclose(out.column(name), expected, rtol=1e-14)
+            np.testing.assert_allclose(out[:, names.index(name)], expected, rtol=1e-14)
 
     def test_zero_denominator_gives_zero(self):
         d = self._dataset_from_rows([_physics_row(met=0.0), _physics_row(met=300.0)])
-        out = compute_derived(d, ["pt_lep_over_met"])
-        assert out.column("pt_lep_over_met")[0] == 0.0
-        assert out.column("pt_lep_over_met")[1] == pytest.approx(0.1)
+        out = feature_matrix(d, ["pt_lep_over_met"])
+        assert out[0, 0] == 0.0
+        assert out[1, 0] == pytest.approx(0.1)
+
+    def test_non_finite_value_names_the_variable(self):
+        d = self._dataset_from_rows([_physics_row(met=1e200, mt=1e200), _physics_row()])
+        with pytest.raises(DataError, match="derived variable 'met_mt_window' must be finite"):
+            feature_matrix(d, ["pt_lep_over_met", "met_mt_window"])
+
+    def test_missing_variable_or_input_is_named(self):
+        d = self._dataset_from_rows([{k: v for k, v in _physics_row().items() if k != "mt"}])
+        with pytest.raises(DataError, match="variable 'nope' not in schema"):
+            feature_matrix(d, ["met", "nope"])
+        with pytest.raises(DataError, match="variable 'mt' not in schema"):
+            feature_matrix(d, ["met_mt_window"])
 
     def test_variable_sets(self):
-        vars_a, derived_a, mode_a = variable_set("A")
+        vars_a, mode_a = variable_set("A")
         assert set(SET_A_DERIVED) <= set(vars_a)
-        assert set(derived_a) == set(SET_A_DERIVED)
+        assert {v for v in vars_a if v in DERIVED_PRESETS} == set(SET_A_DERIVED)
         assert mode_a == "density"
-        vars_alpha, _, mode_alpha = variable_set("alpha")
+        vars_alpha, mode_alpha = variable_set("alpha")
         assert vars_alpha == BASE_VARIABLES and mode_alpha == "normalized"
-        vars_b, derived_b, _ = variable_set("B")
+        vars_b, _ = variable_set("B")
         assert set(vars_a) < set(vars_b)
-        assert set(derived_b) == set(SET_A_DERIVED + SET_B_DERIVED)
+        assert {v for v in vars_b if v in DERIVED_PRESETS} == set(SET_A_DERIVED + SET_B_DERIVED)
         custom = variable_set(["met", "ht"])
-        assert custom == (("met", "ht"), (), "density")
+        assert custom == (("met", "ht"), "density")
         with pytest.raises(ConfigError):
             variable_set("gamma")
 
@@ -374,9 +395,96 @@ class TestPipeline:
         )
         train = generate_synthetic(spec, 2000, seed=3)
         pipe = fit_feature_pipeline(
-            train, ["pt_lep", "met", "pt_lep_over_met"],
-            derived=("pt_lep_over_met",), weak_mode="density",
+            train, ["pt_lep", "met", "pt_lep_over_met"], weak_mode="density",
         )
+        assert pipe.derived == ("pt_lep_over_met",)
         out = pipe.transform(train)
         assert out.shape == (2000, 3)
         assert np.abs(out).max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# feature_matrix against the second-Dataset path it replaced (conftest)
+# ---------------------------------------------------------------------------
+
+#: the presets each set passed as `derived` before the pipeline read them
+#: from its variables
+_SET_DERIVED = {"A": SET_A_DERIVED, "B": SET_A_DERIVED + SET_B_DERIVED}
+
+
+def _assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert a.tobytes() == b.tobytes()
+
+
+def _json(pipe: FeaturePipeline) -> str:
+    return json.dumps(dataclasses.asdict(pipe), default=np.ndarray.tolist)
+
+
+@pytest.fixture(scope="module")
+def physics_split():
+    return split_samples(generate_synthetic(default_generator_spec(), 3000, seed=7), seed=7)
+
+
+class TestFeatureMatrixOracle:
+    """Bit for bit, so the PCA rows in model.json keep their last digits."""
+
+    @pytest.mark.parametrize("selector", ["A", "B"])
+    def test_matrix_matches_reference(self, physics_split, selector):
+        variables, _ = variable_set(selector)
+        for d in (physics_split.train, physics_split.assess):
+            x = feature_matrix(d, variables)
+            ref = reference_feature_matrix(d, variables, _SET_DERIVED[selector])
+            _assert_bits_equal(x, ref)
+            # the bits of the PCA covariance depend on the memory layout too
+            assert x.flags.f_contiguous and ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("use_pca", [False, True], ids=["plain", "pca"])
+    @pytest.mark.parametrize("selector", ["A", "B"])
+    def test_pipeline_matches_reference(self, physics_split, selector, use_pca):
+        variables, weak_mode = variable_set(selector)
+        train = physics_split.train
+        pipe = fit_feature_pipeline(train, variables, weak_mode=weak_mode, use_pca=use_pca)
+        ref = reference_fit_feature_pipeline(train, variables, _SET_DERIVED[selector],
+                                             weak_mode=weak_mode, use_pca=use_pca)
+        assert pipe.derived == ref.derived == _SET_DERIVED[selector]
+        if use_pca:
+            for name in ("mean", "components", "eigenvalues"):
+                _assert_bits_equal(getattr(pipe.pca, name), getattr(ref.pca, name))
+        else:
+            assert pipe.pca is None and ref.pca is None
+        assert _json(pipe) == _json(ref)
+        for d in (train, physics_split.test, physics_split.assess):
+            _assert_bits_equal(pipe.transform(d), reference_transform(ref, d))
+
+    def test_carried_preset_column_is_read_not_computed(self, physics_split):
+        d = physics_split.train
+        carried = np.linspace(-1.0, 1.0, len(d))  # not what the formula gives
+        with_col = Dataset(d.schema + ("pt_lep_over_met",), np.column_stack([d.values, carried]),
+                           d.tags, d.weights, d.processes)
+        variables, _ = variable_set("A")
+        x = feature_matrix(with_col, variables)
+        _assert_bits_equal(x[:, variables.index("pt_lep_over_met")], carried)
+        _assert_bits_equal(x, reference_feature_matrix(with_col, variables, SET_A_DERIVED))
+        pipe = fit_feature_pipeline(with_col, variables, use_pca=True)
+        ref = reference_fit_feature_pipeline(with_col, variables, SET_A_DERIVED, use_pca=True)
+        assert _json(pipe) == _json(ref)
+        for probe in (with_col, physics_split.assess):
+            _assert_bits_equal(pipe.transform(probe), reference_transform(ref, probe))
+
+    def test_custom_list_naming_a_preset(self, physics_split):
+        variables, weak_mode = variable_set(["met", "ht", "met_ht_window"])
+        assert weak_mode == "density"
+        train = physics_split.train
+        # the old path computed only the presets passed as `derived`
+        with pytest.raises(DataError, match="variable 'met_ht_window' not in schema"):
+            reference_feature_matrix(train, variables, ())
+        _assert_bits_equal(feature_matrix(train, variables),
+                           reference_feature_matrix(train, variables, ("met_ht_window",)))
+        pipe = fit_feature_pipeline(train, variables, use_pca=True)
+        ref = reference_fit_feature_pipeline(train, variables, ("met_ht_window",), use_pca=True)
+        assert pipe.derived == ("met_ht_window",)
+        assert _json(pipe) == _json(ref)
+        _assert_bits_equal(pipe.transform(physics_split.assess),
+                           reference_transform(ref, physics_split.assess))
