@@ -286,24 +286,110 @@ _CHUNK = 1024
 #: they total the checked attempts plus the one taken unchecked at the cap
 _ROUNDS = (4, 16, _MAX_TRUNCATION_TRIES + 1 - 20)
 
+# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-def _accepted_attempts(rngs, proc, models, lo, hi) -> np.ndarray:
-    """Each event's first Gaussian attempt inside the bounds, or else the one
-    after the last check, unclipped.
 
-    Event r draws from `rngs[r]` with model `models[proc[r]]`. Attempts come in
-    blocks of `_ROUNDS`; a block consumes a stream as one draw per attempt
-    does, and a stream is dropped after its event, so the extra draws of a
-    round change nothing.
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: each step XORs with the old value
+    and multiplies by the new one."""
+    while True:
+        step = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(step)
+        init = step
+
+
+def _stream_states(seed: int, start: int, stop: int) -> list[dict]:
+    """The `bit_generator.state` of numpy's `default_rng` of the key (seed, i),
+    for each i in [start, stop).
+
+    The SeedSequence of the key (seed, i) is computed for every i at once in
+    uint32 arrays: its entropy is the 32-bit words of seed, then of i, and a
+    zero word hashes as numpy's padding of the pool to 4 words does. With
+    seed and i below 2**64 the key has at most 4 words, so the mixing never
+    takes in words beyond the pool. PCG64 takes `generate_state(4, uint64)`
+    as (initstate, initseq) and starts with pcg_setseq_128_srandom_r.
     """
-    k = len(models[0][0])
-    out = np.empty((len(rngs), k), dtype=np.float64)
-    pending = np.arange(len(rngs))
+    i = np.arange(start, stop, dtype=np.uint64)
+    n = len(i)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    key = [np.full(n, w, dtype=np.uint32) for w in seed_words]
+    key += [(i & np.uint64(_MASK32)).astype(np.uint32), (i >> np.uint64(32)).astype(np.uint32)]
+    key += [np.zeros(n, dtype=np.uint32)] * (4 - len(key))
+    shift = np.uint32(16)
+    consts = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        old, new = next(consts)
+        v = (v ^ old) * new
+        return v ^ (v >> shift)
+
+    pool = [hashmix(w) for w in key]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> shift)
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    words = []
+    for j in range(8):  # generate_state(4, uint64): 8 words, little-endian pairs
+        old, new = next(consts)
+        v = (pool[j % 4] ^ old) * new
+        words.append((v ^ (v >> shift)).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = ((words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist()
+                              for k in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        # from state 0: step, add initstate, step
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _draw_chunk(rng, states, signal_fraction, bg_cum, models, lo, hi):
+    """Each event's process index into `models`, and its first Gaussian attempt
+    inside the bounds, or else the one after the last check, unclipped.
+
+    Event r draws from its own stream, whose state `states[r]` is loaded into
+    the shared generator `rng`: the class uniform, the process uniform of a
+    background event, then attempts with model `models[proc[r]]`. Attempts
+    come in blocks of `_ROUNDS`; a block consumes a stream as one draw per
+    attempt does, and a stream is dropped after its event, so the extra draws
+    of a round change nothing. One state assignment serves an event's
+    uniforms and first block; an event still pending after a round loads and
+    saves its state again.
+    """
+    bitgen = rng.bit_generator
+    n, k = len(states), len(lo)
+    u_bg = np.full(n, np.nan)
+    z = np.empty((n, _ROUNDS[0], k), dtype=np.float64)
+    for r, state in enumerate(states):
+        bitgen.state = state
+        if rng.random() >= signal_fraction:
+            u_bg[r] = rng.random()
+        rng.standard_normal(out=z[r])
+        states[r] = bitgen.state
+    bg = ~np.isnan(u_bg)
+    proc = np.zeros(n, dtype=np.intp)
+    proc[bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
+
+    out = np.empty((n, k), dtype=np.float64)
+    pending = np.arange(n)
     tried = 0
     for block in _ROUNDS:
-        z = np.empty((len(pending), block, k), dtype=np.float64)
-        for row, r in zip(z, pending):
-            rngs[r].standard_normal(out=row)
+        if tried:
+            z = np.empty((len(pending), block, k), dtype=np.float64)
+            for row, r in zip(z, pending.tolist()):
+                bitgen.state = states[r]
+                rng.standard_normal(out=row)
+                states[r] = bitgen.state
         x = np.empty_like(z)
         for m, (mean, fac) in enumerate(models):
             sel = proc[pending] == m
@@ -316,7 +402,7 @@ def _accepted_attempts(rngs, proc, models, lo, hi) -> np.ndarray:
         pending, tried = pending[~hit], tried + block
         if not len(pending):
             break
-    return out
+    return proc, out
 
 
 def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:
@@ -324,12 +410,16 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
 
     Class and process are sampled per event; per-class weights are set after
     the fact so signal weights sum to s_tot and background weights to b_tot.
-    Event i draws only from its own stream `default_rng((seed, i))`: a class
-    uniform, a process uniform for background events, then Gaussian attempts
-    until one lies inside `bounds`. Events are generated in chunks, with the
-    arithmetic done column-wise; the values are those of drawing and testing
-    each event's attempts one by one.
+    Event i draws only from its own stream, numpy's `default_rng` of the key
+    (seed, i): a class uniform, a process uniform for background events, then
+    Gaussian attempts until one lies inside `bounds`. Events are generated
+    in chunks: the streams' states are computed for the whole chunk and
+    loaded in turn into one generator, and the arithmetic is done
+    column-wise; the values are those of drawing and testing each event's
+    attempts one by one. `seed` must lie in [0, 2**64).
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ConfigError("seed must be a non-negative 64-bit integer")
     if n_events <= 0:
         raise ConfigError("n_events must be positive")
     bg_names = [n for n in spec.processes if n != "signal"]
@@ -347,17 +437,13 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
             hi[spec.schema.index(v)] = b
 
     values = np.empty((n_events, len(spec.schema)), dtype=np.float64)
-    proc = np.zeros(n_events, dtype=np.intp)  # index into names
+    proc = np.empty(n_events, dtype=np.intp)  # index into names
+    rng = np.random.Generator(np.random.PCG64())  # every event's stream state is loaded into it
     for start in range(0, n_events, _CHUNK):
         stop = min(start + _CHUNK, n_events)
-        rngs = [np.random.default_rng((seed, i)) for i in range(start, stop)]
-        # the class uniform, then the process uniform of a background event
-        u_bg = np.array([np.nan if rng.random() < spec.signal_fraction else rng.random()
-                         for rng in rngs])
-        bg = ~np.isnan(u_bg)
-        proc[start:stop][bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
-        values[start:stop] = _accepted_attempts(rngs, proc[start:stop], models, lo, hi)
-        del rngs  # before the next chunk's streams exist: about 1.6 kB each
+        proc[start:stop], values[start:stop] = _draw_chunk(
+            rng, _stream_states(int(seed), start, stop), spec.signal_fraction, bg_cum,
+            models, lo, hi)
 
     def clip(cols: np.ndarray) -> np.ndarray:  # min(max(v, lo), hi), as Python orders ties
         cols = np.where(lo > cols, lo, cols)

@@ -17,7 +17,7 @@ from qamlz import (
     two_gaussian_spec,
 )
 from qamlz._codec import from_json
-from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES
+from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES, _stream_states
 
 from conftest import reference_generate_synthetic, reference_to_csv
 
@@ -121,6 +121,12 @@ class TestGenerate:
         np.testing.assert_array_equal(small.tags, big.tags[:50])
         assert list(small.processes) == list(big.processes[:50])
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # True would otherwise generate as seed 1, and -1 fail inside numpy
+        with pytest.raises(ConfigError, match="seed must be a non-negative 64-bit integer"):
+            generate_synthetic(_spec_1d(), 10, seed)
+
     def test_spec_json_round_trip(self, tmp_path):
         spec = default_generator_spec()
         path = tmp_path / "spec.json"
@@ -154,10 +160,23 @@ def _unit_spec(bounds, integer_variables=(), fractions=None):
                          bounds=bounds, integer_variables=integer_variables)
 
 
+class TestStreamStates:
+    """The chunk-wise stream states against numpy's own seeding of each key."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("start, stop", [(0, 2), (1023, 1026), (2**32 - 1, 2**32 + 2)])
+    def test_equal_to_default_rng(self, seed, start, stop):
+        # seeds and indices of one and of two 32-bit words, and a chunk that
+        # straddles 2**32
+        expected = [np.random.default_rng((seed, i)).bit_generator.state
+                    for i in range(start, stop)]
+        assert _stream_states(seed, start, stop) == expected
+
+
 class TestGenerateMatchesPerEventLoop:
     """Chunked generation against the per-event loop it replaced, bit for bit."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**32, 2**64 - 1])
     def test_default_spec(self, seed):
         _assert_bit_equal(default_generator_spec(), 5000, seed)
 
