@@ -70,9 +70,11 @@ from .solver import (
 from .zoom import (
     IterationRecord,
     TrainedModel,
+    TrainingProblem,
     ZoomConfig,
     default_p_flip,
     flip_step,
+    prepare,
     run_qamlz,
     weighted_distance,
     zoom_update,

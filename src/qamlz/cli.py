@@ -44,7 +44,7 @@ from .evaluate import (
 )
 from .features import fit_feature_pipeline, variable_set
 from .ising import keep_count
-from .zoom import TrainedModel, ZoomConfig, run_qamlz
+from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
 #: grid points whose post-prune coupler count exceeds this have no hardware
 #: embedding; mirrors the 5600-coupler graph of the emulated annealer
@@ -141,8 +141,6 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     it goes on to use. `seed` and `solver` override the document's."""
     top = from_json(_CONFIG, doc, "")
     seed = top.get("seed", 0) if seed is None else seed
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
     out_dir = Path(top.get("out_dir", "out"))
     data = from_json(_DATA, top.get("data", {}), "data")
     generator = data.pop("generator", None)
@@ -229,7 +227,8 @@ def cmd_gen(cfg: Config) -> int:
 def cmd_train(cfg: Config) -> int:
     split = prepare_split(cfg)
     pipeline = fit_feature_pipeline(split.train, **cfg.features)
-    model = run_qamlz(split.train, split.test, pipeline, cfg.zoom)
+    problem = prepare(split.train, split.test, pipeline, cfg.zoom.delta, cfg.zoom.offset_range)
+    model = run_qamlz(problem, cfg.zoom)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "model.json", dataclasses.asdict(model))
     with (cfg.out_dir / "train_log.jsonl").open("w", encoding="utf-8") as fh:

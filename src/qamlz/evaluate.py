@@ -20,7 +20,7 @@ import numpy as np
 from ._kstest import ks_2samp
 from .dataset import Dataset, SampleSplit
 from .errors import ConfigError, DataError
-from .zoom import TrainedModel, ZoomConfig, run_qamlz
+from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
 #: Published maximal figures of merit of the derived-variable ranking,
 #: recorded as reference metadata only (they depend on the original search
@@ -275,13 +275,16 @@ def run_uncertainty(
 ) -> UncertaintyReport:
     """Train `n_runs` models differing only in seed and report the sample mean
     and standard deviation of their maximal figures of merit on the assess
-    sample."""
+    sample. Prepares the training problem once, trains every seed on it, then
+    scores: the prepared arrays are dropped before the assess sample is."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2 for a defined standard deviation")
+    problem = prepare(data.train, data.test, pipeline, cfg.delta, cfg.offset_range)
+    models = [run_qamlz(problem, dataclasses.replace(cfg, seed=cfg.seed + k))
+              for k in range(n_runs)]
+    del problem
     foms = []
-    for k in range(n_runs):
-        run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
-        model = run_qamlz(data.train, data.test, pipeline, run_cfg)
+    for model in models:
         curve = fom_scan_dataset(model, data.assess, params)
         if curve.no_valid_cut:
             raise DataError("no valid cut on the assess sample; lower min_counts")

@@ -17,9 +17,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import FeaturePipeline
 from .ising import (
+    AugmentedClassifierSet,
+    CouplingMatrices,
     IsingProblem,
     augment,
     apply_gauge,
@@ -237,38 +239,81 @@ def weighted_distance(
     return float((w * r * r).sum() / w.sum())
 
 
-def run_qamlz(
+@dataclass(frozen=True)
+class TrainingProblem:
+    """The data side of every Ising problem of a training run, built once by
+    `prepare`: the augmented set, the train coupling sums, and the train and
+    test sign matrices with their tags and weights. Runs that differ only in
+    seed or solver settings share one problem; its arrays are read-only."""
+
+    features: FeaturePipeline
+    aug: AugmentedClassifierSet
+    couplings: CouplingMatrices
+    train_signs: np.ndarray  # float64: weighted_distance needs float64 signs for its bits
+    test_signs: np.ndarray
+    train_tags: np.ndarray
+    train_weights: np.ndarray
+    test_tags: np.ndarray
+    test_weights: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.train_signs, self.test_signs, self.train_tags, self.train_weights,
+                    self.test_tags, self.test_weights):
+            arr.setflags(write=False)
+
+    def train_distance(self, mu: np.ndarray) -> float:
+        return weighted_distance(self.train_signs, self.train_tags, self.train_weights,
+                                 mu, self.aug.n_var)
+
+    def test_distance(self, mu: np.ndarray) -> float:
+        return weighted_distance(self.test_signs, self.test_tags, self.test_weights,
+                                 mu, self.aug.n_var)
+
+
+def prepare(
     train: Dataset,
     test: Dataset,
     features: FeaturePipeline,
-    cfg: ZoomConfig,
-) -> TrainedModel:
-    """Train the zoomed annealing classifier.
+    delta: float,
+    offset_range: int,
+) -> TrainingProblem:
+    """Transform both samples, take their sign matrices over the augmented set
+    and sum the train couplings: everything of a training run but the zoom."""
+    if train.schema != test.schema:
+        raise ConfigError("train and test samples must share a schema")
+    if len(train) == 0 or len(test) == 0:
+        raise ConfigError("train and test samples must be non-empty")
+    for name, d in (("train", train), ("test", test)):
+        if not d.weights.sum() > 0.0:
+            raise DataError(f"the {name} sample has zero total weight")
+    aug = augment(features.weak, delta, offset_range)
+    signs_train = aug.signs_from_h(features.transform(train))
+    signs_test = aug.signs_from_h(features.transform(test))
+    cm = build_couplings_from_signs(signs_train, train.tags, train.weights, aug.n_var)
+    return TrainingProblem(
+        features=features, aug=aug, couplings=cm,
+        train_signs=signs_train.astype(np.float64), test_signs=signs_test.astype(np.float64),
+        train_tags=train.tags, train_weights=train.weights,
+        test_tags=test.tags, test_weights=test.weights,
+    )
+
+
+def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
+    """Train the zoomed annealing classifier on a prepared problem.
 
     Per iteration and per surviving candidate centre: build the effective
     problem, prune, optionally fix provably-optimal spins, solve under
     n_g(t) random gauges, randomize each selected state, and form the updated
     centres. Candidates are pooled across gauges, deduplicated, ranked by the
     weighted training distance, and capped at n_e(t) within the energy window.
-    The test-sample distance is recorded for monitoring only.
+    The test-sample distance is recorded for monitoring only. `cfg.delta` and
+    `cfg.offset_range` must be the ones the problem was prepared with.
     """
-    if train.schema != test.schema:
-        raise ConfigError("train and test samples must share a schema")
-    if len(train) == 0 or len(test) == 0:
-        raise ConfigError("train and test samples must be non-empty")
-    aug = augment(features.weak, cfg.delta, cfg.offset_range)
-    signs_train = aug.signs_from_h(features.transform(train))
-    signs_test = aug.signs_from_h(features.transform(test))
-    cm = build_couplings_from_signs(signs_train, train.tags, train.weights, aug.n_var)
-    gf_train = signs_train.astype(np.float64)
-    gf_test = signs_test.astype(np.float64)
-
-    def d_train(mu):
-        return weighted_distance(gf_train, train.tags, train.weights, mu, aug.n_var)
-
-    def d_test(mu):
-        return weighted_distance(gf_test, test.tags, test.weights, mu, aug.n_var)
-
+    aug = problem.aug
+    if (cfg.delta, cfg.offset_range) != (aug.delta, aug.offset_range):
+        raise ConfigError(
+            f"the problem was prepared with delta {aug.delta} and offset_range "
+            f"{aug.offset_range}, the config has {cfg.delta} and {cfg.offset_range}")
     sched = cfg.schedule
     centres = [np.zeros(aug.n_spins)]  # surviving candidate centres, best first
     trajectory: list[IterationRecord] = []
@@ -278,16 +323,16 @@ def run_qamlz(
         pooled: dict[bytes, np.ndarray] = {}
         broken: list[float] = []
         for ci, mu in enumerate(centres):
-            full = effective_problem(cm, mu, sigma, lam=cfg.lam)
-            problem = prune(full, cfg.cutoff_pct)
+            full = effective_problem(problem.couplings, mu, sigma, lam=cfg.lam)
+            pruned = prune(full, cfg.cutoff_pct)
             if cfg.fixing:
-                fixed, reduced = fix_variables(problem)
+                fixed, reduced = fix_variables(pruned)
             else:
-                fixed, reduced = {}, problem
+                fixed, reduced = {}, pruned
             for k in range(at_iteration(sched.n_g, t)):
                 if reduced.n_spins == 0:
                     states = [expand_solution(fixed, np.empty(0, dtype=np.int8),
-                                              problem.n_spins)]
+                                              pruned.n_spins)]
                     broken.append(0.0)
                 else:
                     gauge = random_gauge(
@@ -297,7 +342,7 @@ def run_qamlz(
                                          seed=(cfg.seed, _K_SOLVE, t, ci, k))
                     broken.append(res.broken_chain_fraction)
                     states = [
-                        expand_solution(fixed, ungauge(s, gauge), problem.n_spins)
+                        expand_solution(fixed, ungauge(s, gauge), pruned.n_spins)
                         for s in select_states(res, n_e, _window(d, float(res.energies[0])))
                     ]
                 for si, s_full in enumerate(states):
@@ -306,7 +351,7 @@ def run_qamlz(
                     mu_new = zoom_update(mu, s_rand, sigma)
                     pooled.setdefault(mu_new.tobytes(), mu_new)
         scored = sorted(
-            ((d_train(mu_new), order, mu_new)
+            ((problem.train_distance(mu_new), order, mu_new)
              for order, mu_new in enumerate(pooled.values())),
             key=lambda item: (item[0], item[1]),
         )
@@ -318,16 +363,16 @@ def run_qamlz(
                 t=t,
                 sigma=sigma,
                 train_distance=best_d,
-                test_distance=d_test(centres[0]),
+                test_distance=problem.test_distance(centres[0]),
                 n_candidates=len(centres),
                 broken_chain_fraction=float(np.mean(broken)) if broken else 0.0,
             )
         )
     return TrainedModel(
         mu=centres[0],
-        delta=cfg.delta,
-        offset_range=cfg.offset_range,
-        pipeline=features,
+        delta=aug.delta,
+        offset_range=aug.offset_range,
+        pipeline=problem.features,
         trajectory=tuple(trajectory),
         settings=cfg.settings_dict(),
     )

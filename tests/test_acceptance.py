@@ -34,6 +34,7 @@ from qamlz import (
     prune,
     fix_variables,
     random_gauge,
+    prepare,
     run_qamlz,
     scores_by_process,
     solve_chain_emulated,
@@ -193,7 +194,7 @@ def test_05_zoom_monotonicity():
                          solver="exact", p_flip=(0.0,), q_flip=(0.0,),
                          cutoff_pct=0.0,
                          schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=seed + 7)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         dists = [r.train_distance for r in model.trajectory]
         assert len(dists) == 8
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:])), (
@@ -213,7 +214,7 @@ def _learning_run(names, seps, n_train, seed, n_bins):
     cfg = ZoomConfig(iterations=8, delta=0.1, offset_range=2, solver="sa",
                      schedule=AnnealSchedule(n_reads=50, sweeps=300, n_g=(4, 2), n_e=(1,)),
                      seed=seed + 2)
-    model = run_qamlz(split.train, split.test, pipe, cfg)
+    model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
     final = model.trajectory[-1]
     gap = abs(final.test_distance - final.train_distance) / abs(final.train_distance)
     return model, gap
@@ -258,7 +259,7 @@ def test_07_no_overtraining_gate():
     cfg = ZoomConfig(iterations=4, delta=0.025, offset_range=1, solver="sa",
                      schedule=AnnealSchedule(n_reads=50, sweeps=200, n_g=(4, 2), n_e=(1,)),
                      seed=5)
-    model = run_qamlz(split.train, split.test, pipe, cfg)
+    model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
     report = overtraining_check(scores_by_process(model, split.train),
                                 scores_by_process(model, split.test))
     assert set(report) == {"signal", "wjets", "ttbar"}

@@ -604,6 +604,16 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    def test_zero_total_weight_is_data_error(self, tmp_path, capsys):
+        # every distance divides by the weight sum; training used to crash
+        # with an IndexError after every candidate's distance came out NaN
+        events = self._preset_csv(tmp_path, weight="0.0")
+        cfg = _base_config(tmp_path, data={"csv": str(events)}, variables="A",
+                           zoom={"iterations": 2, "offset_range": 0, "solver": "exact"})
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "the train sample has zero total weight" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_custom_list_may_name_a_preset(self, tmp_path):
         # the CSV lacks the preset's column; it used to be a data error
         events = self._preset_csv(tmp_path)
@@ -794,6 +804,7 @@ class TestExitCodes:
          "data.assess_processes names an unknown process 'ttbarr' (did you mean 'ttbar'?)"),
         ("gen", "data.assess_processes", ["qcd"],
          "data.assess_processes names an unknown process 'qcd'; expected one of"),
+        ("gen", "seed", 2**64, "seed must be a non-negative 64-bit integer"),
     ])
     def test_bad_value_is_refused_before_any_data(self, tmp_path, monkeypatch, capsys,
                                                   command, path, value, message):

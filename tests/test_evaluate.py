@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -18,6 +19,7 @@ from qamlz import (
     fom_scan_dataset,
     generate_synthetic,
     overtraining_check,
+    prepare,
     rank_variables,
     run_qamlz,
     run_uncertainty,
@@ -26,6 +28,7 @@ from qamlz import (
     split_samples,
     two_gaussian_spec,
 )
+from qamlz import zoom
 from qamlz.evaluate import REFERENCE_BDT_FOM, REFERENCE_DERIVED_FOM
 from qamlz.features import DERIVED_PRESETS
 
@@ -150,7 +153,7 @@ def _trained_toy(seed=1, n=400, n_var=2, offset_range=1, iterations=2):
         p_flip=(0.0,), q_flip=(0.0,), schedule=AnnealSchedule(n_g=(1,), n_e=(1,)),
         seed=seed + 2,
     )
-    model = run_qamlz(split.train, split.test, pipe, cfg)
+    model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
     return model, split
 
 
@@ -330,6 +333,31 @@ class TestRunUncertainty:
         assert len(report.max_foms) == 4
         assert report.std >= 0.0
         assert report.mean == pytest.approx(np.mean(report.max_foms))
+
+    def test_runs_share_one_prepared_problem(self, monkeypatch):
+        # the coupling sums are built once for all seeds, and training every
+        # seed on that one problem reproduces separate preparations bit for bit
+        split, pipe = self._prepared(seed=9)
+        cfg = ZoomConfig(
+            iterations=3, delta=0.1, offset_range=1, solver="sa",
+            schedule=AnnealSchedule(n_reads=8, sweeps=40, n_g=(2,), n_e=(1,)),
+            seed=5,
+        )
+        params = FomParams(min_counts=5)
+        separate = []
+        for s in (5, 6, 7):
+            run_cfg = dataclasses.replace(cfg, seed=s)
+            problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
+            model = run_qamlz(problem, run_cfg)
+            separate.append(fom_scan_dataset(model, split.assess, params).best_fom)
+
+        calls = []
+        build = zoom.build_couplings_from_signs
+        monkeypatch.setattr(zoom, "build_couplings_from_signs",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        report = run_uncertainty(cfg, split, pipe, n_runs=3, params=params)
+        assert len(calls) == 1
+        assert np.array(report.max_foms).tobytes() == np.array(separate).tobytes()
 
 
 # ---------------------------------------------------------------------------

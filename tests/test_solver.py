@@ -486,6 +486,7 @@ class TestExternal:
             ZoomConfig,
             fit_feature_pipeline,
             generate_synthetic,
+            prepare,
             run_qamlz,
             split_samples,
             two_gaussian_spec,
@@ -501,14 +502,15 @@ class TestExternal:
             p_flip=(0.0,), q_flip=(0.0,),
             schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=3,
         )
-        ext = run_qamlz(split.train, split.test, pipe, ZoomConfig(
+        problem = prepare(split.train, split.test, pipe, 0.1, 1)
+        ext = run_qamlz(problem, ZoomConfig(
             solver="external",
             external_command=(sys.executable, "-c", _EXTERNAL_SOLVER_SCRIPT),
             **common,
         ))
         # the enumerating service reproduces the exact backend's objective
         # trajectory (tie order among degenerate grounds may differ)
-        ref = run_qamlz(split.train, split.test, pipe, ZoomConfig(solver="exact", **common))
+        ref = run_qamlz(problem, ZoomConfig(solver="exact", **common))
         assert [r.train_distance for r in ext.trajectory] == pytest.approx(
             [r.train_distance for r in ref.trajectory], abs=1e-12
         )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qamlz import (
     AnnealSchedule,
     ConfigError,
+    DataError,
     Dataset,
     TrainedModel,
     ZoomConfig,
@@ -18,6 +19,7 @@ from qamlz import (
     fit_feature_pipeline,
     flip_step,
     generate_synthetic,
+    prepare,
     run_qamlz,
     split_samples,
     two_gaussian_spec,
@@ -195,7 +197,7 @@ class TestRunQamlz:
         split, names = _toy_split(n=600, seed=3, sep=3.0, n_var=1)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=8)
         cfg = _exact_config(iterations=2, delta=0.1, offset_range=0)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert model.mu[0] > 0
         h = pipe.transform(split.train)
         signs = model.augmented_set().signs_from_h(h)
@@ -212,8 +214,8 @@ class TestRunQamlz:
         cfg = ZoomConfig(iterations=3, delta=0.1, offset_range=1, solver="sa",
                          schedule=AnnealSchedule(n_reads=20, sweeps=100, n_g=(2,), n_e=(1,)),
                          seed=9)
-        a = run_qamlz(split.train, split.test, pipe, cfg)
-        b = run_qamlz(split.train, split.test, pipe, cfg)
+        a = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
+        b = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert _model_json(a) == _model_json(b)
 
     def test_distance_non_increasing_with_exact_solver(self):
@@ -230,7 +232,7 @@ class TestRunQamlz:
         split = split_samples(data, seed=107)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=10)
         cfg = _exact_config(iterations=8, delta=0.1, offset_range=1, seed=2)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         dists = [r.train_distance for r in model.trajectory]
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < dists[0]
@@ -239,7 +241,7 @@ class TestRunQamlz:
         split, names = _toy_split(n=200, seed=8)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         cfg = _exact_config(iterations=5, seed=3)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         sigmas = [r.sigma for r in model.trajectory]
         for t, s in enumerate(sigmas):
             assert s == 0.5**t
@@ -254,7 +256,7 @@ class TestRunQamlz:
         split, names = _toy_split(n=300, seed=9)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         cfg = _exact_config(iterations=4, seed=4)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         bound = sum(0.5**t for t in range(4))
         assert np.abs(model.mu).max() <= bound + 1e-12
 
@@ -266,7 +268,7 @@ class TestRunQamlz:
             schedule=AnnealSchedule(n_g=(2,), n_e=(3,), d=(10.0,)),
             seed=5,
         )
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert 1 <= model.trajectory[0].n_candidates <= 3
 
     def test_multi_candidate_sa_deterministic(self):
@@ -280,8 +282,8 @@ class TestRunQamlz:
                                     n_e=(4, 2, 1), d=(0.5,)),
             seed=21,
         )
-        a = run_qamlz(split.train, split.test, pipe, cfg)
-        b = run_qamlz(split.train, split.test, pipe, cfg)
+        a = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
+        b = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert _model_json(a) == _model_json(b)
         for t, rec in enumerate(a.trajectory):
             assert 1 <= rec.n_candidates <= at_iteration(cfg.schedule.n_e, t)
@@ -290,7 +292,7 @@ class TestRunQamlz:
         split, names = _toy_split(n=300, seed=11)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         cfg = _exact_config(iterations=2, cutoff_pct=50.0, fixing=True, seed=6)
-        model = run_qamlz(split.train, split.test, pipe, cfg)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert len(model.trajectory) == 2
 
     def test_schema_mismatch_rejected(self):
@@ -300,19 +302,20 @@ class TestRunQamlz:
         )
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         with pytest.raises(ConfigError):
-            run_qamlz(split.train, other, pipe, _exact_config())
+            prepare(split.train, other, pipe, 0.1, 1)
 
     def test_exact_refusal_surfaces_as_config_error(self):
         split, names = _toy_split(n=200, seed=13, n_var=3)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
         cfg = _exact_config(delta=0.01, offset_range=4)  # 27 spins > exact limit
         with pytest.raises(ConfigError, match="at most 24"):
-            run_qamlz(split.train, split.test, pipe, cfg)
+            run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
 
     def test_model_round_trip(self):
         split, names = _toy_split(n=200, seed=14)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
-        model = run_qamlz(split.train, split.test, pipe, _exact_config(seed=7))
+        cfg = _exact_config(seed=7)
+        model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         doc = json.loads(json.dumps(dataclasses.asdict(model), default=np.ndarray.tolist))
         model2 = from_json(TrainedModel, doc, "model")
         np.testing.assert_array_equal(model.mu, model2.mu)
@@ -320,6 +323,38 @@ class TestRunQamlz:
         np.testing.assert_array_equal(
             model.pipeline.transform(split.test), model2.pipeline.transform(split.test)
         )
+
+
+class TestPrepare:
+    def _split_pipe(self):
+        split, names = _toy_split(n=200, seed=15)
+        return split, fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
+
+    def test_prepared_signs_are_read_only(self):
+        split, pipe = self._split_pipe()
+        problem = prepare(split.train, split.test, pipe, 0.1, 1)
+        for signs in (problem.train_signs, problem.test_signs):
+            assert signs.dtype == np.float64
+            with pytest.raises(ValueError):
+                signs[0, 0] = 0.0
+
+    @pytest.mark.parametrize("field, value", [("delta", 0.2), ("offset_range", 0)])
+    def test_config_must_match_the_problem(self, field, value):
+        split, pipe = self._split_pipe()
+        problem = prepare(split.train, split.test, pipe, 0.1, 1)
+        with pytest.raises(ConfigError, match="prepared with delta 0.1 and offset_range 1"):
+            run_qamlz(problem, _exact_config(**{field: value}))
+        model = run_qamlz(problem, _exact_config(iterations=1))
+        assert (model.delta, model.offset_range) == (problem.aug.delta, problem.aug.offset_range)
+
+    @pytest.mark.parametrize("sample", ["train", "test"])
+    def test_zero_total_weight_is_data_error(self, sample):
+        split, pipe = self._split_pipe()
+        d = getattr(split, sample)
+        zeroed = Dataset(d.schema, d.values, d.tags, np.zeros(len(d)), d.processes)
+        samples = {"train": split.train, "test": split.test, sample: zeroed}
+        with pytest.raises(DataError, match=f"the {sample} sample has zero total weight"):
+            prepare(samples["train"], samples["test"], pipe, 0.1, 1)
 
 
 def _scaled(d: Dataset, k: int) -> Dataset:
@@ -342,7 +377,7 @@ def test_exact_training_invariant_under_power_of_two_weight_scale(k, seed, pca, 
         train, test = _scaled(split.train, scale), _scaled(split.test, scale)
         weak_mode = "normalized" if pca else "density"
         pipe = fit_feature_pipeline(train, names, weak_mode=weak_mode, n_bins=6, use_pca=pca)
-        models.append(run_qamlz(train, test, pipe, cfg))
+        models.append(run_qamlz(prepare(train, test, pipe, cfg.delta, cfg.offset_range), cfg))
     base, scaled = models
     np.testing.assert_array_equal(scaled.mu, base.mu)
     assert ([r.train_distance for r in scaled.trajectory]
