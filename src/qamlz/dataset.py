@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -138,6 +140,47 @@ class Dataset:
         return None
 
 
+#: numpy.loadtxt arguments of both columnar reads in `_load_columns`
+_LOADTXT = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encoding="utf-8",
+                ndmin=2)
+#: bytes of characters the two readers treat apart: numpy strips U+001C-U+001F
+#: from a number as whitespace and `float()` does not; the csv module refuses
+#: NUL before Python 3.11
+_ROW_LOOP_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+@contextmanager
+def _read_errors(path: Path):
+    """Raise a file that cannot be opened, decoded or tokenised as a `DataError` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read event file {path}: {exc.strerror or exc}") from None
+
+
+def _read_header(path: Path, reader,
+                 schema: Sequence[str] | None) -> tuple[list[str], Sequence[str]]:
+    """The stripped header row and the schema, checked against each other."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    repeated = _repeated(header)
+    if repeated:
+        raise DataError(f"{path}: header names {repeated} more than once")
+    if schema is None:
+        schema = [c for c in header if c not in ("tag", "weight", "process")]
+    missing = [c for c in ("tag", "weight", "process", *schema) if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+    return header, schema
+
+
 def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Dataset:
     """Parse a CSV event file.
 
@@ -145,26 +188,76 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
     `process`; unknown columns are ignored. Without a `schema`, every other
     header column is a variable, in header order. Rows are kept in file
     order. Parse failures, including a weight or value that is not finite,
-    name the offending 1-based data row and column.
+    name the offending 1-based data row and column; a file that cannot be
+    read or is not UTF-8 is a `DataError` too.
+
+    The columns are parsed by numpy's C reader (`_load_columns`). A file it
+    refuses, or whose columns fail a check, is read again row by row by
+    `_load_rows`, the source of every error message. The two take the same
+    files to the same bits, save that only numpy's reader takes a cell longer
+    than `csv.field_size_limit()`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _read_errors(path):
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header, schema = _read_header(path, reader, schema)
+            # numpy skips one line; a header with a quoted line break spans more
+            one_line_header = reader.line_num == 1
+        d = _load_columns(path, header, schema) if one_line_header else None
+    return d if d is not None else _load_rows(path, schema)
+
+
+def _load_columns(path: Path, header: list[str], schema: Sequence[str]) -> Dataset | None:
+    """The events of `path` as numpy's C reader parses them, column by column,
+    or None when it refuses the file or a column fails a check of `_load_rows`.
+
+    Numbers are parsed as `float()` parses them (numpy calls the same
+    string-to-double routine). A file holding a byte of `_ROW_LOOP_BYTES` is
+    left to `_load_rows`. The read of `process` also takes the last header
+    column, so a row with fewer cells than the header is refused, as
+    `_load_rows` refuses it.
+    """
+    if _holds_row_loop_byte(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy warns of blank lines and of a file without data rows
+            warnings.simplefilter("ignore", UserWarning)
+            numbers = np.loadtxt(path, dtype=np.float64, **_LOADTXT,
+                                 usecols=[header.index(c) for c in ("tag", "weight", *schema)])
+            cells = np.loadtxt(path, dtype=object, **_LOADTXT,
+                               usecols=(header.index("process"), len(header) - 1))
+    except ValueError:
+        return None
+    processes = [p.strip() for p in cells[:, 0].tolist()]
+    tags, weights = numbers[:, 0], numbers[:, 1]
+    if not (np.isfinite(numbers).all() and np.isin(tags, (-1.0, 1.0)).all()
+            and (weights >= 0).all() and set(processes) <= set(PROCESSES)):
+        return None
+    # copied, so that no column of the dataset keeps the parsed block alive
+    return Dataset(schema, numbers[:, 2:], tags.astype(np.int8), weights.copy(), processes)
+
+
+def _holds_row_loop_byte(path: Path) -> bool:
+    """Whether the file holds a byte of `_ROW_LOOP_BYTES`; in UTF-8 each such
+    byte is its own character."""
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if any(b in chunk for b in _ROW_LOOP_BYTES):
+                return True
+    return False
+
+
+def _load_rows(path: str | Path, schema: Sequence[str] | None = None) -> Dataset:
+    """`load_events` by a Python loop over the rows of `csv.reader`: the reader
+    of files `_load_columns` refuses, and the source of every error message."""
+    path = Path(path)
+    with _read_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        repeated = _repeated(header)
-        if repeated:
-            raise DataError(f"{path}: header names {repeated} more than once")
-        if schema is None:
-            schema = [c for c in header if c not in ("tag", "weight", "process")]
-        missing = [c for c in ("tag", "weight", "process", *schema) if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing required columns {missing}")
+        header, schema = _read_header(path, reader, schema)
         col = {name: header.index(name) for name in header}
 
         def _num(row: list[str], r: int, name: str) -> float:

@@ -238,11 +238,15 @@ def fom_scan_dataset(
     d: Dataset,
     params: FomParams = FomParams(),
 ) -> FomCurve:
-    """Score a dataset with the model and scan the tags' weighted yields."""
+    """Score a dataset with the model and scan the tags' weighted yields.
+    Each class must hold a positive total weight."""
     scores = score_events(model, d)
     sig = d.tags == 1
     if not sig.any() or sig.all():
         raise DataError("dataset must contain both signal and background events")
+    for name, mask in (("signal", sig), ("background", ~sig)):
+        if not d.weights[mask].any():
+            raise DataError(f"the {name} events have zero total weight")
     return fom_scan(
         scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params
     )

@@ -614,6 +614,41 @@ class TestExitCodes:
         assert "the train sample has zero total weight" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize("tag, name", [("1", "signal"), ("-1", "background")])
+    def test_zero_yield_assess_class_at_eval_is_data_error(self, tmp_path, capsys, tag, name):
+        # the figure of merit of a class without yield used to read 0 at S = B = 0
+        events = self._preset_csv(tmp_path)
+        cfg = _base_config(tmp_path, data={"csv": str(events)}, variables="A",
+                           zoom={"iterations": 2, "offset_range": 0, "solver": "exact"})
+        assert main(["train", "--config", str(cfg)]) == 0
+        with events.open() as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if row[0] == tag:
+                row[1] = "0.0"
+        with events.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 3
+        assert f"the {name} events have zero total weight" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval_summary.json").exists()
+
+    def test_undecodable_data_file_is_data_error(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_bytes(b"tag,weight,process,x\n1,1.0,signal,0.5\n-1,1.0,wjets,\xff\n")
+        cfg = _base_config(tmp_path, data={"csv": str(events)}, variables=["x"])
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{events}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_data_path_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        cfg = _base_config(tmp_path, data={"csv": str(tmp_path)}, variables=["x"])
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read event file {tmp_path}: Is a directory" in err
+        assert "Traceback" not in err
+
     def test_custom_list_may_name_a_preset(self, tmp_path):
         # the CSV lacks the preset's column; it used to be a data error
         events = self._preset_csv(tmp_path)

@@ -1,7 +1,10 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamlz import (
     ConfigError,
@@ -16,8 +19,10 @@ from qamlz import (
     split_samples,
     two_gaussian_spec,
 )
+from qamlz import dataset
 from qamlz._codec import from_json
-from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES, _stream_states
+from qamlz.dataset import (BASE_VARIABLES, PRESELECTION_VARIABLES, PROCESSES, _load_rows,
+                           _stream_states)
 
 from conftest import reference_generate_synthetic, reference_to_csv
 
@@ -303,6 +308,30 @@ class TestLoad:
         with pytest.raises(DataError, match="more than once"):
             Dataset(("x", "y", "x"), np.zeros((1, 3)), [1], [1.0], ["signal"])
 
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    def test_undecodable_byte_is_data_error(self, tmp_path, rows_before):
+        # near the header the header read meets it; further on, numpy's reader
+        # refuses the file and the row loop meets it
+        p = tmp_path / "events.csv"
+        p.write_bytes(b"tag,weight,process,x\n" + b"1,1.0,signal,0.5\n" * rows_before
+                      + b"-1,1.0,wjets,\xff\n")
+        for load in (load_events, _load_rows):
+            with pytest.raises(DataError, match=f"{p}: not UTF-8 text"):
+                load(p)
+
+    def test_directory_is_data_error(self, tmp_path):
+        for load in (load_events, _load_rows):
+            with pytest.raises(DataError, match=f"cannot read event file {tmp_path}: Is a directory"):
+                load(tmp_path)
+
+    def test_cell_beyond_the_csv_field_limit(self, tmp_path):
+        # numpy's reader has no field limit, so only the row loop refuses it
+        p = tmp_path / "events.csv"
+        p.write_text("tag,weight,process,x,junk\n1,1.0,signal,0.5," + "a" * 200_000 + "\n")
+        assert load_events(p, ["x"]).values.tolist() == [[0.5]]
+        with pytest.raises(DataError, match=r"unreadable CSV \(field larger than field limit"):
+            _load_rows(p, ["x"])
+
     def test_unknown_columns_ignored_and_order_kept(self, tmp_path):
         p = self._write(
             tmp_path,
@@ -318,6 +347,117 @@ class TestLoad:
         d.to_csv(p)
         d2 = load_events(p, d.schema)
         assert d.to_csv() == d2.to_csv()
+
+
+_HEADER = "tag,weight,process,x,y\n"
+
+#: (id, file text, whether numpy's reader takes the file without the row loop)
+_CSV_CASES = [
+    ("blank-lines", _HEADER + "\n1,1.0,signal,0.5,2\n\n\n-1,2.0,wjets,-0.5,1\n\n", True),
+    ("crlf", _HEADER.replace("\n", "\r\n") + "1,1.0,signal,0.5,2\r\n-1,2,wjets,1,1\r\n", True),
+    ("cr", _HEADER.replace("\n", "\r") + "1,1.0,signal,0.5,2\r-1,2,wjets,1,1\r", True),
+    ("quoted-cells", _HEADER + '"1","1.0","signal","0.5","2"\n-1,2,"wjets",1,1\n', True),
+    ("quoted-line-break", _HEADER + '1,1.0,signal,"3\n",2\n-1,2,wjets,1,1\n', True),
+    ("quoted-cr-in-process", _HEADER + '1,1.0,"signal\r",3,2\n', True),
+    ("doubled-quote-in-junk", "tag,weight,process,x,junk\n1,1,signal,2,\"a\"\"b\"\n", True),
+    ("extra-cells", _HEADER + "1,1.0,signal,0.5,2,9,junk\n-1,2,wjets,1,1\n", True),
+    ("process-is-the-last-column", "tag,weight,x,y,process\n1,1.0,0.5,2,signal\n", True),
+    ("trailing-comma", _HEADER + "1,1.0,signal,0.5,2,\n", True),
+    ("padded-cells", _HEADER + " 1 ,\t1.0\t, signal\t,  0.5,2  \n", True),
+    ("unicode-space-padding", _HEADER + "1,1.0,\xa0signal\u2028,\u30000.5\x85,2\n", True),
+    ("number-spellings",
+     _HEADER + "+1,1.,signal,.5,-0.0\n-1,1E2,wjets,5e-324,2.4703282292062328e-324\n", True),
+    ("extreme-values", _HEADER + "1,0,other,1e-310,1.7976931348623157e308\n", True),
+    ("header-only", _HEADER, True),
+    ("header-only-no-newline", _HEADER.rstrip("\n"), True),
+    ("no-final-newline", _HEADER + "1,1.0,signal,0.5,2", True),
+    ("hash-is-not-a-comment", "tag,weight,process,x,junk\n1,1.0,signal,0.5,a#b\n", True),
+    ("whitespace-only-line", _HEADER + "1,1.0,signal,0.5,2\n \n", False),
+    ("tab-only-line", _HEADER + "1,1.0,signal,0.5,2\n\t\n", False),
+    ("vertical-tab-line", _HEADER + "1,1.0,signal,0.5,2\n\x0b\n", False),
+    ("form-feed-line", _HEADER + "1,1.0,signal,0.5,2\n\x0c\n", False),
+    ("quoted-empty-line", _HEADER + '1,1.0,signal,0.5,2\n""\n', False),
+    ("underscore", _HEADER + "1,1.0,signal,1_0,2\n", False),
+    ("hash-in-the-last-number", _HEADER + "1,1.0,signal,0.5,2#3\n", False),
+    ("comment-line", _HEADER + "# a comment\n1,1.0,signal,0.5,2\n", False),
+    ("quoted-comma", _HEADER + '1,1.0,signal,"1,0",2\n', False),
+    ("hex", _HEADER + "1,1.0,signal,0x10,2\n", False),
+    ("arabic-digit", _HEADER + "1,1.0,signal,\u0663,2\n", False),
+    ("nan", _HEADER + "1,1.0,signal,nan,2\n", False),
+    ("infinity", _HEADER + "1,Infinity,signal,0.5,2\n", False),
+    ("overflow", _HEADER + "1,1.0,signal,0.5,1e500\n", False),
+    ("empty-cell", _HEADER + "1,1.0,signal,,2\n", False),
+    ("short-row", _HEADER + "1,1.0,signal,0.5,2\n-1,1.0,wjets\n", False),
+    ("short-row-missing-an-unread-column", "tag,weight,process,x,junk\n1,1.0,signal,0.5\n", False),
+    ("bom-in-a-row", _HEADER + "\ufeff1,1.0,signal,0.5,2\n", False),
+    ("line-break-in-header", 'tag,weight,process,x,"y\n"\n1,1.0,signal,0.5,2\n', False),
+    # numpy skips one line, and would read the rest of the header as an event
+    ("line-break-in-header-looks-like-a-row",
+     'tag,weight,process,x,"junk\n1,1.0,signal,0.5,2"\n-1,1.0,wjets,1,1\n', False),
+    ("space-inside-process", _HEADER + "1,1.0,sig nal,0.5,2\n", False),
+    ("nul-in-a-number", _HEADER + "1,1.0,signal,0.5\x00,2\n", False),
+    ("nul-after-a-process", _HEADER + "1,1.0,signal\x00,0.5,2\n", False),
+    ("nul-in-an-unread-column", "tag,weight,process,x,junk\n1,1.0,signal,0.5,a\x00b\n", False),
+    ("information-separator-padding", _HEADER + "1,1.0,signal,\x1c0.5\x1f,2\n", False),
+    ("tag-not-one", _HEADER + "1,1.0,signal,0.5,2\n0.5,1.0,wjets,0.5,2\n", False),
+    ("negative-weight", _HEADER + "1,-1e-300,signal,0.5,2\n", False),
+    ("unknown-process", _HEADER + "1,1.0,Signal,0.5,2\n", False),
+]
+
+
+def _outcome(load, path, schema=None):
+    """Everything a load returns, bit for bit, or the message it raises."""
+    try:
+        d = load(path, schema)
+    except DataError as exc:
+        return str(exc)
+    return (d.schema, d.values.shape, d.values.tobytes(), d.tags.tobytes(),
+            d.weights.tobytes(), list(d.processes))
+
+
+class TestLoadMatchesRowLoop:
+    """`load_events` against the row loop `_load_rows`, its fallback and the
+    source of every error message: the same bytes or the same error."""
+
+    @pytest.mark.parametrize("text, fast", [c[1:] for c in _CSV_CASES],
+                             ids=[c[0] for c in _CSV_CASES])
+    @pytest.mark.parametrize("schema", [None, ["y", "x"]])
+    def test_edge_case(self, tmp_path, recwarn, text, fast, schema):
+        path = tmp_path / "events.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if "junk" in text.partition("\n")[0]:
+            schema = ["x"]  # a column of text is no variable
+        expected = _outcome(_load_rows, path, schema)
+        with mock.patch.object(dataset, "_load_rows", wraps=_load_rows) as rows:
+            assert _outcome(load_events, path, schema) == expected
+        assert rows.called != fast
+        if not isinstance(expected, str):
+            # numpy warns of blank lines and of a header-only file; the row loop does not
+            assert not recwarn.list
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12),
+           names=st.lists(st.text(st.sampled_from('ab ,"\n#x'), min_size=1, max_size=4),
+                          max_size=4, unique=True))
+    def test_to_csv_round_trip(self, tmp_path_factory, data, n, names):
+        names = [v for v in names if v.strip() == v and v not in ("tag", "weight", "process")]
+
+        def column(elements):
+            return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+        values = [column(st.floats(allow_nan=False, allow_infinity=False)) for _ in names]
+        d = Dataset(names, np.array(values, dtype=np.float64).reshape(len(names), n).T,
+                    column(st.sampled_from([1, -1])),
+                    column(st.floats(min_value=-0.0, allow_infinity=False)),
+                    column(st.sampled_from(PROCESSES)))
+        path = tmp_path_factory.mktemp("round-trip") / "events.csv"
+        d.to_csv(path)
+        expected = _outcome(_load_rows, path, names)
+        with mock.patch.object(dataset, "_load_rows", wraps=_load_rows) as rows:
+            assert _outcome(load_events, path, names) == expected
+        # only a header with a quoted line break is left to the row loop
+        assert rows.called == any("\n" in v for v in names)
+        assert expected == _outcome(lambda p, s: d, path)
 
 
 class TestToCsv:
