@@ -1,23 +1,27 @@
-"""Blocks of Metropolis sweeps over every read of a simulated-annealing batch.
+"""The compiled loops of qamlz: blocks of Metropolis sweeps over every read of
+a simulated-annealing batch, and the frontier loop of variable fixing.
 
 `solve_sa` runs its temperature ladder through `SWEEP` a block of sweeps at a
-time. The reference is `numpy_sweep`. `SWEEP` is the same sweep compiled from
-`_sa_sweep.c` with the system C compiler (`cc`) when this module is first
-imported, or `numpy_sweep` itself when there is no compiler on PATH, the cache
-directory cannot be written or the library does not load; one line on stderr
-says so. Compiling at import, not at the first solve, keeps the compiler out
-of the solves a caller times.
+time, and `ising.fix_variables` runs its fixing passes through `FIX`. The
+references are `numpy_sweep` and `numpy_fix`. `SWEEP` and `FIX` are the same
+loops compiled from `_sa_sweep.c` with the system C compiler (`cc`) when this
+module is first imported, or the references themselves when there is no
+compiler on PATH, the cache directory cannot be written or the library does
+not load; one line on stderr says so. Compiling at import, not at the first
+solve, keeps the compiler out of the solves a caller times.
 
-Both sweeps walk the couplers as compressed sparse rows
-(`IsingProblem.neighbours`): an accepted flip of spin i updates only the
-fields of i's neighbours. A dense row would also subtract c*0.0 from every
-other field, which changes at most the sign of a zero field, and a zero
-field's sign never changes a decision. Both perform the same floating-point
-operations in the same order, so they give the same samples. The one
-difference is `exp`: the C library's and numpy's vectorised versions disagree
-in the last ulp on about 5% of arguments. That flips an acceptance only when
-the uniform falls inside that ulp, about once in 1e16 updates. The C sweep
-skips `exp` where its result is exactly 0.0, which rejects either way.
+All four loops walk the couplers as compressed sparse rows
+(`IsingProblem.neighbours`). In the sweeps an accepted flip of spin i updates
+only the fields of i's neighbours. A dense row would also subtract c*0.0 from
+every other field, which changes at most the sign of a zero field, and a zero
+field's sign never changes a decision. Each compiled loop performs the same
+floating-point operations in the same order as its reference. So `FIX` gives
+the reference's assignments and fields bit for bit, and `SWEEP` the same
+samples, with one difference: `exp`. The C library's and numpy's vectorised
+versions disagree in the last ulp on about 5% of arguments. That flips an
+acceptance only when the uniform falls inside that ulp, about once in 1e16
+updates. The C sweep skips `exp` where its result is exactly 0.0, which
+rejects either way.
 
 The library is cached as `$XDG_CACHE_HOME/qamlz/sa_sweep-<key>.so` (default
 `~/.cache/qamlz/`), with a key hashed from the source, the flags and the
@@ -63,8 +67,41 @@ def numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
                 state[reads, i] *= -1.0
 
 
+def numpy_fix(h, alive, start, nb, vals) -> np.ndarray:
+    """Fixing passes in place over the fields `h` and the (n,) bool `alive`,
+    to a fixpoint; returns the fixed spins in fixing order, as int64.
+
+    Each pass visits its frontier (every spin first, then the neighbours the
+    last pass touched) in ascending order. A live spin whose |h_i| exceeds
+    the sum of |J_ij| over its live neighbours nb[start[i]:start[i + 1]],
+    added in ascending order, is fixed to -sgn(h_i) and folded into those
+    neighbours' fields, which join the next pass's frontier.
+    """
+    n = len(h)
+    order = []
+    frontier = np.ones(n, dtype=bool)
+    while frontier.any():
+        touched = np.zeros(n, dtype=bool)
+        for i in np.flatnonzero(frontier):
+            if not alive[i]:
+                continue
+            row = slice(start[i], start[i + 1])
+            live = alive[nb[row]]
+            nbs, v = nb[row][live], vals[row][live]
+            # cumsum adds in order; np.sum's pairwise order would round differently
+            strength = np.cumsum(np.abs(v))[-1] if len(v) else 0.0
+            if abs(h[i]) > strength:
+                s = -1 if h[i] >= 0 else 1  # -sgn(h_i), sgn(0) = +1
+                order.append(i)
+                alive[i] = False
+                h[nbs] += v * s
+                touched[nbs] = True
+        frontier = touched
+    return np.array(order, dtype=np.int64)
+
+
 def _library() -> Path:
-    """The cached compiled sweep, built first if it is missing."""
+    """The cached compiled library, built first if it is missing."""
     compiler = shutil.which("cc")
     if compiler is None:
         raise OSError("no C compiler (cc) on PATH")
@@ -91,16 +128,33 @@ def _library() -> Path:
     return lib
 
 
-def _compiled_sweep():
-    """`numpy_sweep`'s signature over the C function."""
+def _check_rows(start, nb, vals, n) -> None:
+    """The C loops write through nb[k] for k in [start[0], start[n])."""
+    if not (start.shape == (n + 1,) and start[0] == 0 and (np.diff(start) >= 0).all()
+            and nb.shape == vals.shape == (start[-1],) and ((0 <= nb) & (nb < n)).all()):
+        raise ValueError("neighbour arrays are not compressed sparse rows over the spins")
+
+
+def _compiled():
+    """`numpy_sweep`'s and `numpy_fix`'s signatures over the C functions of
+    one library."""
+    lib = ctypes.CDLL(str(_library()))
     out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     cube = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
-    fn = ctypes.CDLL(str(_library())).sa_sweeps
-    fn.argtypes = [out, out, index, index, vector, vector, cube, vector,
-                   ctypes.c_long, ctypes.c_long, ctypes.c_long]
-    fn.restype = None
+    sweep_fn = lib.sa_sweeps
+    sweep_fn.argtypes = [out, out, index, index, vector, vector, cube, vector,
+                         ctypes.c_long, ctypes.c_long, ctypes.c_long]
+    sweep_fn.restype = None
+    written = dict(ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    fix_fn = lib.fix_frontier
+    fix_fn.argtypes = [np.ctypeslib.ndpointer(np.float64, **written),
+                       np.ctypeslib.ndpointer(np.bool_, **written),
+                       np.ctypeslib.ndpointer(np.uint8, **written),
+                       np.ctypeslib.ndpointer(np.int64, **written),
+                       index, index, vector, ctypes.c_long]
+    fix_fn.restype = ctypes.c_long
 
     def compiled_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
         reads, n = state.shape
@@ -108,22 +162,28 @@ def _compiled_sweep():
         if not (fields.shape == (reads, n) and h.shape == (n,) and start.shape == (n + 1,)
                 and uniforms.shape == (sweeps, n, reads)):
             raise ValueError("sweep arrays disagree in shape")
-        # the C loop writes fields[nb[k]] for k in [start[0], start[n])
-        if not (start[0] == 0 and (np.diff(start) >= 0).all()
-                and nb.shape == vals.shape == (start[-1],) and ((0 <= nb) & (nb < n)).all()):
-            raise ValueError("neighbour arrays are not compressed sparse rows over the spins")
-        fn(state, fields, start, nb, vals, h, uniforms, temps, sweeps, reads, n)
+        _check_rows(start, nb, vals, n)
+        sweep_fn(state, fields, start, nb, vals, h, uniforms, temps, sweeps, reads, n)
 
-    return compiled_sweep
+    def compiled_fix(h, alive, start, nb, vals) -> np.ndarray:
+        n = len(h)
+        if not (h.shape == alive.shape == (n,) and start.shape == (n + 1,)):
+            raise ValueError("fixing arrays disagree in shape")
+        _check_rows(start, nb, vals, n)
+        order = np.empty(n, dtype=np.int64)
+        count = fix_fn(h, alive, np.empty(n, dtype=np.uint8), order, start, nb, vals, n)
+        return order[:count]
+
+    return compiled_sweep, compiled_fix
 
 
-def _select_sweep():
+def _select():
     try:
-        return _compiled_sweep()
+        return _compiled()
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        print(f"qamlz: compiled SA sweep unavailable ({exc}); using the numpy sweep",
-              file=sys.stderr)
-        return numpy_sweep
+        print(f"qamlz: compiled SA sweep and fixing loop unavailable ({exc}); "
+              "using the numpy sweep and fixing loop", file=sys.stderr)
+        return numpy_sweep, numpy_fix
 
 
-SWEEP = _select_sweep()
+SWEEP, FIX = _select()

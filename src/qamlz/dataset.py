@@ -127,8 +127,13 @@ class Dataset:
 
     def to_csv(self, path: str | Path | None = None) -> str | None:
         """Write `tag,weight,process,<schema...>` rows; returns the text when path is None."""
+        header = io.StringIO()
+        # csv.writer quotes only the characters of its line terminator, and a
+        # reader also ends a line at "\r": quote as for "\r\n", end the line with "\n"
+        csv.writer(header, lineterminator="\r\n").writerow(("tag", "weight", "process")
+                                                           + self.schema)
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(("tag", "weight", "process") + self.schema)
+        buf.write(header.getvalue()[:-2] + "\n")
         # process names and numbers hold no character a CSV must quote
         for tag, weight, process, values in zip(self.tags.tolist(), self.weights.tolist(),
                                                 self.processes, self.values.tolist()):

@@ -134,9 +134,20 @@ def _fom_or_limit(s: float, b: float, params: FomParams) -> float:
 
 def score_events(model: TrainedModel, d: Dataset) -> np.ndarray:
     """Strong-classifier output for every event in the dataset."""
-    h = model.pipeline.transform(d)
-    signs = model.augmented_set().signs_from_h(h)
-    return signs @ (model.mu / model.n_var)
+    return _score_models([model], d)[0]
+
+
+def _score_models(models: Sequence[TrainedModel], d: Dataset) -> list[np.ndarray]:
+    """`score_events` of each model. The models share one feature pipeline and
+    augmented set, as the seeds of one prepared problem do, so `d` is
+    transformed and its sign matrix taken once and each model costs one
+    matvec."""
+    first = models[0]
+    if any(m.pipeline is not first.pipeline
+           or (m.delta, m.offset_range) != (first.delta, first.offset_range) for m in models):
+        raise ConfigError("models scored together must share a pipeline and augmented set")
+    signs = first.augmented_set().signs_from_h(first.pipeline.transform(d))
+    return [signs @ (m.mu / m.n_var) for m in models]
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +251,21 @@ def fom_scan_dataset(
 ) -> FomCurve:
     """Score a dataset with the model and scan the tags' weighted yields.
     Each class must hold a positive total weight."""
-    scores = score_events(model, d)
+    return _fom_scan_models([model], d, params)[0]
+
+
+def _fom_scan_models(
+    models: Sequence[TrainedModel], d: Dataset, params: FomParams
+) -> list[FomCurve]:
+    """`fom_scan_dataset` of each model, scored together by `_score_models`."""
     sig = d.tags == 1
     if not sig.any() or sig.all():
         raise DataError("dataset must contain both signal and background events")
     for name, mask in (("signal", sig), ("background", ~sig)):
         if not d.weights[mask].any():
             raise DataError(f"the {name} events have zero total weight")
-    return fom_scan(
-        scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params
-    )
+    return [fom_scan(scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params)
+            for scores in _score_models(models, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +296,18 @@ def run_uncertainty(
     """Train `n_runs` models differing only in seed and report the sample mean
     and standard deviation of their maximal figures of merit on the assess
     sample. Prepares the training problem once, trains every seed on it, then
-    scores: the prepared arrays are dropped before the assess sample is."""
+    scores: the prepared arrays are dropped before the assess sample is
+    transformed, once for all the models."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2 for a defined standard deviation")
     problem = prepare(data.train, data.test, pipeline, cfg.delta, cfg.offset_range)
     models = [run_qamlz(problem, dataclasses.replace(cfg, seed=cfg.seed + k))
               for k in range(n_runs)]
     del problem
-    foms = []
-    for model in models:
-        curve = fom_scan_dataset(model, data.assess, params)
-        if curve.no_valid_cut:
-            raise DataError("no valid cut on the assess sample; lower min_counts")
-        foms.append(curve.best_fom)
-    return UncertaintyReport.from_foms(foms)
+    curves = _fom_scan_models(models, data.assess, params)
+    if any(curve.no_valid_cut for curve in curves):
+        raise DataError("no valid cut on the assess sample; lower min_counts")
+    return UncertaintyReport.from_foms([curve.best_fom for curve in curves])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ relabelings operate on the resulting problems.
 
 An `IsingProblem` stores its couplers as sorted arrays: (i, j) pairs with
 i < j in lexicographic order next to their float64 values. Every operation
-works on those arrays and keeps the order, so pruning is one lexsort, a
-gauge is one elementwise product, and per-spin sums (annealing scale,
-fixing strength) add in ascending neighbour order.
+works on those arrays and keeps the order, so pruning is one lexsort (or
+a slice of a ranking computed once per set of coupling sums), a gauge is
+one elementwise product, and per-spin sums (annealing scale, fixing
+strength) add in ascending neighbour order.
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -23,13 +24,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _sweep
 from .errors import ConfigError, DataError
 from .features import WeakClassifierSet
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sgn(0) = +1, as int8 in {-1, +1}."""
-    return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int8)
+    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,11 @@ def augment(base: WeakClassifierSet, delta: float, offset_range: int) -> Augment
 @dataclass(frozen=True)
 class CouplingMatrices:
     """Weighted training sums: tag_sums_I = sum_ev w*c_I*y and
-    pair_sums_IJ = sum_ev w*c_I*c_J (symmetric, diagonal included)."""
+    pair_sums_IJ = sum_ev w*c_I*c_J (symmetric, diagonal included).
+
+    `triangle`, `triangle_sums` and `ranking` describe the couplers every
+    problem of these sums has; each is built on its first use and the same
+    read-only array is returned after that."""
 
     tag_sums: np.ndarray
     pair_sums: np.ndarray
@@ -110,6 +116,36 @@ class CouplingMatrices:
     @property
     def n_spins(self) -> int:
         return len(self.tag_sums)
+
+    def _cached(self, name: str, build) -> np.ndarray:
+        arr = self.__dict__.get(name)
+        if arr is None:
+            arr = build()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        return arr
+
+    @property
+    def triangle(self) -> np.ndarray:
+        """(m, 2) int64 pairs (i, j), i < j, in lexicographic order: every
+        coupler of an `effective_problem`."""
+        return self._cached("_triangle", lambda: np.column_stack(
+            np.triu_indices(self.n_spins, k=1)).astype(np.int64, copy=False))
+
+    @property
+    def triangle_sums(self) -> np.ndarray:
+        """pair_sums at each `triangle` pair."""
+        return self._cached("_triangle_sums", lambda: self.pair_sums[tuple(self.triangle.T)])
+
+    @property
+    def ranking(self) -> np.ndarray:
+        """Positions in `triangle` by descending |pair_sums|, ties by
+        ascending (i, j): the ranking `prune` takes. It does not depend on
+        the centre or the width of a problem."""
+        def build():
+            i, j = self.triangle.T
+            return np.lexsort((j, i, -np.abs(self.triangle_sums)))
+        return self._cached("_ranking", build)
 
 
 def build_couplings_from_signs(
@@ -202,13 +238,20 @@ class IsingProblem:
         ascending, with their couplers in vals[start[i]:start[i + 1]], so
         per-spin sums accumulated in this order add in ascending neighbour
         order. The three read-only arrays are built on the first call and the
-        same ones are returned after that."""
+        same ones are returned after that.
+
+        The rows come from one stable sort by spin of every pair seen from its
+        j end, then from its i end. Spin x's lower neighbours (pairs (i, x))
+        come first, by ascending i, and its higher ones (pairs (x, j)) after,
+        by ascending j, because `pairs` is sorted by (i, j): so each row is
+        ascending without a second sort key."""
         csr = self.__dict__.get("_csr")
         if csr is None:
             i, j = self.pairs.T
-            spin, nb = np.concatenate([i, j]), np.concatenate([j, i])
-            order = np.lexsort((nb, spin))
-            start = np.searchsorted(spin[order], np.arange(self.n_spins + 1))
+            spin, nb = np.concatenate([j, i]), np.concatenate([i, j])
+            order = np.argsort(spin, kind="stable")
+            start = np.zeros(self.n_spins + 1, dtype=np.int64)
+            np.cumsum(np.bincount(spin, minlength=self.n_spins), out=start[1:])
             csr = (start, nb[order], np.concatenate([self.values, self.values])[order])
             for arr in csr:
                 arr.setflags(write=False)
@@ -243,9 +286,7 @@ def effective_problem(
     if not sigma > 0:
         raise ConfigError("sigma must be positive")
     h = lam + sigma * (-cm.tag_sums + cm.pair_sums @ mu)
-    iu, ju = np.triu_indices(cm.n_spins, k=1)
-    return IsingProblem(h=h, pairs=np.column_stack([iu, ju]),
-                        values=cm.pair_sums[iu, ju] * sigma * sigma)
+    return IsingProblem(h=h, pairs=cm.triangle, values=cm.triangle_sums * sigma * sigma)
 
 
 def energy(p: IsingProblem, spins: Sequence[int] | np.ndarray) -> float:
@@ -284,20 +325,49 @@ def keep_count(n_couplers: int, cutoff_pct: float) -> int:
     return math.ceil((1.0 - cutoff_pct / 100.0) * n_couplers)
 
 
-def prune(p: IsingProblem, cutoff_pct: float) -> IsingProblem:
+def prune(p: IsingProblem, cutoff_pct: float,
+          ranking: np.ndarray | None = None) -> IsingProblem:
     """Keep the `keep_count` largest-magnitude couplers.
 
     Ties are broken by ascending (i, j) so nested cutoffs retain nested
     coupler sets. Fields are untouched.
+
+    `ranking`, a permutation of the coupler positions, saves the sort when it
+    orders them by descending magnitude, as `CouplingMatrices.ranking` orders
+    an effective problem's couplers at any centre and width: x*sigma*sigma
+    rounds monotonically in |x|, so scaling merges magnitudes into ties but
+    never reorders them. The kept set then differs from the sort's only if a
+    run of equal magnitudes crosses the keep boundary and the ranking does not
+    list that run in ascending (i, j). Both are checked, and such a run, or a
+    ranking out of magnitude order, falls back to the sort; so any
+    permutation gives the sort's couplers bit for bit.
     """
     if not 0.0 <= cutoff_pct <= 100.0:
         raise ConfigError("cutoff percentage must be in [0, 100]")
     keep = keep_count(p.n_couplers, cutoff_pct)
     if keep >= p.n_couplers:
         return p
-    i, j = p.pairs.T
-    kept = np.sort(np.lexsort((j, i, -np.abs(p.values)))[:keep])
+    kept = None if ranking is None else _ranked_keep(p.values, ranking, keep)
+    if kept is None:
+        i, j = p.pairs.T
+        kept = np.lexsort((j, i, -np.abs(p.values)))[:keep]
+    kept = np.sort(kept)
     return IsingProblem(h=p.h, pairs=p.pairs[kept], values=p.values[kept])
+
+
+def _ranked_keep(values: np.ndarray, ranking: np.ndarray, keep: int) -> np.ndarray | None:
+    """ranking[:keep] when it holds the couplers the sort keeps, else None."""
+    if ranking.shape != values.shape:
+        raise ConfigError(f"a ranking of {values.shape} couplers has shape {ranking.shape}")
+    if keep == 0:
+        return ranking[:0]
+    mags = np.abs(values)[ranking]
+    if (mags[1:] > mags[:-1]).any():
+        return None
+    run = np.flatnonzero(mags == mags[keep - 1])  # contiguous in a descending order
+    if run[-1] >= keep and (np.diff(ranking[run]) < 0).any():
+        return None
+    return ranking[:keep]
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +381,17 @@ def fix_variables(p: IsingProblem) -> tuple[dict[int, int], IsingProblem]:
     re-applied to a fixpoint. Every assignment holds in all ground states.
 
     Each pass visits its frontier in ascending spin order and sums |J_ij| in
-    ascending neighbour order. The reduced problem re-indexes the surviving
+    ascending neighbour order; the passes run in `qamlz._sweep.FIX`, compiled
+    or its Python reference. The reduced problem re-indexes the surviving
     spins in ascending original order; `expand_solution` maps a reduced
     solution back.
     """
-    n = p.n_spins
     h = p.h.copy()
-    start, nbs, vals = p.neighbours()
-    alive = np.ones(n, dtype=bool)
-    assignments: dict[int, int] = {}
-    frontier = alive.copy()
-    while frontier.any():
-        touched = np.zeros(n, dtype=bool)
-        for i in np.flatnonzero(frontier):
-            if not alive[i]:
-                continue
-            nb, v = nbs[start[i]:start[i + 1]], vals[start[i]:start[i + 1]]
-            live = alive[nb]
-            nb, v = nb[live], v[live]
-            # cumsum adds in order; np.sum's pairwise order would round differently
-            strength = np.cumsum(np.abs(v))[-1] if len(v) else 0.0
-            if abs(h[i]) > strength:
-                s = -1 if h[i] >= 0 else 1  # -sgn(h_i), sgn(0) = +1
-                assignments[int(i)] = s
-                alive[i] = False
-                h[nb] += v * s
-                touched[nb] = True
-        frontier = touched
+    alive = np.ones(p.n_spins, dtype=bool)
+    order = _sweep.FIX(h, alive, *p.neighbours())
+    # a fixed spin's field never changes after it is fixed, so -sgn(h_i) of
+    # the final fields is the sign each spin was fixed to
+    assignments = dict(zip(order.tolist(), np.where(h[order] >= 0, -1, 1).tolist()))
     both_alive = alive[p.pairs].all(axis=1)
     new_index = np.cumsum(alive) - 1
     reduced = IsingProblem(h=h[alive], pairs=new_index[p.pairs[both_alive]],

@@ -189,6 +189,10 @@ def flip_step(
     flip is applied with probability p_flip(t). Stage 2 flips every spin
     independently with probability q_flip(t). Exactly one uniform per spin and
     stage is drawn, in index order, so the stream does not depend on the data.
+    The uniforms are drawn before the walk, so stage 1 visits only the spins
+    whose uniform is below p_flip(t): no other spin can flip, and each visited
+    spin's energy change is computed from the same state as in a walk over
+    every spin.
     """
     p = at_iteration(p_flip, t)
     q = at_iteration(q_flip, t)
@@ -196,12 +200,13 @@ def flip_step(
     n = len(s)
     if problem.n_spins != n:
         raise ConfigError("shape mismatch between the problem and the spins")
-    h, j_sym = problem.h, problem.dense_couplers()
     u_worsen = rng.random(n)
-    for i in range(n):
-        delta_flip = -2.0 * s[i] * (h[i] + j_sym[i] @ s)
-        if delta_flip < 0.0 and u_worsen[i] < p:
-            s[i] = -s[i]
+    candidates = np.flatnonzero(u_worsen < p)
+    if len(candidates):
+        h, j_sym = problem.h, problem.dense_couplers()
+        for i in candidates:
+            if -2.0 * s[i] * (h[i] + j_sym[i] @ s) < 0.0:
+                s[i] = -s[i]
     u_uniform = rng.random(n)
     s[u_uniform < q] *= -1.0
     return s.astype(np.int8)
@@ -324,7 +329,7 @@ def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
         broken: list[float] = []
         for ci, mu in enumerate(centres):
             full = effective_problem(problem.couplings, mu, sigma, lam=cfg.lam)
-            pruned = prune(full, cfg.cutoff_pct)
+            pruned = prune(full, cfg.cutoff_pct, problem.couplings.ranking)
             if cfg.fixing:
                 fixed, reduced = fix_variables(pruned)
             else:

@@ -21,6 +21,7 @@ from qamlz.features import (
     weak_fit,
 )
 from qamlz.ising import energies_batch
+from qamlz.solver import at_iteration
 
 
 def make_problem(h, couplers: dict) -> IsingProblem:
@@ -151,6 +152,42 @@ def reference_t_hot(sched, problem: IsingProblem) -> float:
     scale = float(max(scale, (np.abs(problem.h) + row).max(initial=0.0)))
     hot = 2.0 * scale if scale > 0 else 1.0
     return max(hot, sched.t_cold * 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Per-problem steps of the zoom loop as they were before their fast paths,
+# kept to pin the stable-sort neighbour rows and the candidate-only flip walk
+# ---------------------------------------------------------------------------
+
+
+def reference_neighbours(problem: IsingProblem) -> tuple:
+    """(start, nb, vals) compressed sparse rows from a two-key lexsort and a
+    searchsorted over the spins."""
+    i, j = problem.pairs.T
+    spin, nb = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((nb, spin))
+    start = np.searchsorted(spin[order], np.arange(problem.n_spins + 1))
+    return start, nb[order], np.concatenate([problem.values, problem.values])[order]
+
+
+def reference_flip_step(problem: IsingProblem, spins, t: int, p_flip, q_flip,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The spin randomization with stage 1 walking every spin."""
+    p = at_iteration(p_flip, t)
+    q = at_iteration(q_flip, t)
+    s = np.asarray(spins).astype(np.float64).copy()
+    n = len(s)
+    if problem.n_spins != n:
+        raise ConfigError("shape mismatch between the problem and the spins")
+    h, j_sym = problem.h, problem.dense_couplers()
+    u_worsen = rng.random(n)
+    for i in range(n):
+        delta_flip = -2.0 * s[i] * (h[i] + j_sym[i] @ s)
+        if delta_flip < 0.0 and u_worsen[i] < p:
+            s[i] = -s[i]
+    u_uniform = rng.random(n)
+    s[u_uniform < q] *= -1.0
+    return s.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

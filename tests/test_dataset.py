@@ -437,7 +437,7 @@ class TestLoadMatchesRowLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(0, 12),
-           names=st.lists(st.text(st.sampled_from('ab ,"\n#x'), min_size=1, max_size=4),
+           names=st.lists(st.text(st.sampled_from('ab ,"\n\r#x'), min_size=1, max_size=4),
                           max_size=4, unique=True))
     def test_to_csv_round_trip(self, tmp_path_factory, data, n, names):
         names = [v for v in names if v.strip() == v and v not in ("tag", "weight", "process")]
@@ -456,7 +456,7 @@ class TestLoadMatchesRowLoop:
         with mock.patch.object(dataset, "_load_rows", wraps=_load_rows) as rows:
             assert _outcome(load_events, path, names) == expected
         # only a header with a quoted line break is left to the row loop
-        assert rows.called == any("\n" in v for v in names)
+        assert rows.called == any("\n" in v or "\r" in v for v in names)
         assert expected == _outcome(lambda p, s: d, path)
 
 
@@ -472,6 +472,17 @@ class TestToCsv:
         assert d.to_csv() == reference_to_csv(d)
         d.to_csv(tmp_path / "d.csv")
         assert load_events(tmp_path / "d.csv", d.schema).to_csv() == reference_to_csv(d)
+
+    def test_carriage_return_in_a_name_round_trips(self, tmp_path):
+        d = Dataset(("a\ra", "b"), [[1.5, -2.0], [0.25, 3.0]], [1, -1], [1.0, 2.0],
+                    ["signal", "wjets"])
+        text = d.to_csv()
+        assert text.partition("\n")[0] == 'tag,weight,process,"a\ra",b'
+        assert text.partition("\n")[2] == reference_to_csv(d).partition("\n")[2]
+        d.to_csv(tmp_path / "d.csv")
+        for schema in (None, d.schema):
+            back = load_events(tmp_path / "d.csv", schema)
+            assert back.schema == d.schema and back.to_csv() == text
 
     def test_empty_schema_and_no_events(self):
         for d in (Dataset((), np.zeros((2, 0)), [1, -1], [1.0, 2.0], ["signal", "other"]),

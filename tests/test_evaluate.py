@@ -28,9 +28,9 @@ from qamlz import (
     split_samples,
     two_gaussian_spec,
 )
-from qamlz import zoom
+from qamlz import evaluate, zoom
 from qamlz.evaluate import REFERENCE_BDT_FOM, REFERENCE_DERIVED_FOM
-from qamlz.features import DERIVED_PRESETS
+from qamlz.features import DERIVED_PRESETS, FeaturePipeline
 
 
 def _mp_fom(s, b, f, dps=50):
@@ -351,13 +351,30 @@ class TestRunUncertainty:
             model = run_qamlz(problem, run_cfg)
             separate.append(fom_scan_dataset(model, split.assess, params).best_fom)
 
-        calls = []
+        calls, transformed = [], []
         build = zoom.build_couplings_from_signs
         monkeypatch.setattr(zoom, "build_couplings_from_signs",
                             lambda *a, **k: calls.append(1) or build(*a, **k))
+        transform = FeaturePipeline.transform
+        monkeypatch.setattr(FeaturePipeline, "transform",
+                            lambda self, d: transformed.append(d) or transform(self, d))
         report = run_uncertainty(cfg, split, pipe, n_runs=3, params=params)
         assert len(calls) == 1
+        # train and test once for the problem, the assess sample once for all models
+        assert [d is split.assess for d in transformed] == [False, False, True]
         assert np.array(report.max_foms).tobytes() == np.array(separate).tobytes()
+
+    def test_models_scored_together_share_a_pipeline(self):
+        split, pipe = self._prepared()
+        cfg = ZoomConfig(iterations=1, delta=0.1, offset_range=0, solver="exact",
+                         schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=1)
+        problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
+        model = run_qamlz(problem, cfg)
+        refit = dataclasses.replace(model, pipeline=dataclasses.replace(pipe))
+        scores = evaluate._score_models([model, model], split.assess)
+        assert scores[1].tobytes() == score_events(model, split.assess).tobytes()
+        with pytest.raises(ConfigError, match="share a pipeline"):
+            evaluate._score_models([model, refit], split.assess)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ class TestAugment:
         # h = 0.5 makes h + delta*l = 0 at l = -1
         signs = aug.signs_from_h(np.array([[0.5]]))
         assert signs[0, 0] == 1
+        assert signs.dtype == np.int8 and sign_pm1(np.array([-0.0, -1e-300])).tolist() == [1, -1]
 
     def test_delta_required_with_offsets(self):
         with pytest.raises(ConfigError):

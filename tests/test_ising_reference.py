@@ -2,12 +2,18 @@
 conftest, bit for bit, and the external-solver wire format as a literal."""
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 
 from qamlz import (
     AnnealSchedule,
+    ConfigError,
+    CouplingMatrices,
+    IsingProblem,
+    _sweep,
     apply_gauge,
     build_couplings_from_signs,
     effective_problem,
@@ -16,13 +22,16 @@ from qamlz import (
     random_gauge,
     sign_pm1,
 )
+from qamlz import ising
 from qamlz.ising import energies_batch
 
 from conftest import (
     make_problem,
     reference_apply_gauge,
     reference_energies,
+    random_problem,
     reference_fix_variables,
+    reference_neighbours,
     reference_prune,
     reference_t_hot,
 )
@@ -42,6 +51,17 @@ def _tied_problem(rng, n):
                 couplers[(a, b)] = (float(rng.choice(_LEVELS)) if rng.random() < 0.5
                                     else float(rng.uniform(-1.0, 1.0)))
     return make_problem(h, couplers)
+
+
+def _couplings(rng, n_var, offset_range):
+    """Training-shaped coupling sums: random signs, tags and weights, with
+    offset copies of each variable (so exact ties are common)."""
+    n = n_var * (2 * offset_range + 1)
+    h = rng.uniform(-1.0, 1.0, size=(60, n_var))
+    offsets = 0.3 * np.arange(-offset_range, offset_range + 1)
+    signs = sign_pm1(np.repeat(h, 2 * offset_range + 1, axis=1) + np.tile(offsets, n_var))
+    return build_couplings_from_signs(signs, rng.choice([-1, 1], size=60),
+                                      rng.uniform(0.1, 3.0, size=60), n_var)
 
 
 def _effective(rng, n_var, offset_range):
@@ -112,3 +132,146 @@ def test_wire_format_literal():
         '{"n": 4, "h": [0.5, -0.25, 0.0, 1.0], '
         '"J": [[0, 2, -0.75], [1, 2, 0.75], [1, 3, 0.75], [2, 3, 0.25]]}'
     )
+
+
+# ---------------------------------------------------------------------------
+# Ranked pruning, neighbour rows and compiled fixing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base", [0.5, 0.3])
+@pytest.mark.parametrize("seed", range(4))
+def test_ranked_prune_matches_reference(base, seed):
+    rng = np.random.default_rng(3000 + seed)
+    cm = _couplings(rng, n_var=int(rng.integers(2, 6)), offset_range=int(rng.integers(0, 4)))
+    for t in range(8):
+        full = effective_problem(cm, rng.uniform(-1.0, 1.0, size=cm.n_spins), base**t)
+        for cutoff in (0.0, 30.0, 50.0, 85.0, 97.0, 100.0):
+            ranked = prune(full, cutoff, cm.ranking)
+            assert repr(ranked.to_dict()) == repr(prune(full, cutoff).to_dict())
+            assert repr(ranked.to_dict()["J"]) == repr(reference_prune(full, cutoff))
+
+
+def _tie_after_scaling(sigma):
+    """Two magnitudes x < y whose couplers x*sigma*sigma and y*sigma*sigma
+    are equal."""
+    x = 1.7
+    while True:
+        y = np.nextafter(x, 2.0)
+        if x * sigma * sigma == y * sigma * sigma:
+            return x, y
+        x = y
+
+
+def test_ranked_prune_falls_back_when_scaling_ties_cross_the_boundary():
+    sigma = 0.3**3
+    x, y = _tie_after_scaling(sigma)
+    # triangle order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3): the ranking
+    # lists (0, 2) before (0, 1), but scaled they tie and (0, 1) comes first
+    sums = {(0, 1): -x, (0, 2): y, (0, 3): 4.0, (1, 2): -3.0, (1, 3): 0.5, (2, 3): 0.25}
+    pair_sums = np.zeros((4, 4))
+    for (a, b), v in sums.items():
+        pair_sums[a, b] = pair_sums[b, a] = v
+    cm = CouplingMatrices(tag_sums=np.zeros(4), pair_sums=pair_sums)
+    np.testing.assert_array_equal(cm.ranking, [2, 3, 1, 0, 4, 5])
+    full = effective_problem(cm, np.zeros(4), sigma)
+    assert math.ceil(0.5 * full.n_couplers) == 3
+    assert ising._ranked_keep(full.values, cm.ranking, 3) is None  # the sort runs
+    kept = prune(full, 50.0, cm.ranking)
+    assert repr(kept.to_dict()["J"]) == repr(reference_prune(full, 50.0))
+    assert kept.pairs.tolist() == [[0, 1], [0, 3], [1, 2]]
+    # unscaled, the ranking's own cut is exact and no sort is needed
+    unscaled = effective_problem(cm, np.zeros(4), 1.0)
+    np.testing.assert_array_equal(ising._ranked_keep(unscaled.values, cm.ranking, 3), [2, 3, 1])
+    assert repr(prune(unscaled, 50.0, cm.ranking).to_dict()["J"]) == repr(
+        reference_prune(unscaled, 50.0))
+
+
+def test_ranked_prune_keeps_exact_ties_without_sorting():
+    # equal magnitudes across the boundary, ranked in (i, j) order
+    p = make_problem(np.zeros(4), {(0, 1): 1.0, (0, 2): -0.5, (0, 3): 0.5, (1, 2): 0.5,
+                                   (1, 3): -0.5, (2, 3): 0.25})
+    ranking = np.lexsort((p.pairs[:, 1], p.pairs[:, 0], -np.abs(p.values)))
+    for keep in range(p.n_couplers + 1):
+        assert ising._ranked_keep(p.values, ranking, keep) is not None
+    for cutoff in (20.0, 50.0, 70.0, 100.0):
+        assert repr(prune(p, cutoff, ranking).to_dict()["J"]) == repr(reference_prune(p, cutoff))
+
+
+def test_ranked_prune_accepts_any_permutation():
+    rng = np.random.default_rng(11)
+    p = _tied_problem(rng, 12)
+    for _ in range(20):
+        ranking = rng.permutation(p.n_couplers)
+        for cutoff in (30.0, 85.0):
+            assert repr(prune(p, cutoff, ranking).to_dict()["J"]) == repr(
+                reference_prune(p, cutoff))
+    with pytest.raises(ConfigError, match="ranking"):
+        prune(p, 50.0, np.arange(p.n_couplers - 1))
+
+
+def test_coupling_rankings_are_built_once_and_read_only():
+    cm = _couplings(np.random.default_rng(4), n_var=3, offset_range=2)
+    for name in ("triangle", "triangle_sums", "ranking"):
+        arr = getattr(cm, name)
+        assert getattr(cm, name) is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    iu, ju = np.triu_indices(cm.n_spins, k=1)
+    np.testing.assert_array_equal(cm.triangle, np.column_stack([iu, ju]))
+    assert cm.triangle_sums.tobytes() == cm.pair_sums[iu, ju].tobytes()
+    # effective problems share the triangle instead of copying it
+    assert effective_problem(cm, np.zeros(cm.n_spins), 0.5).pairs is cm.triangle
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_neighbour_rows_match_the_lexsort_construction(seed):
+    rng = np.random.default_rng(4000 + seed)
+    n = int(rng.integers(0, 40))
+    p = random_problem(rng, n, coupler_density=float(rng.choice([0.0, 0.05, 0.3, 1.0])))
+    if seed % 3 == 0:
+        p = prune(p, float(rng.uniform(0.0, 100.0)))
+    for got, want in zip(p.neighbours(), reference_neighbours(p)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _fixing_problems(rng):
+    for _ in range(6):
+        yield prune(_tied_problem(rng, int(rng.integers(0, 30))), float(rng.uniform(0, 95)))
+    for _ in range(3):
+        yield prune(_effective(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4))), 85.0)
+
+
+@pytest.mark.parametrize("fix", ["compiled", "numpy"])
+def test_fix_variables_matches_reference_on_each_path(monkeypatch, fix):
+    if fix == "numpy":
+        monkeypatch.setattr(_sweep, "FIX", _sweep.numpy_fix)
+    elif shutil.which("cc"):
+        assert _sweep.FIX is not _sweep.numpy_fix, "cc is on PATH but the kernel did not load"
+    rng = np.random.default_rng(5000)
+    fixed_any = 0
+    for p in _fixing_problems(rng):
+        assignments, reduced = fix_variables(p)
+        ref_assign, ref_h, ref_j = reference_fix_variables(p)
+        assert list(assignments.items()) == list(ref_assign.items())
+        assert _rows(reduced) == (repr(ref_h), repr(ref_j))
+        fixed_any += len(assignments) > 0
+    assert fixed_any >= 3
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_fixing_kernel_rejects_disagreeing_arrays():
+    p = IsingProblem(h=[2.0, 0.0, -1.0], pairs=[[0, 1], [1, 2]], values=[0.5, 0.5])
+    start, nb, vals = p.neighbours()
+
+    def fix(**over):
+        args = dict(h=p.h.copy(), alive=np.ones(3, dtype=bool), start=start, nb=nb, vals=vals)
+        return _sweep.FIX(**{**args, **over})
+
+    assert fix().tolist() == [0, 2]
+    with pytest.raises(ValueError, match="disagree in shape"):
+        fix(alive=np.ones(2, dtype=bool))
+    for over in [dict(nb=np.array([1, 0, 3, 1])), dict(start=np.array([0, 1, 3, 5])),
+                 dict(vals=vals[:3])]:
+        with pytest.raises(ValueError, match="not compressed sparse rows"):
+            fix(**over)

@@ -16,7 +16,7 @@ import pytest
 from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, prune, solve_chain_emulated,
                    solve_sa, solver)
 
-from conftest import make_problem, random_problem
+from conftest import make_problem, random_problem, reference_fix_variables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HAVE_CC = shutil.which("cc") is not None
@@ -198,12 +198,24 @@ def _env(cache: Path, **over) -> dict:
     return {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(cache), **over}
 
 
-@pytest.mark.parametrize("case", ["no compiler on PATH", "cache is not a directory"])
-def test_fallback_gives_reference_samples(monkeypatch, tmp_path, case):
-    p = random_problem(np.random.default_rng(1), 9)
-    with monkeypatch.context() as m:
-        m.setattr(_sweep, "SWEEP", _sweep.numpy_sweep)
-        want = solve_sa(p, AnnealSchedule(n_reads=16, sweeps=50), seed=3)
+_FIX = """
+import json, sys
+from qamlz import IsingProblem, fix_variables, _sweep
+doc = json.loads(sys.argv[1])
+p = IsingProblem(h=doc["h"], pairs=[[i, j] for i, j, _ in doc["J"]],
+                 values=[v for _, _, v in doc["J"]])
+assignments, reduced = fix_variables(p)
+print(json.dumps({"compiled": _sweep.FIX is not _sweep.numpy_fix,
+                  "assignments": list(assignments.items()),
+                  "h": repr(reduced.to_dict()["h"]), "J": repr(reduced.to_dict()["J"])}))
+"""
+
+_FALLBACKS = ["no compiler on PATH", "cache is not a directory"]
+
+
+def _run_without_kernel(tmp_path, case, script, *args) -> dict:
+    """stdout of `script` in a fresh interpreter that cannot build the
+    library, checking the one stderr line that says so."""
     cache = tmp_path / "cache"
     if case == "no compiler on PATH":
         (tmp_path / "bin").mkdir()
@@ -211,15 +223,38 @@ def test_fallback_gives_reference_samples(monkeypatch, tmp_path, case):
     else:
         cache.write_text("")
         env = _env(cache)
-    proc = subprocess.run([sys.executable, "-c", _SOLVE, json.dumps(p.to_dict())], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "using the numpy sweep and fixing loop" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
     got = json.loads(proc.stdout)
     assert not got["compiled"]
+    return got
+
+
+@pytest.mark.parametrize("case", _FALLBACKS)
+def test_fallback_gives_reference_samples(monkeypatch, tmp_path, case):
+    p = random_problem(np.random.default_rng(1), 9)
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "SWEEP", _sweep.numpy_sweep)
+        want = solve_sa(p, AnnealSchedule(n_reads=16, sweeps=50), seed=3)
+    got = _run_without_kernel(tmp_path, case, _SOLVE, json.dumps(p.to_dict()))
     np.testing.assert_array_equal(got["spins"], want.spins)
     np.testing.assert_array_equal(got["energies"], want.energies)
-    assert "using the numpy sweep" in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", _FALLBACKS)
+def test_fallback_gives_reference_fixing(tmp_path, case):
+    rng = np.random.default_rng(8)
+    h = rng.uniform(-1.0, 1.0, size=30) * rng.choice([0.5, 6.0], size=30)
+    p = prune(random_problem(rng, 30, coupler_density=0.4), 60.0)
+    p = IsingProblem(h=h, pairs=p.pairs, values=p.values)
+    ref_assign, ref_h, ref_j = reference_fix_variables(p)
+    assert 0 < len(ref_assign) < p.n_spins
+    got = _run_without_kernel(tmp_path, case, _FIX, json.dumps(p.to_dict()))
+    assert got["assignments"] == [list(kv) for kv in ref_assign.items()]
+    assert (got["h"], got["J"]) == (repr(ref_h), repr(ref_j))
 
 
 _IMPORT_AT_GO = """

@@ -30,6 +30,8 @@ from qamlz._codec import from_json
 from qamlz.ising import sign_pm1
 from qamlz.solver import at_iteration
 
+from conftest import random_problem, reference_flip_step
+
 
 def _exact_config(**kw):
     defaults = dict(
@@ -153,6 +155,24 @@ class TestFlipStep:
                     want[i] = -want[i]
             want[rng.random(cm.n_spins) < 0.1] *= -1.0
             np.testing.assert_array_equal(out, want.astype(np.int8))
+
+    @pytest.mark.parametrize("p, q", [(0.0, 0.0), (0.0, 0.3), (0.16, 0.0), (0.16, 0.04),
+                                      (0.5, 0.5), (1.0 - 2.0 ** -53, 0.0),
+                                      (1.0 - 2.0 ** -53, 0.25)])
+    def test_candidate_walk_matches_full_walk(self, p, q):
+        cm, mu_prev, _ = _flip_instance()
+        rng = np.random.default_rng(int(p * 1000) + int(q * 100))
+        problems = [effective_problem(cm, mu_prev, 0.5**t) for t in range(3)]
+        problems += [random_problem(rng, n, coupler_density=d)
+                     for n, d in ((1, 1.0), (9, 1.0), (30, 0.3), (50, 0.0))]
+        for problem in problems:
+            for k in range(10):
+                start = rng.choice([-1, 1], size=problem.n_spins).astype(np.int8)
+                got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+                out = flip_step(problem, start, 0, p, q, got_rng)
+                want = reference_flip_step(problem, start, 0, p, q, want_rng)
+                assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
