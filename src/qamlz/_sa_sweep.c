@@ -4,43 +4,88 @@
  *
  * Each is the twin of a Python function in qamlz._sweep, operation for
  * operation. The couplers are compressed sparse rows: spin i's neighbours
- * are nb[start[i]:start[i + 1]], ascending, with values vals[...].
+ * are nb[start[i]:start[i + 1]], ascending, with values vals[...]. The sweep
+ * holds its reads innermost, (n, reads), so the reads of one spin are
+ * contiguous, and it calls exp only for the flips that two cubic Taylor
+ * bounds on exp cannot decide.
  * Build with -ffp-contract=off so that no multiply-add is fused and every
  * rounding matches numpy's.
  */
 #include <math.h>
 #include <stdint.h>
 
-/* The twin of numpy_sweep. state and fields are (reads, n) row-major, h has
- * n entries, temps has one temperature per sweep and uniforms is
- * (sweeps, n, reads). An accepted flip updates only the fields of its
- * neighbours. Sweep by sweep, each read's spins are visited in index order,
- * one read after another. A flip with -delta/temp <= -746 is rejected without
- * calling exp: there exp is exactly 0.0 and no uniform in [0, 1) is below it.
+/* The twin of numpy_sweep. state and fields are (n, reads) row-major, h has
+ * n entries, temps has one temperature (> 0) per sweep, uniforms is
+ * (sweeps, n, reads) and accepted is scratch of reads entries. Sweep by
+ * sweep, spin i of every read is decided in index order, the reads
+ * innermost, in two phases: first every read is decided and the accepted
+ * reads are listed, then their neighbours' fields are updated row by row and
+ * their spins flip. This gives the order of visiting one read after another:
+ * no flip of spin i changes any read's f[i] (a spin is not its own
+ * neighbour), and each field still receives the same updates in the same
+ * order.
+ *
+ * A flip is accepted if delta <= 0 or u < exp(x), x = -delta/temp. A flip
+ * with x <= -746 (or a NaN delta) is rejected without calling exp: there exp
+ * is exactly 0.0 and no uniform in [0, 1) is below it. Elsewhere two bounds
+ * decide most flips without exp. For y = -x >= 0 let P(y) = 1 + y + y^2/2 +
+ * y^3/6 and L(y) = 1 - y + y^2/2 - y^3/6, the cubic Taylor polynomials of e^y
+ * and e^-y. Every term of e^y's series is >= 0, so e^-y <= 1/P(y); the
+ * remainder of e^-y after L(y) is e^-t y^4/24 >= 0 for some t in [0, y], so
+ * e^-y >= L(y). Say exp is faithful: exp(x) is one of the two doubles around
+ * e^-y (it is less than 1 ulp off).
+ *
+ * - Reject if u*P >= 1 + 1e-9. P and u*P are computed from non-negative
+ *   terms, within 1e-15 relative of the exact values, so the exact u*P
+ *   exceeds 1 and u > 1/P(y) >= e^-y. So u is at least the least double
+ *   above e^-y, and exp(x), one of the two doubles around e^-y, is at most
+ *   that: u < exp(x) fails.
+ * - Accept if u < L - 1e-9. As u >= 0 this holds only where L(y) > 0, at
+ *   y < 1.6. There every term and partial sum of L is below 3, so the
+ *   computed L is within 1e-14 of L(y), and u < L(y) - 0.9e-9 <= e^-y -
+ *   0.9e-9. The greatest double at most e^-y <= 1 is within 2^-53 of it, so
+ *   u is below that double, which is at most exp(x): u < exp(x) holds.
+ * - Otherwise call exp.
+ *
+ * The margins exceed those roundings by five orders of magnitude, so a bound
+ * decides only where u < exp(x) gives the same answer, and the samples are
+ * those of calling exp for every flip. exp is called only for the uniforms
+ * between L - 1e-9 and (1 + 1e-9)/P: at most 22% of them (at y = 1.6, where
+ * L = 0), and under 1% where y < 0.67 or y > 7.3. The decision is computed
+ * without a branch, so that only the flips left open branch to exp.
  */
 void sa_sweeps(double *restrict state, double *restrict fields,
                const int64_t *restrict start, const int64_t *restrict nb,
                const double *restrict vals, const double *restrict h,
                const double *restrict uniforms, const double *restrict temps,
-               long sweeps, long reads, long n)
+               int64_t *restrict accepted, long sweeps, long reads, long n)
 {
     for (long b = 0; b < sweeps; b++) {
-        const double *u = uniforms + b * n * reads;
         double temp = temps[b];
-        for (long r = 0; r < reads; r++) {
-            double *s = state + r * n, *f = fields + r * n;
-            for (long i = 0; i < n; i++) {
-                double delta = -2.0 * s[i] * (f[i] + h[i]);
-                /* past the first test delta > 0 (or NaN, which rejects), so
-                 * max(delta, 0) is delta */
-                double x = -delta / temp;
-                if (delta <= 0.0 || (x > -746.0 && u[i * reads + r] < exp(x))) {
-                    double c = 2.0 * s[i];
-                    for (int64_t k = start[i]; k < start[i + 1]; k++)
-                        f[nb[k]] -= c * vals[k];
-                    s[i] = -s[i];
-                }
+        for (long i = 0; i < n; i++) {
+            double *s = state + i * reads, *f = fields + i * reads;
+            const double *u = uniforms + (b * n + i) * reads;
+            long m = 0;
+            for (long r = 0; r < reads; r++) {
+                double delta = -2.0 * s[r] * (f[r] + h[i]);
+                double x = -delta / temp, y = -x, y2 = y * y, y6 = y * (1.0 / 6.0);
+                double upper = (1.0 + y) + y2 * (0.5 + y6); /* P(y) */
+                double lower = (1.0 - y) + y2 * (0.5 - y6); /* L(y) */
+                long accept = (delta <= 0.0) | (u[r] < lower - 1e-9);
+                long open = (u[r] * upper < 1.0 + 1e-9) & ~accept;
+                /* r is written for every read and kept if m moves past it */
+                accepted[m] = r;
+                m += accept;
+                if (__builtin_expect(open, 0) && x > -746.0 && u[r] < exp(x))
+                    m++;
             }
+            for (int64_t k = start[i]; k < start[i + 1]; k++) {
+                double *g = fields + nb[k] * reads, v = vals[k];
+                for (long a = 0; a < m; a++)
+                    g[accepted[a]] -= 2.0 * s[accepted[a]] * v;
+            }
+            for (long a = 0; a < m; a++)
+                s[accepted[a]] = -s[accepted[a]];
         }
     }
 }

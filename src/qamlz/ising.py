@@ -424,13 +424,31 @@ def random_gauge(n_spins: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
-    """Relabeled problem with h'_i = g_i h_i and J'_ij = g_i g_j J_ij."""
+    """Relabeled problem with h'_i = g_i h_i and J'_ij = g_i g_j J_ij.
+
+    Only signs change, so the gauged problem shares p's checked pairs and its
+    neighbour rows' `start` and `nb`, with the row values multiplied by the
+    gauges of both ends. Multiplying by +-1 is exact, so these are the arrays
+    that checking the pairs and sorting the rows again would give.
+    """
     g = np.asarray(gauge)
     if g.shape != (p.n_spins,) or not np.isin(g, (-1, 1)).all():
         raise ConfigError("gauge must be a +-1 vector matching the problem size")
     gf = g.astype(np.float64)
     i, j = p.pairs.T
-    return IsingProblem(h=p.h * gf, pairs=p.pairs, values=p.values * gf[i] * gf[j])
+    start, nb, vals = p.neighbours()
+    h = p.h * gf
+    values = p.values * gf[i] * gf[j]
+    row_vals = vals * np.repeat(gf, np.diff(start)) * gf[nb]
+    for arr in (h, values, row_vals):
+        arr.setflags(write=False)
+    # p's pairs are checked already, and +-1 times a finite value is finite:
+    # there is nothing for __post_init__ to check
+    q = object.__new__(IsingProblem)
+    for name, value in (("h", h), ("pairs", p.pairs), ("values", values),
+                        ("_csr", (start, nb, row_vals))):
+        object.__setattr__(q, name, value)
+    return q
 
 
 def ungauge(spins: np.ndarray, gauge: np.ndarray) -> np.ndarray:

@@ -224,8 +224,8 @@ def solve_sa(
     holding at most `_SWEEP_CHUNK` uniforms, one kernel call and one
     (sweeps, n_spins, n_reads) draw per block: the same doubles that one draw
     per sweep gives. Each block runs compiled C when a compiler was found at
-    import, else numpy; both walk the couplers as sparse rows and give the
-    same samples (see `qamlz._sweep`).
+    import, else numpy; both hold the reads innermost, walk the couplers as
+    sparse rows and give the same samples (see `qamlz._sweep`).
     """
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
@@ -238,8 +238,10 @@ def solve_sa(
             raise ConfigError("init must be a +-1 array of shape (n_reads, n_spins)")
         state = np.array(init, dtype=np.float64, order="C")
     # local coupling fields, maintained incrementally by the sweep; the dense
-    # product's rounding feeds every later sweep
-    fields = state @ p.dense_couplers()
+    # product's rounding feeds every later sweep. The sweep takes both as
+    # (n_spins, n_reads), the reads innermost
+    fields = np.ascontiguousarray((state @ p.dense_couplers()).T)
+    state = np.ascontiguousarray(state.T)
     start, nb, vals = p.neighbours()
     temps = sched.ladder(p)
     block = max(1, _SWEEP_CHUNK // max(1, n * sched.n_reads))
@@ -248,7 +250,7 @@ def solve_sa(
         t = temps[b:b + block]
         sweep(state, fields, start, nb, vals, p.h,
               rng_sweep.random((len(t), n, sched.n_reads)), t)
-    spins = state.astype(np.int8)
+    spins = state.T.astype(np.int8, order="C")
     return SolverResult(spins=spins, energies=energies_batch(p, spins))
 
 

@@ -235,6 +235,28 @@ def test_neighbour_rows_match_the_lexsort_construction(seed):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_gauged_neighbour_rows_match_the_lexsort_construction(seed):
+    rng = np.random.default_rng(5000 + seed)
+    n = int(rng.integers(0, 40))
+    p = random_problem(rng, n, coupler_density=float(rng.choice([0.0, 0.05, 0.3, 1.0])))
+    if seed % 3 == 0:
+        p = prune(p, float(rng.uniform(0.0, 100.0)))
+    if seed % 2 == 0:  # zero couplers whose gauged sign the rows must keep
+        values = p.values.copy()
+        values[::3] = rng.choice([-0.0, 0.0], size=len(values[::3]))
+        p = IsingProblem(h=p.h, pairs=p.pairs, values=values)
+    gauged = apply_gauge(p, random_gauge(n, rng))
+    fresh = IsingProblem(h=gauged.h, pairs=gauged.pairs, values=gauged.values)
+    assert gauged.pairs is p.pairs
+    for got, want in zip(gauged.neighbours(), reference_neighbours(fresh)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    for name in ("h", "values"):
+        assert not getattr(gauged, name).flags.writeable
+    assert _rows(gauged) == _rows(fresh)
+
+
 def _fixing_problems(rng):
     for _ in range(6):
         yield prune(_tied_problem(rng, int(rng.integers(0, 30))), float(rng.uniform(0, 95)))

@@ -2,6 +2,7 @@
 and fallback paths of `qamlz._sweep`."""
 
 import ctypes
+import ctypes.util
 import json
 import os
 import shutil
@@ -112,6 +113,33 @@ def test_kernel_matches_numpy_sweep_past_exp_underflow(monkeypatch):
         assert (delta / sched.t_cold > 746.0).mean() > 0.5
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_exp_bounds_decide_as_libm_exp():
+    # one spin without neighbours, one read per (y, u): the kernel's cost is
+    # delta = -2*f = y at temp 1, so it flips exactly when u < exp(-y).
+    # y runs from 1e-12 to just below the cut at 746, densely where y^4/24,
+    # the gap between the bounds and e^-y, passes the rounding of P and L
+    # (near 1e-4) and their margins (near 0.01), and where L(y) = 0 (1.596);
+    # u is libm's exp(-y) and the two doubles on either side of it
+    assert _sweep.SWEEP is not _sweep.numpy_sweep, "cc is on PATH but the kernel did not load"
+    exp = ctypes.CDLL(ctypes.util.find_library("m")).exp
+    exp.restype, exp.argtypes = ctypes.c_double, [ctypes.c_double]
+    y = np.unique(np.concatenate([np.geomspace(1e-12, 745.9, 4000),
+                                  np.geomspace(1e-5, 0.1, 6000),
+                                  np.linspace(1.55, 1.65, 2000)]))
+    e = np.array([exp(-v) for v in y.tolist()])
+    below, above = np.nextafter(e, -1.0), np.nextafter(e, 1.0)
+    u = np.column_stack([np.nextafter(below, -1.0), below, e, above, np.nextafter(above, 1.0)])
+    keep = (0.0 <= u) & (u < 1.0)
+    uniforms, want = u[keep], (u < e[:, None])[keep]
+    fields = -0.5 * np.broadcast_to(y[:, None], u.shape)[keep]
+    state = np.ones((1, len(uniforms)))
+    _sweep.SWEEP(state, fields[None, :], np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                 np.zeros(0), np.zeros(1), uniforms[None, None, :], np.ones(1))
+    np.testing.assert_array_equal(state[0] == -1.0, want)
+    assert want.any() and not want.all()
+
+
 def test_block_draw_equals_per_sweep_draws():
     n, reads, k = 84, 100, 15
     assert max(1, solver._SWEEP_CHUNK // (n * reads)) == k
@@ -151,7 +179,7 @@ def test_neighbour_rows_built_once_and_read_only():
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_kernel_rejects_disagreeing_arrays():
     reads, n = 3, 2
-    state, fields, h = np.ones((reads, n)), np.zeros((reads, n)), np.zeros(n)
+    state, fields, h = np.ones((n, reads)), np.zeros((n, reads)), np.zeros(n)
     start, nb, vals = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.5])
     uniforms, temps = np.zeros((4, n, reads)), np.ones(4)
 
@@ -162,7 +190,8 @@ def test_kernel_rejects_disagreeing_arrays():
 
     sweep()
     for over in [dict(uniforms=np.zeros((4, reads, n))), dict(temps=np.ones(3)),
-                 dict(start=np.array([0, 2]))]:
+                 dict(start=np.array([0, 2])), dict(state=np.ones((reads, n))),
+                 dict(state=state.T), dict(fields=np.zeros((reads, n)))]:
         with pytest.raises(ValueError, match="disagree in shape"):
             sweep(**over)
     for over in [dict(start=np.array([1, 1, 2])), dict(start=np.array([0, 2, 1])),
