@@ -96,16 +96,15 @@ void sa_sweeps(double *restrict state, double *restrict fields,
  * A live spin whose |h_i| exceeds its strength, the sum of |J_ij| over its
  * live neighbours added in ascending order, is fixed to -sgn(h_i) with
  * sgn(0) = +1: it dies, and each live neighbour's field gains J_ij*s_i.
- * h and alive are updated in place; order receives the fixed spins in the
- * order they were fixed, and their count is returned. mark is scratch of n
- * bytes: bit 0 is this pass's frontier, bit 1 the next pass's.
+ * h and alive are updated in place, and a dead spin's field is not touched
+ * again. mark is scratch of n bytes: bit 0 is this pass's frontier, bit 1
+ * the next pass's.
  */
-long fix_frontier(double *restrict h, unsigned char *restrict alive,
-                  unsigned char *restrict mark, int64_t *restrict order,
+void fix_frontier(double *restrict h, unsigned char *restrict alive,
+                  unsigned char *restrict mark,
                   const int64_t *restrict start, const int64_t *restrict nb,
                   const double *restrict vals, long n)
 {
-    long fixed = 0;
     int more = n > 0;
     for (long i = 0; i < n; i++)
         mark[i] = 1;
@@ -120,7 +119,6 @@ long fix_frontier(double *restrict h, unsigned char *restrict alive,
                     strength += fabs(vals[k]);
             if (fabs(h[i]) > strength) {
                 double s = h[i] >= 0.0 ? -1.0 : 1.0;
-                order[fixed++] = i;
                 alive[i] = 0;
                 for (int64_t k = start[i]; k < start[i + 1]; k++)
                     if (alive[nb[k]]) {
@@ -133,5 +131,4 @@ long fix_frontier(double *restrict h, unsigned char *restrict alive,
         for (long i = 0; i < n; i++)
             mark[i] >>= 1;
     }
-    return fixed;
 }

@@ -20,10 +20,11 @@ its uniforms, are contiguous: each decides spin i in every read, then updates
 the accepted reads' neighbour fields. A flip of spin i changes no read's
 field at i, so every field receives the same operations in the same order as
 when one read is swept after another. Each compiled loop performs the same
-floating-point operations in the same order as its reference. So `FIX` gives
-the reference's assignments and fields bit for bit, and `SWEEP` the same
-samples, with one difference: `exp`. The C library's and numpy's vectorised
-versions disagree in the last ulp on about 5% of arguments. That flips an
+floating-point operations in the same order as its reference. So `FIX` leaves
+the reference's fields and live spins bit for bit (`fix_variables` reads its
++-1/0 fixing vector from them), and `SWEEP` the same samples, with one
+difference: `exp`. The C library's and numpy's vectorised versions disagree
+in the last ulp on about 5% of arguments. That flips an
 acceptance only when the uniform falls inside that ulp, about once in 1e16
 updates. The C sweep calls `exp` for under 2% of the updates of an
 84-spin, 100-read anneal: where its result is exactly 0.0 it rejects, and
@@ -78,9 +79,9 @@ def numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
                 s[reads] *= -1.0
 
 
-def numpy_fix(h, alive, start, nb, vals) -> np.ndarray:
+def numpy_fix(h, alive, start, nb, vals) -> None:
     """Fixing passes in place over the fields `h` and the (n,) bool `alive`,
-    to a fixpoint; returns the fixed spins in fixing order, as int64.
+    to a fixpoint. A fixed spin is dead, and its field is not touched again.
 
     Each pass visits its frontier (every spin first, then the neighbours the
     last pass touched) in ascending order. A live spin whose |h_i| exceeds
@@ -89,7 +90,6 @@ def numpy_fix(h, alive, start, nb, vals) -> np.ndarray:
     neighbours' fields, which join the next pass's frontier.
     """
     n = len(h)
-    order = []
     frontier = np.ones(n, dtype=bool)
     while frontier.any():
         touched = np.zeros(n, dtype=bool)
@@ -103,12 +103,10 @@ def numpy_fix(h, alive, start, nb, vals) -> np.ndarray:
             strength = np.cumsum(np.abs(v))[-1] if len(v) else 0.0
             if abs(h[i]) > strength:
                 s = -1 if h[i] >= 0 else 1  # -sgn(h_i), sgn(0) = +1
-                order.append(i)
                 alive[i] = False
                 h[nbs] += v * s
                 touched[nbs] = True
         frontier = touched
-    return np.array(order, dtype=np.int64)
 
 
 def _library() -> Path:
@@ -164,9 +162,8 @@ def _compiled():
     fix_fn.argtypes = [np.ctypeslib.ndpointer(np.float64, **written),
                        np.ctypeslib.ndpointer(np.bool_, **written),
                        np.ctypeslib.ndpointer(np.uint8, **written),
-                       np.ctypeslib.ndpointer(np.int64, **written),
                        index, index, vector, ctypes.c_long]
-    fix_fn.restype = ctypes.c_long
+    fix_fn.restype = None
 
     def compiled_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
         n, reads = state.shape
@@ -178,14 +175,12 @@ def _compiled():
         sweep_fn(state, fields, start, nb, vals, h, uniforms, temps,
                  np.empty(reads, dtype=np.int64), sweeps, reads, n)
 
-    def compiled_fix(h, alive, start, nb, vals) -> np.ndarray:
+    def compiled_fix(h, alive, start, nb, vals) -> None:
         n = len(h)
         if not (h.shape == alive.shape == (n,) and start.shape == (n + 1,)):
             raise ValueError("fixing arrays disagree in shape")
         _check_rows(start, nb, vals, n)
-        order = np.empty(n, dtype=np.int64)
-        count = fix_fn(h, alive, np.empty(n, dtype=np.uint8), order, start, nb, vals, n)
-        return order[:count]
+        fix_fn(h, alive, np.empty(n, dtype=np.uint8), start, nb, vals, n)
 
     return compiled_sweep, compiled_fix
 

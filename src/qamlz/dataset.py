@@ -71,6 +71,9 @@ class Dataset:
             raise DataError("tags must be +1 or -1")
         if n and not (np.isfinite(weights) & (weights >= 0)).all():
             raise DataError("weights must be finite and non-negative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(weights.sum()):
+                raise DataError("the weights' total overflows the float range")
         if n and not np.isfinite(values).all():
             raise DataError("event values must be finite")
         bad = set(processes_arr) - set(PROCESSES)
@@ -369,9 +372,11 @@ class GeneratorSpec:
             raise ConfigError("background_fractions names an unknown process")
         if any(f < 0 for f in bg.values()) or abs(sum(bg.values()) - 1.0) > 1e-9:
             raise ConfigError("background_fractions must be non-negative and sum to 1")
-        for v in self.bounds:
+        for v, (lo, hi) in self.bounds.items():
             if v not in self.schema:
                 raise ConfigError(f"bound on unknown variable {v!r}")
+            if lo is not None and hi is not None and lo > hi:
+                raise ConfigError(f"bound on {v!r}: lower end {lo} exceeds upper end {hi}")
         for v in self.integer_variables:
             if v not in self.schema:
                 raise ConfigError(f"integer variable {v!r} not in schema")

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -117,35 +118,25 @@ class CouplingMatrices:
     def n_spins(self) -> int:
         return len(self.tag_sums)
 
-    def _cached(self, name: str, build) -> np.ndarray:
-        arr = self.__dict__.get(name)
-        if arr is None:
-            arr = build()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        return arr
-
-    @property
+    @cached_property
     def triangle(self) -> np.ndarray:
         """(m, 2) int64 pairs (i, j), i < j, in lexicographic order: every
         coupler of an `effective_problem`."""
-        return self._cached("_triangle", lambda: np.column_stack(
+        return _read_only(np.column_stack(
             np.triu_indices(self.n_spins, k=1)).astype(np.int64, copy=False))
 
-    @property
+    @cached_property
     def triangle_sums(self) -> np.ndarray:
         """pair_sums at each `triangle` pair."""
-        return self._cached("_triangle_sums", lambda: self.pair_sums[tuple(self.triangle.T)])
+        return _read_only(self.pair_sums[tuple(self.triangle.T)])
 
-    @property
+    @cached_property
     def ranking(self) -> np.ndarray:
         """Positions in `triangle` by descending |pair_sums|, ties by
         ascending (i, j): the ranking `prune` takes. It does not depend on
         the centre or the width of a problem."""
-        def build():
-            i, j = self.triangle.T
-            return np.lexsort((j, i, -np.abs(self.triangle_sums)))
-        return self._cached("_ranking", build)
+        i, j = self.triangle.T
+        return _read_only(np.lexsort((j, i, -np.abs(self.triangle_sums))))
 
 
 def build_couplings_from_signs(
@@ -166,14 +157,18 @@ def build_couplings_from_signs(
 # ---------------------------------------------------------------------------
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen(value, dtype) -> np.ndarray:
     """A contiguous array of `value` that no caller can write: a read-only
     input is shared, a writable one is copied so the caller keeps its own."""
     arr = np.ascontiguousarray(value, dtype=dtype)
     if arr.flags.writeable and np.may_share_memory(arr, value):
         arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -223,14 +218,14 @@ class IsingProblem:
     def dense_couplers(self) -> np.ndarray:
         """Symmetric coupler matrix with zero diagonal. It is built on the
         first call and the same read-only array is returned after that."""
-        m = self.__dict__.get("_dense")
-        if m is None:
-            m = np.zeros((self.n_spins, self.n_spins))
-            i, j = self.pairs.T
-            m[i, j] = m[j, i] = self.values
-            m.setflags(write=False)
-            object.__setattr__(self, "_dense", m)
-        return m
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        m = np.zeros((self.n_spins, self.n_spins))
+        i, j = self.pairs.T
+        m[i, j] = m[j, i] = self.values
+        return _read_only(m)
 
     def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every coupler seen from both ends, as compressed sparse rows
@@ -245,18 +240,17 @@ class IsingProblem:
         come first, by ascending i, and its higher ones (pairs (x, j)) after,
         by ascending j, because `pairs` is sorted by (i, j): so each row is
         ascending without a second sort key."""
-        csr = self.__dict__.get("_csr")
-        if csr is None:
-            i, j = self.pairs.T
-            spin, nb = np.concatenate([j, i]), np.concatenate([i, j])
-            order = np.argsort(spin, kind="stable")
-            start = np.zeros(self.n_spins + 1, dtype=np.int64)
-            np.cumsum(np.bincount(spin, minlength=self.n_spins), out=start[1:])
-            csr = (start, nb[order], np.concatenate([self.values, self.values])[order])
-            for arr in csr:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_csr", csr)
-        return csr
+        return self._csr
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        i, j = self.pairs.T
+        spin, nb = np.concatenate([j, i]), np.concatenate([i, j])
+        order = np.argsort(spin, kind="stable")
+        start = np.zeros(self.n_spins + 1, dtype=np.int64)
+        np.cumsum(np.bincount(spin, minlength=self.n_spins), out=start[1:])
+        vals = np.concatenate([self.values, self.values])[order]
+        return _read_only(start), _read_only(nb[order]), _read_only(vals)
 
     def to_dict(self) -> dict:
         return {
@@ -375,39 +369,36 @@ def _ranked_keep(values: np.ndarray, ranking: np.ndarray, keep: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def fix_variables(p: IsingProblem) -> tuple[dict[int, int], IsingProblem]:
+def fix_variables(p: IsingProblem) -> tuple[np.ndarray, IsingProblem]:
     """Iterated field-dominance fixing: any spin with |h_i| > sum_j |J_ij| is
     pinned to -sgn(h_i), folded into its neighbours' fields, and the rule is
-    re-applied to a fixpoint. Every assignment holds in all ground states.
+    re-applied to a fixpoint. Every fixed value holds in all ground states.
 
-    Each pass visits its frontier in ascending spin order and sums |J_ij| in
-    ascending neighbour order; the passes run in `qamlz._sweep.FIX`, compiled
-    or its Python reference. The reduced problem re-indexes the surviving
-    spins in ascending original order; `expand_solution` maps a reduced
-    solution back.
+    Returns `fixed`, int8 over p's spins: the +-1 value of each fixed spin and
+    0 at each free one; and the reduced problem over the free spins in
+    ascending order, which `expand_solution` maps back. Each pass visits its
+    frontier in ascending spin order and sums |J_ij| in ascending neighbour
+    order, in `qamlz._sweep.FIX`, compiled or its Python reference.
     """
     h = p.h.copy()
     alive = np.ones(p.n_spins, dtype=bool)
-    order = _sweep.FIX(h, alive, *p.neighbours())
+    _sweep.FIX(h, alive, *p.neighbours())
     # a fixed spin's field never changes after it is fixed, so -sgn(h_i) of
     # the final fields is the sign each spin was fixed to
-    assignments = dict(zip(order.tolist(), np.where(h[order] >= 0, -1, 1).tolist()))
+    fixed = -sign_pm1(h)
+    fixed[alive] = 0
     both_alive = alive[p.pairs].all(axis=1)
     new_index = np.cumsum(alive) - 1
     reduced = IsingProblem(h=h[alive], pairs=new_index[p.pairs[both_alive]],
                            values=p.values[both_alive])
-    return assignments, reduced
+    return fixed, reduced
 
 
-def expand_solution(
-    assignments: Mapping[int, int], reduced_spins: np.ndarray, n_spins: int
-) -> np.ndarray:
-    """Merge fixed assignments with a reduced-problem solution into a full vector."""
-    fixed = np.fromiter(assignments, dtype=np.intp, count=len(assignments))
-    out = np.zeros(n_spins, dtype=np.int8)
-    out[fixed] = np.fromiter(assignments.values(), dtype=np.int8, count=len(assignments))
-    free = np.ones(n_spins, dtype=bool)
-    free[fixed] = False
+def expand_solution(fixed: np.ndarray, reduced_spins: np.ndarray) -> np.ndarray:
+    """A full int8 spin vector: `fixed`'s +-1 entries, and its 0 entries
+    filled with `reduced_spins` in ascending spin order."""
+    out = np.array(fixed, dtype=np.int8)
+    free = out == 0
     if free.sum() != len(reduced_spins):
         raise ConfigError("reduced solution length does not match the fixing")
     out[free] = reduced_spins
@@ -440,14 +431,11 @@ def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
     h = p.h * gf
     values = p.values * gf[i] * gf[j]
     row_vals = vals * np.repeat(gf, np.diff(start)) * gf[nb]
-    for arr in (h, values, row_vals):
-        arr.setflags(write=False)
     # p's pairs are checked already, and +-1 times a finite value is finite:
     # there is nothing for __post_init__ to check
     q = object.__new__(IsingProblem)
-    for name, value in (("h", h), ("pairs", p.pairs), ("values", values),
-                        ("_csr", (start, nb, row_vals))):
-        object.__setattr__(q, name, value)
+    q.__dict__.update(h=_read_only(h), pairs=p.pairs, values=_read_only(values),
+                      _csr=(start, nb, _read_only(row_vals)))
     return q
 
 

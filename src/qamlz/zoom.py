@@ -333,11 +333,10 @@ def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
             if cfg.fixing:
                 fixed, reduced = fix_variables(pruned)
             else:
-                fixed, reduced = {}, pruned
+                fixed, reduced = np.zeros(pruned.n_spins, dtype=np.int8), pruned
             for k in range(at_iteration(sched.n_g, t)):
                 if reduced.n_spins == 0:
-                    states = [expand_solution(fixed, np.empty(0, dtype=np.int8),
-                                              pruned.n_spins)]
+                    states = [fixed]
                     broken.append(0.0)
                 else:
                     gauge = random_gauge(
@@ -347,7 +346,7 @@ def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
                                          seed=(cfg.seed, _K_SOLVE, t, ci, k))
                     broken.append(res.broken_chain_fraction)
                     states = [
-                        expand_solution(fixed, ungauge(s, gauge), pruned.n_spins)
+                        expand_solution(fixed, ungauge(s, gauge))
                         for s in select_states(res, n_e, _window(d, float(res.energies[0])))
                     ]
                 for si, s_full in enumerate(states):

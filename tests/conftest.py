@@ -93,8 +93,9 @@ def reference_apply_gauge(problem: IsingProblem, gauge) -> tuple[list, list]:
     return [float(v) for v in h], j
 
 
-def reference_fix_variables(problem: IsingProblem) -> tuple[dict, list, list]:
-    """Assignments in fixing order, reduced fields and reduced coupler rows."""
+def reference_fix_variables(problem: IsingProblem) -> tuple[np.ndarray, list, list]:
+    """The int8 fixing vector (each fixed spin's value, 0 where free),
+    reduced fields and reduced coupler rows."""
     n = problem.n_spins
     couplers = coupler_dict(problem)
     h = problem.h.astype(np.float64).copy()
@@ -103,7 +104,7 @@ def reference_fix_variables(problem: IsingProblem) -> tuple[dict, list, list]:
         adj[a][b] = v
         adj[b][a] = v
     alive = set(range(n))
-    assignments: dict[int, int] = {}
+    fixed = np.zeros(n, dtype=np.int8)
     frontier = set(alive)
     while frontier:
         next_frontier = set()
@@ -113,7 +114,7 @@ def reference_fix_variables(problem: IsingProblem) -> tuple[dict, list, list]:
             strength = sum(abs(v) for v in adj[i].values())
             if abs(h[i]) > strength:
                 s = -1 if h[i] >= 0 else 1
-                assignments[i] = s
+                fixed[i] = s
                 alive.discard(i)
                 for nb, v in adj[i].items():
                     h[nb] += v * s
@@ -125,7 +126,7 @@ def reference_fix_variables(problem: IsingProblem) -> tuple[dict, list, list]:
     remap = {old: new for new, old in enumerate(keep)}
     j = [[remap[a], remap[b], v] for (a, b), v in couplers.items()
          if a in alive and b in alive]
-    return assignments, [float(v) for v in h[keep]], j
+    return fixed, [float(v) for v in h[keep]], j
 
 
 def reference_energies(problem: IsingProblem, spins) -> np.ndarray:

@@ -614,6 +614,17 @@ class TestExitCodes:
         assert "the train sample has zero total weight" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    def test_weight_total_that_overflows_is_data_error(self, tmp_path, capsys, recwarn):
+        # each weight is finite but their sum is not: training used to warn of
+        # overflows and exit 2 with "fields must be a finite vector"
+        events = self._preset_csv(tmp_path, weight="1e308")
+        cfg = _base_config(tmp_path, data={"csv": str(events)}, variables="A",
+                           zoom={"iterations": 2, "offset_range": 0, "solver": "exact"})
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "the weights' total overflows the float range" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out" / "model.json").exists()
+
     @pytest.mark.parametrize("tag, name", [("1", "signal"), ("-1", "background")])
     def test_zero_yield_assess_class_at_eval_is_data_error(self, tmp_path, capsys, tag, name):
         # the figure of merit of a class without yield used to read 0 at S = B = 0
@@ -809,6 +820,9 @@ class TestExitCodes:
         ("fom", "data.generator.integer_variabels", ["v0"],
          "data.generator has an unknown key 'integer_variabels'"),
         ("gen", "variables", "gamma", "unknown variable set 'gamma'"),
+        # every event used to spend all its attempts and be clipped to the upper end
+        ("gen", "data.generator.bounds", {"v0": [5, 1]},
+         "bound on 'v0': lower end 5.0 exceeds upper end 1.0"),
     ])
     def test_bad_config_value_is_named(self, tmp_path, capsys, command, path, value, message):
         cfg = _base_config(tmp_path, scan={"delta": [0.1]}, fom_curve={"s": [1.0], "b": [1.0]})

@@ -116,6 +116,10 @@ class TestGenerate:
         assert np.array_equal(d.column("n_b"), np.rint(d.column("n_b")))
         assert (d.column("disc_b") >= 0).all() and (d.column("disc_b") <= 1).all()
 
+    def test_bound_of_equal_ends_is_a_point(self):
+        d = generate_synthetic(_unit_spec({"x": (1.0, 1.0)}), 20, seed=3)
+        assert (d.column("x") == 1.0).all()
+
     def test_prefix_property_from_per_event_streams(self):
         # event i depends only on (seed, i), so shorter runs are prefixes of
         # longer ones; this is what makes generation schedule-independent
@@ -446,10 +450,17 @@ class TestLoadMatchesRowLoop:
             return data.draw(st.lists(elements, min_size=n, max_size=n))
 
         values = [column(st.floats(allow_nan=False, allow_infinity=False)) for _ in names]
-        d = Dataset(names, np.array(values, dtype=np.float64).reshape(len(names), n).T,
-                    column(st.sampled_from([1, -1])),
-                    column(st.floats(min_value=-0.0, allow_infinity=False)),
-                    column(st.sampled_from(PROCESSES)))
+        args = (names, np.array(values, dtype=np.float64).reshape(len(names), n).T,
+                column(st.sampled_from([1, -1])),
+                np.array(column(st.floats(min_value=-0.0, allow_infinity=False))),
+                column(st.sampled_from(PROCESSES)))
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(args[3].sum())
+        if overflows:  # finite weights with an infinite total are refused
+            with pytest.raises(DataError, match="total overflows"):
+                Dataset(*args)
+            return
+        d = Dataset(*args)
         path = tmp_path_factory.mktemp("round-trip") / "events.csv"
         d.to_csv(path)
         expected = _outcome(_load_rows, path, names)

@@ -193,6 +193,15 @@ class TestStrongScore:
                 total += model.mu[spin] * c
             assert batch[i] == pytest.approx(total, abs=1e-12)
 
+    def test_scores_take_int8_signs(self):
+        # numpy's int8 x float64 product rounds unlike the float64 BLAS product,
+        # so float64 signs would change the scores' last bits, and with them
+        # every curve and summary written from the scores
+        model, split = _trained_toy(n_var=3, offset_range=3)
+        signs = model.augmented_set().signs_from_h(model.pipeline.transform(split.assess))
+        want = signs.astype(np.int8) @ (model.mu / model.n_var)
+        assert score_events(model, split.assess).tobytes() == want.tobytes()
+
     def test_score_bound(self):
         model, split = _trained_toy()
         bound = np.abs(model.mu).sum() / model.n_var

@@ -277,27 +277,28 @@ class TestPrune:
 class TestFixVariables:
     def test_dominance_chain(self):
         p = make_problem([10.0, 0.1], {(0, 1): 1.0})
-        assignments, reduced = fix_variables(p)
-        assert assignments == {0: -1, 1: 1}
+        fixed, reduced = fix_variables(p)
+        assert fixed.dtype == np.int8 and fixed.tolist() == [-1, 1]
         assert reduced.n_spins == 0
 
     def test_zero_fields_fix_nothing(self):
         p = make_problem(np.zeros(4), {(0, 1): 1.0, (2, 3): -0.5})
-        assignments, reduced = fix_variables(p)
-        assert assignments == {}
+        fixed, reduced = fix_variables(p)
+        assert fixed.tolist() == [0, 0, 0, 0]
         assert reduced.n_spins == 4
 
     def test_agrees_with_all_ground_states(self, rng):
         # exhaustive oracle over 100 random instances
         for k in range(100):
             p = random_problem(rng, 10, coupler_density=0.4)
-            assignments, reduced = fix_variables(p)
-            if not assignments:
+            fixed, reduced = fix_variables(p)
+            pinned = np.flatnonzero(fixed)
+            if not len(pinned):
                 continue
             _, grounds = brute_force_ground_states(p)
             for g in grounds:
-                for i, s in assignments.items():
-                    assert g[i] == s, f"instance {k}: spin {i} fixed wrongly"
+                for i in pinned:
+                    assert g[i] == fixed[i], f"instance {k}: spin {i} fixed wrongly"
 
     def test_expand_solution_round_trip(self, rng):
         p = random_problem(rng, 8, coupler_density=0.2, scale=0.3)
@@ -306,12 +307,12 @@ class TestFixVariables:
         h[0] = 5.0
         h[3] = -4.0
         p = IsingProblem(h=h, pairs=p.pairs, values=p.values)
-        assignments, reduced = fix_variables(p)
-        assert 0 in assignments and 3 in assignments
+        fixed, reduced = fix_variables(p)
+        assert fixed[0] == -1 and fixed[3] == 1
         from qamlz import solve_exact
 
         sub = solve_exact(reduced).spins[0] if reduced.n_spins else np.empty(0, np.int8)
-        full = expand_solution(assignments, sub, p.n_spins)
+        full = expand_solution(fixed, sub)
         best, grounds = brute_force_ground_states(p)
         assert energy(p, full) == pytest.approx(best, abs=1e-9)
 

@@ -233,9 +233,9 @@ from qamlz import IsingProblem, fix_variables, _sweep
 doc = json.loads(sys.argv[1])
 p = IsingProblem(h=doc["h"], pairs=[[i, j] for i, j, _ in doc["J"]],
                  values=[v for _, _, v in doc["J"]])
-assignments, reduced = fix_variables(p)
+fixed, reduced = fix_variables(p)
 print(json.dumps({"compiled": _sweep.FIX is not _sweep.numpy_fix,
-                  "assignments": list(assignments.items()),
+                  "fixed": fixed.tolist(), "dtype": str(fixed.dtype),
                   "h": repr(reduced.to_dict()["h"]), "J": repr(reduced.to_dict()["J"])}))
 """
 
@@ -279,10 +279,10 @@ def test_fallback_gives_reference_fixing(tmp_path, case):
     h = rng.uniform(-1.0, 1.0, size=30) * rng.choice([0.5, 6.0], size=30)
     p = prune(random_problem(rng, 30, coupler_density=0.4), 60.0)
     p = IsingProblem(h=h, pairs=p.pairs, values=p.values)
-    ref_assign, ref_h, ref_j = reference_fix_variables(p)
-    assert 0 < len(ref_assign) < p.n_spins
+    ref_fixed, ref_h, ref_j = reference_fix_variables(p)
+    assert 0 < np.count_nonzero(ref_fixed) < p.n_spins
     got = _run_without_kernel(tmp_path, case, _FIX, json.dumps(p.to_dict()))
-    assert got["assignments"] == [list(kv) for kv in ref_assign.items()]
+    assert (got["fixed"], got["dtype"]) == (ref_fixed.tolist(), "int8")
     assert (got["h"], got["J"]) == (repr(ref_h), repr(ref_j))
 
 
