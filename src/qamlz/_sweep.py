@@ -1,14 +1,25 @@
 """The compiled loops of qamlz: blocks of Metropolis sweeps over every read of
-a simulated-annealing batch, and the frontier loop of variable fixing.
+a simulated-annealing batch, the frontier loop of variable fixing, and the
+per-event random streams of synthetic generation.
 
 `solve_sa` runs its temperature ladder through `SWEEP` a block of sweeps at a
-time, and `ising.fix_variables` runs its fixing passes through `FIX`. The
-references are `numpy_sweep` and `numpy_fix`. `SWEEP` and `FIX` are the same
-loops compiled from `_sa_sweep.c` with the system C compiler (`cc`) when this
-module is first imported, or the references themselves when there is no
-compiler on PATH, the cache directory cannot be written or the library does
-not load; one line on stderr says so. Compiling at import, not at the first
-solve, keeps the compiler out of the solves a caller times.
+time, `ising.fix_variables` runs its fixing passes through `FIX`, and
+`dataset.generate_synthetic` draws each chunk of events from `STREAMS`. The
+references are `numpy_sweep`, `numpy_fix` and `NumpyStreams`. `SWEEP` and
+`FIX` are the same loops compiled from `_sa_sweep.c` with the system C
+compiler (`cc`) when this module is first imported, or the references
+themselves when there is no compiler on PATH, the cache directory cannot be
+written or the library does not load; one line on stderr says so. Compiling
+at import, not at the first solve, keeps the compiler out of the solves a
+caller times.
+
+`STREAMS` seeds and draws every event's PCG64 stream in `_event_streams.c`,
+compiled into the same library and linked with numpy's own normal sampler,
+`random_standard_normal` of the `libnpyrandom.a` that numpy ships
+(`ARCHIVE`), so its draws are numpy's bit for bit. Where the archive is
+missing, or the library does not link or load with it, the library is built
+from `_sa_sweep.c` alone and `STREAMS` is `NumpyStreams`, one numpy generator
+per event; one line on stderr says so.
 
 All four loops walk the couplers as compressed sparse rows
 (`IsingProblem.neighbours`). In the sweeps an accepted flip of spin i updates
@@ -34,15 +45,18 @@ Each of those decisions is the one `exp` would give; `_sa_sweep.c` has the
 argument.
 
 The library is cached as `$XDG_CACHE_HOME/qamlz/sa_sweep-<key>.so` (default
-`~/.cache/qamlz/`), with a key hashed from the source, the flags and the
-compiler binary. Each build writes a temporary file and renames it into
-place, so processes that build at once leave one library and no temporaries.
+`~/.cache/qamlz/`), with a key hashed from the sources, the flags, the
+compiler binary and numpy's archives, so that a numpy upgrade never reuses a
+library holding an older sampler. Each build writes a temporary file and
+renames it into place, so processes that build at once leave one library and
+no temporaries.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -52,6 +66,12 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_sa_sweep.c")
+STREAMS_SOURCE = Path(__file__).with_name("_event_streams.c")
+#: numpy's C distributions, whose random_standard_normal the streams call;
+#: found without importing numpy.random, which the compiled paths never need
+ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+#: numpy's math library: before numpy 2 the distributions call npy_log1p in it
+NPYMATH = Path(np.get_include()).parent / "lib" / "libnpymath.a"
 # never -ffast-math or -march=native: both license reordered or fused
 # arithmetic, and then the samples would depend on the build
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -109,18 +129,49 @@ def numpy_fix(h, alive, start, nb, vals) -> None:
         frontier = touched
 
 
+class NumpyStreams:
+    """The event streams of `dataset.generate_synthetic`: event i draws only
+    from numpy's `default_rng((seed, i))`, here one generator per event i in
+    [start, stop)."""
+
+    def __init__(self, seed: int, start: int, stop: int):
+        self.rngs = [np.random.default_rng((seed, i)) for i in range(start, stop)]
+
+    def head(self, signal_fraction: float, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Each stream's class uniform u, then its process uniform if u >=
+        `signal_fraction` (a background event), then normals of `shape`: the
+        process uniforms, NaN for signal events, and the stacked normals."""
+        u_bg = np.full(len(self.rngs), np.nan)
+        z = np.empty((len(self.rngs), *shape))
+        for r, rng in enumerate(self.rngs):
+            if rng.random() >= signal_fraction:
+                u_bg[r] = rng.random()
+            rng.standard_normal(out=z[r])
+        return u_bg, z
+
+    def normals(self, rows: np.ndarray, shape) -> np.ndarray:
+        """Normals of `shape` from each stream in `rows`, stacked."""
+        z = np.empty((len(rows), *shape))
+        for out, r in zip(z, rows.tolist()):
+            self.rngs[r].standard_normal(out=out)
+        return z
+
+
 def _library() -> Path:
     """The cached compiled library, built first if it is missing."""
     compiler = shutil.which("cc")
     if compiler is None:
         raise OSError("no C compiler (cc) on PATH")
+    archives = [path for path in (ARCHIVE, NPYMATH) if path.is_file()]
     # the compiler is identified by its binary, not by running it: a child
-    # process on every import would count in the caller's resource usage
+    # process on every import would count in the caller's resource usage.
+    # numpy's archives are in the key, so a numpy upgrade builds a new library
     binary = os.path.realpath(compiler)
     st = os.stat(binary)
     key = hashlib.sha256(b"\0".join([
-        SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+        SOURCE.read_bytes(), STREAMS_SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
         f"{binary}:{st.st_size}:{st.st_mtime_ns}".encode(),
+        *(path.read_bytes() for path in archives),
     ])).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qamlz"
     lib = cache / f"sa_sweep-{key}.so"
@@ -128,13 +179,29 @@ def _library() -> Path:
         return lib
     cache.mkdir(parents=True, exist_ok=True)
     tmp = cache / f".{lib.name}.{os.getpid()}.tmp"
+    build = [compiler, *CFLAGS, "-o", str(tmp), str(SOURCE)]
     try:
-        subprocess.run([compiler, *CFLAGS, "-o", str(tmp), str(SOURCE), "-lm"],
-                       check=True, capture_output=True, timeout=120)
+        if ARCHIVE not in archives or not _links(
+                [*build, str(STREAMS_SOURCE), *map(str, archives), "-lm"], tmp):
+            # the loops of _sa_sweep.c alone, cached under the same key, so
+            # that an archive which does not link is not tried again
+            subprocess.run([*build, "-lm"], check=True, capture_output=True, timeout=120)
         os.replace(tmp, lib)
     finally:
         tmp.unlink(missing_ok=True)
     return lib
+
+
+def _links(build: list[str], out: Path) -> bool:
+    """Whether `build` writes a library to `out` that loads: a shared library
+    links with symbols left unresolved, and then fails to load."""
+    if subprocess.run(build, capture_output=True, timeout=120).returncode:
+        return False
+    try:
+        ctypes.CDLL(str(out))
+    except OSError:
+        return False
+    return True
 
 
 def _check_rows(start, nb, vals, n) -> None:
@@ -146,7 +213,8 @@ def _check_rows(start, nb, vals, n) -> None:
 
 def _compiled():
     """`numpy_sweep`'s and `numpy_fix`'s signatures over the C functions of
-    one library."""
+    one library, and `NumpyStreams`' over its streams, or None where it was
+    built without them."""
     lib = ctypes.CDLL(str(_library()))
     out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -182,16 +250,69 @@ def _compiled():
         _check_rows(start, nb, vals, n)
         fix_fn(h, alive, np.empty(n, dtype=np.uint8), start, nb, vals, n)
 
-    return compiled_sweep, compiled_fix
+    try:
+        streams = _compiled_streams(lib)
+    except AttributeError:  # built without numpy's archive
+        streams = None
+    return compiled_sweep, compiled_fix, streams
+
+
+def _compiled_streams(lib):
+    """`NumpyStreams` over the C functions of `lib`."""
+    words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    rows = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    seed_fn, head_fn, normals_fn = lib.stream_seed, lib.stream_head, lib.stream_normals
+    seed_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, words]
+    head_fn.argtypes = [words, ctypes.c_long, ctypes.c_double, floats, floats, ctypes.c_long]
+    normals_fn.argtypes = [words, rows, ctypes.c_long, floats, ctypes.c_long]
+    for fn in (seed_fn, head_fn, normals_fn):
+        fn.restype = None
+
+    class CompiledStreams:
+        """`NumpyStreams`'s draws, from each stream's PCG64 state held as four
+        uint64 `words`: state hi, state lo, inc hi, inc lo."""
+
+        def __init__(self, seed: int, start: int, stop: int):
+            if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
+                raise ValueError("stream keys are not 64-bit integers")
+            self.words = np.empty((stop - start, 4), dtype=np.uint64)
+            seed_fn(seed, start, stop - start, self.words)
+
+        def _count(self) -> int:
+            if self.words.shape[1:] != (4,):
+                raise ValueError("stream words are not (n, 4)")
+            return len(self.words)
+
+        def head(self, signal_fraction, shape):
+            n = self._count()
+            u_bg, z = np.empty(n), np.empty((n, *shape))
+            head_fn(self.words, n, signal_fraction, u_bg, z, math.prod(shape))
+            return u_bg, z
+
+        def normals(self, rows, shape):
+            if not (rows.ndim == 1 and ((0 <= rows) & (rows < self._count())).all()):
+                raise ValueError("stream rows out of range")
+            z = np.empty((len(rows), *shape))
+            normals_fn(self.words, rows, len(rows), z, math.prod(shape))
+            return z
+
+    return CompiledStreams
 
 
 def _select():
     try:
-        return _compiled()
+        sweep, fix, streams = _compiled()
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        print(f"qamlz: compiled SA sweep and fixing loop unavailable ({exc}); "
-              "using the numpy sweep and fixing loop", file=sys.stderr)
-        return numpy_sweep, numpy_fix
+        print(f"qamlz: compiled SA sweep, fixing loop and event streams unavailable ({exc}); "
+              "using the numpy sweep and fixing loop and a numpy generator per event",
+              file=sys.stderr)
+        return numpy_sweep, numpy_fix, NumpyStreams
+    if streams is None:
+        print(f"qamlz: compiled event streams unavailable ({ARCHIVE} is missing or does not "
+              "link); using a numpy generator per event", file=sys.stderr)
+        streams = NumpyStreams
+    return sweep, fix, streams
 
 
-SWEEP, FIX = _select()
+SWEEP, FIX, STREAMS = _select()

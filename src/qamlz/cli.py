@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -290,6 +291,13 @@ def _scan_point(args: tuple) -> tuple:
     return (*point, report.mean, report.std, "ok")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_scan(cfg: Config, jobs: int) -> int:
     if not cfg.grid:
         raise ConfigError("config needs a `scan` section with grid axes")
@@ -297,8 +305,9 @@ def cmd_scan(cfg: Config, jobs: int) -> int:
     pipeline = fit_feature_pipeline(split.train, **cfg.features)
     tasks = [(split, pipeline, zcfg, cfg.fom, cfg.n_runs, cfg.coupler_budget)
              for zcfg in cfg.grid]
-    # the pool starts all its workers at once, so it is no larger than the grid
-    jobs = min(jobs, len(tasks))
+    # the pool starts all its workers at once, so it is no larger than the
+    # grid or the CPUs this process may run on
+    jobs = min(jobs, len(tasks), _usable_cpus())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, tasks))

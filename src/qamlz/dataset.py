@@ -4,7 +4,10 @@ Events are weighted, tagged feature vectors, stored column-wise in a
 `Dataset` (numpy arrays): an event is one row of `values` with its tag,
 weight and process. All containers are immutable after construction;
 generation derives one RNG stream per event from (seed, event index) so
-results are independent of evaluation order.
+results are independent of evaluation order. The streams are seeded and
+drawn chunk by chunk through `_sweep.STREAMS`: in C where the compiled
+library holds them, and otherwise one numpy generator per event, with the
+same values.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _sweep
 from .errors import ConfigError, DataError
 
 PROCESSES = ("signal", "wjets", "ttbar", "other")
@@ -372,9 +376,12 @@ class GeneratorSpec:
             raise ConfigError("background_fractions names an unknown process")
         if any(f < 0 for f in bg.values()) or abs(sum(bg.values()) - 1.0) > 1e-9:
             raise ConfigError("background_fractions must be non-negative and sum to 1")
-        for v, (lo, hi) in self.bounds.items():
+        for v, bound in self.bounds.items():
             if v not in self.schema:
                 raise ConfigError(f"bound on unknown variable {v!r}")
+            if not isinstance(bound, (tuple, list)) or len(bound) != 2:
+                raise ConfigError(f"bound on {v!r} must be a (lower, upper) pair, got {bound!r}")
+            lo, hi = bound
             if lo is not None and hi is not None and lo > hi:
                 raise ConfigError(f"bound on {v!r}: lower end {lo} exceeds upper end {hi}")
         for v in self.integer_variables:
@@ -389,96 +396,21 @@ _CHUNK = 1024
 #: they total the checked attempts plus the one taken unchecked at the cap
 _ROUNDS = (4, 16, _MAX_TRUNCATION_TRIES + 1 - 20)
 
-# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: each step XORs with the old value
-    and multiplies by the new one."""
-    while True:
-        step = init * mult & _MASK32
-        yield np.uint32(init), np.uint32(step)
-        init = step
-
-
-def _stream_states(seed: int, start: int, stop: int) -> list[dict]:
-    """The `bit_generator.state` of numpy's `default_rng` of the key (seed, i),
-    for each i in [start, stop).
-
-    The SeedSequence of the key (seed, i) is computed for every i at once in
-    uint32 arrays: its entropy is the 32-bit words of seed, then of i, and a
-    zero word hashes as numpy's padding of the pool to 4 words does. With
-    seed and i below 2**64 the key has at most 4 words, so the mixing never
-    takes in words beyond the pool. PCG64 takes `generate_state(4, uint64)`
-    as (initstate, initseq) and starts with pcg_setseq_128_srandom_r.
-    """
-    i = np.arange(start, stop, dtype=np.uint64)
-    n = len(i)
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    key = [np.full(n, w, dtype=np.uint32) for w in seed_words]
-    key += [(i & np.uint64(_MASK32)).astype(np.uint32), (i >> np.uint64(32)).astype(np.uint32)]
-    key += [np.zeros(n, dtype=np.uint32)] * (4 - len(key))
-    shift = np.uint32(16)
-    consts = _hash_constants(_INIT_A, _MULT_A)
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        old, new = next(consts)
-        v = (v ^ old) * new
-        return v ^ (v >> shift)
-
-    pool = [hashmix(w) for w in key]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> shift)
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    words = []
-    for j in range(8):  # generate_state(4, uint64): 8 words, little-endian pairs
-        old, new = next(consts)
-        v = (pool[j % 4] ^ old) * new
-        words.append((v ^ (v >> shift)).astype(np.uint64))
-    s_hi, s_lo, q_hi, q_lo = ((words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist()
-                              for k in range(4))
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        # from state 0: step, add initstate, step
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
-def _draw_chunk(rng, states, signal_fraction, bg_cum, models, lo, hi):
+def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
     """Each event's process index into `models`, and its first Gaussian attempt
     inside the bounds, or else the one after the last check, unclipped.
 
-    Event r draws from its own stream, whose state `states[r]` is loaded into
-    the shared generator `rng`: the class uniform, the process uniform of a
-    background event, then attempts with model `models[proc[r]]`. Attempts
-    come in blocks of `_ROUNDS`; a block consumes a stream as one draw per
-    attempt does, and a stream is dropped after its event, so the extra draws
-    of a round change nothing. One state assignment serves an event's
-    uniforms and first block; an event still pending after a round loads and
-    saves its state again.
+    Event r draws from its own stream in `streams` (see `_sweep.NumpyStreams`):
+    the class uniform, the process uniform of a background event, then
+    attempts with model `models[proc[r]]`. Attempts come in blocks of
+    `_ROUNDS`: the first drawn with the uniforms, each later one only for
+    the events still pending. A block consumes a stream as one draw per
+    attempt does, and a stream is dropped after its event, so the extra
+    draws of a round change nothing.
     """
-    bitgen = rng.bit_generator
-    n, k = len(states), len(lo)
-    u_bg = np.full(n, np.nan)
-    z = np.empty((n, _ROUNDS[0], k), dtype=np.float64)
-    for r, state in enumerate(states):
-        bitgen.state = state
-        if rng.random() >= signal_fraction:
-            u_bg[r] = rng.random()
-        rng.standard_normal(out=z[r])
-        states[r] = bitgen.state
+    k = len(lo)
+    u_bg, z = streams.head(signal_fraction, (_ROUNDS[0], k))
+    n = len(u_bg)
     bg = ~np.isnan(u_bg)
     proc = np.zeros(n, dtype=np.intp)
     proc[bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
@@ -488,11 +420,7 @@ def _draw_chunk(rng, states, signal_fraction, bg_cum, models, lo, hi):
     tried = 0
     for block in _ROUNDS:
         if tried:
-            z = np.empty((len(pending), block, k), dtype=np.float64)
-            for row, r in zip(z, pending.tolist()):
-                bitgen.state = states[r]
-                rng.standard_normal(out=row)
-                states[r] = bitgen.state
+            z = streams.normals(pending, (block, k))
         x = np.empty_like(z)
         for m, (mean, fac) in enumerate(models):
             sel = proc[pending] == m
@@ -516,10 +444,10 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
     Event i draws only from its own stream, numpy's `default_rng` of the key
     (seed, i): a class uniform, a process uniform for background events, then
     Gaussian attempts until one lies inside `bounds`. Events are generated
-    in chunks: the streams' states are computed for the whole chunk and
-    loaded in turn into one generator, and the arithmetic is done
-    column-wise; the values are those of drawing and testing each event's
-    attempts one by one. `seed` must lie in [0, 2**64).
+    in chunks: `_sweep.STREAMS` seeds the chunk's streams and draws their
+    uniforms and attempts, and the arithmetic is done column-wise; the
+    values are those of drawing and testing each event's attempts one by
+    one. `seed` must lie in [0, 2**64).
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be a non-negative 64-bit integer")
@@ -541,12 +469,10 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
 
     values = np.empty((n_events, len(spec.schema)), dtype=np.float64)
     proc = np.empty(n_events, dtype=np.intp)  # index into names
-    rng = np.random.Generator(np.random.PCG64())  # every event's stream state is loaded into it
     for start in range(0, n_events, _CHUNK):
         stop = min(start + _CHUNK, n_events)
         proc[start:stop], values[start:stop] = _draw_chunk(
-            rng, _stream_states(int(seed), start, stop), spec.signal_fraction, bg_cum,
-            models, lo, hi)
+            _sweep.STREAMS(int(seed), start, stop), spec.signal_fraction, bg_cum, models, lo, hi)
 
     def clip(cols: np.ndarray) -> np.ndarray:  # min(max(v, lo), hi), as Python orders ties
         cols = np.where(lo > cols, lo, cols)

@@ -6,11 +6,12 @@ import csv
 import io
 import itertools
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from qamlz import Dataset, GeneratorSpec, IsingProblem
+from qamlz import Dataset, GeneratorSpec, IsingProblem, _sweep
 from qamlz.errors import ConfigError, DataError
 from qamlz.features import (
     DERIVED_PRESETS,
@@ -231,6 +232,18 @@ def reference_solve_exact(problem: IsingProblem, keep: int, chunk: int) -> tuple
 # ---------------------------------------------------------------------------
 
 _MAX_TRUNCATION_TRIES = 100
+
+
+def compiled_stream_states(seed: int, start: int, stop: int) -> list[dict]:
+    """The PCG64 states that the compiled `_sweep.STREAMS` seeds for the keys
+    (seed, i), i in [start, stop), in the form of numpy's
+    `bit_generator.state`. Skips the test where there is no C compiler."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert _sweep.STREAMS is not _sweep.NumpyStreams, "cc is on PATH but the streams did not load"
+    return [{"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": q_hi << 64 | q_lo},
+             "has_uint32": 0, "uinteger": 0}
+            for s_hi, s_lo, q_hi, q_lo in _sweep.STREAMS(seed, start, stop).words.tolist()]
 
 
 def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:

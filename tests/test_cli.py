@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -421,6 +423,28 @@ class TestScan:
         assert sizes == [2]
         assert main(["scan", "--config", str(cfg), "--jobs", "2"]) == 0
         assert sizes == [2, 2]
+
+    def test_pool_is_no_larger_than_the_usable_cpus(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def fake_pool(max_workers):  # records the size, starts no process
+            sizes.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", fake_pool)
+        monkeypatch.setattr(cli, "run_uncertainty",
+                            lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
+        cfg = self._scan_config(tmp_path, delta=[0.05, 0.1, 0.15, 0.2])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert main(["scan", "--config", str(cfg), "--jobs", "64"]) == 0
+        assert sizes == [3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert main(["scan", "--config", str(cfg), "--jobs", "4"]) == 0
+        assert sizes == [3]  # one usable CPU: the grid runs in this process
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["scan", "--config", str(cfg), "--jobs", "64"]) == 0
+        assert sizes == [3, 2]
 
     @pytest.mark.parametrize("offset_range", [3, 5])
     @pytest.mark.parametrize("cutoff", [0.0, 85.0])

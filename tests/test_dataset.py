@@ -1,4 +1,6 @@
+import ctypes
 import dataclasses
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -19,12 +21,13 @@ from qamlz import (
     split_samples,
     two_gaussian_spec,
 )
-from qamlz import dataset
+from qamlz import _sweep, dataset
 from qamlz._codec import from_json
-from qamlz.dataset import (BASE_VARIABLES, PRESELECTION_VARIABLES, PROCESSES, _load_rows,
-                           _stream_states)
+from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES, PROCESSES, _load_rows
 
-from conftest import reference_generate_synthetic, reference_to_csv
+from conftest import compiled_stream_states, reference_generate_synthetic, reference_to_csv
+
+HAVE_CC = shutil.which("cc") is not None
 
 
 def _spec_1d(sig_mean=1.0, bkg_mean=-1.0):
@@ -120,6 +123,11 @@ class TestGenerate:
         d = generate_synthetic(_unit_spec({"x": (1.0, 1.0)}), 20, seed=3)
         assert (d.column("x") == 1.0).all()
 
+    @pytest.mark.parametrize("bound", [(1.0,), (0.0, 1.0, 2.0)])
+    def test_bound_that_is_not_a_pair_is_config_error(self, bound):
+        with pytest.raises(ConfigError, match="bound on 'x' must be a"):
+            _unit_spec({"x": bound})
+
     def test_prefix_property_from_per_event_streams(self):
         # event i depends only on (seed, i), so shorter runs are prefixes of
         # longer ones; this is what makes generation schedule-independent
@@ -179,7 +187,7 @@ class TestStreamStates:
         # straddles 2**32
         expected = [np.random.default_rng((seed, i)).bit_generator.state
                     for i in range(start, stop)]
-        assert _stream_states(seed, start, stop) == expected
+        assert compiled_stream_states(seed, start, stop) == expected
 
 
 class TestGenerateMatchesPerEventLoop:
@@ -223,6 +231,45 @@ class TestGenerateMatchesPerEventLoop:
         with pytest.raises(DataError) as ref:
             reference_generate_synthetic(spec, 1, seed=0)
         assert str(ours.value) == str(ref.value)
+
+
+class TestCompiledStreams:
+    """Generation through the compiled event streams and through the
+    per-event generators of the fallback, each against the reference."""
+
+    @pytest.mark.parametrize("seed", [7, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("spec", [
+        default_generator_spec(),
+        two_gaussian_spec(["a", "b", "c"], [0.5, 1.0, 0.0], [-0.5, 0.0, 0.2],
+                          sigmas=[1.0, 2.0, 0.5])], ids=["default", "two_gaussian"])
+    @pytest.mark.parametrize("path", ["compiled", "fallback"])
+    def test_equal_to_reference(self, monkeypatch, path, spec, seed):
+        if path == "compiled":
+            if not HAVE_CC:
+                pytest.skip("no C compiler on PATH")
+            assert _sweep.STREAMS is not _sweep.NumpyStreams, "cc is on PATH but the streams did not load"
+        else:
+            monkeypatch.setattr(_sweep, "STREAMS", _sweep.NumpyStreams)
+        _assert_bit_equal(spec, 2100, seed)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    def test_streams_reject_bad_arrays(self):
+        streams = _sweep.STREAMS(7, 0, 4)
+        for key in [(-1, 0, 4), (2**64, 0, 4), (7, 3, 2), (7, 2**64 - 1, 2**64 + 1)]:
+            with pytest.raises(ValueError, match="not 64-bit"):
+                _sweep.STREAMS(*key)
+        for rows in [np.array([0, 4]), np.array([-1]), np.zeros((1, 1), dtype=np.int64)]:
+            with pytest.raises(ValueError, match="rows out of range"):
+                streams.normals(rows, (2, 3))
+        with pytest.raises(ctypes.ArgumentError):
+            streams.normals(np.array([0, 1], dtype=np.int32), (2, 3))
+        words = streams.words
+        for bad in [words[:, :3].copy(), np.asfortranarray(words), words.astype(np.int64)]:
+            streams.words = bad
+            with pytest.raises((ValueError, ctypes.ArgumentError)):
+                streams.head(0.5, (2, 3))
+        streams.words = words
+        assert streams.normals(np.array([3, 0]), (2, 3)).shape == (2, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, prune, solve_chain_emulated,
-                   solve_sa, solver)
+from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, default_generator_spec, prune,
+                   solve_chain_emulated, solve_sa, solver)
 
-from conftest import make_problem, random_problem, reference_fix_variables
+from conftest import (make_problem, random_problem, reference_fix_variables,
+                      reference_generate_synthetic)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HAVE_CC = shutil.which("cc") is not None
@@ -310,3 +311,53 @@ def test_concurrent_cold_builds_leave_one_library(tmp_path):
     assert [out.strip() for out, _ in outs] == ["True", "True"]
     left = os.listdir(tmp_path / "cache" / "qamlz")
     assert len(left) == 1 and left[0].endswith(".so"), left
+
+
+_GENERATE = """
+import json, sys
+import numpy as np
+np.__file__ = sys.argv[1]  # numpy's archives are looked for under its directory
+from qamlz import _sweep, default_generator_spec, generate_synthetic
+print(json.dumps({"sweep": _sweep.SWEEP is not _sweep.numpy_sweep,
+                  "fix": _sweep.FIX is not _sweep.numpy_fix,
+                  "streams": _sweep.STREAMS is not _sweep.NumpyStreams,
+                  "csv": generate_synthetic(default_generator_spec(), 1500, 11).to_csv()}))
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("archive", [None, b"", b"!<arch>\nnot an archive member\n"])
+def test_archive_missing_or_unlinkable_keeps_sa_compiled(tmp_path, archive):
+    fake_numpy = tmp_path / "numpy"
+    (fake_numpy / "random" / "lib").mkdir(parents=True)
+    if archive is not None:
+        (fake_numpy / "random" / "lib" / "libnpyrandom.a").write_bytes(archive)
+    want = reference_generate_synthetic(default_generator_spec(), 1500, 11).to_csv()
+    for _ in range(2):  # the build, then the cached library
+        proc = subprocess.run([sys.executable, "-c", _GENERATE, str(fake_numpy / "__init__.py")],
+                              env=_env(tmp_path / "cache"), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "compiled event streams unavailable" in lines[0], lines
+        got = json.loads(proc.stdout)
+        assert (got["sweep"], got["fix"], got["streams"]) == (True, True, False)
+        assert got["csv"] == want
+    assert len(os.listdir(tmp_path / "cache" / "qamlz")) == 1
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_cache_key_follows_the_archive_bytes(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(_sweep.ARCHIVE.read_bytes())
+    monkeypatch.setattr(_sweep, "ARCHIVE", archive)
+    libs = [_sweep._library()]
+    with archive.open("ab") as f:
+        f.write(b"\n")  # one byte more: a numpy upgrade, say
+    libs.append(_sweep._library())
+    archive.unlink()
+    libs.append(_sweep._library())
+    assert len(set(libs)) == 3 and all(lib.exists() for lib in libs)
+    assert hasattr(ctypes.CDLL(str(libs[0])), "stream_seed")
+    assert not hasattr(ctypes.CDLL(str(libs[2])), "stream_seed")
