@@ -43,7 +43,6 @@ from .ising import (
     CouplingMatrices,
     IsingProblem,
     apply_gauge,
-    augment,
     build_couplings_from_signs,
     effective_problem,
     energy,

@@ -1,8 +1,9 @@
 /* The event streams of qamlz.dataset: event i of a sample drawn at `seed`
  * draws only from numpy's default_rng((seed, i)), a PCG64 generator. Here
  * each stream is four uint64 words, (state hi, state lo, inc hi, inc lo):
- * stream_seed computes them for a run of indices, and stream_head and
- * stream_normals draw from them and save them again.
+ * stream_seed computes them for a run of indices; stream_head draws each
+ * event's class and process uniforms from them and stream_normals its
+ * blocks of Gaussian attempts, and both save them again.
  *
  * The draws are numpy's own: the normals come from random_standard_normal
  * of the libnpyrandom.a that numpy ships (numpy/random/lib/), linked into
@@ -144,16 +145,13 @@ void stream_seed(uint64_t seed, uint64_t start, long n, uint64_t *restrict words
 
 /* For each of the n streams in words: the class uniform u, then, if u >=
  * signal_fraction (a background event), the process uniform into u_bg[j],
- * else NaN; then count standard normals into z[j * count ...]. */
+ * else NaN. */
 void stream_head(uint64_t *restrict words, long n, double signal_fraction,
-                 double *restrict u_bg, double *restrict z, long count)
+                 double *restrict u_bg)
 {
     for (long j = 0; j < n; j++) {
         pcg64_t g = load(words + 4 * j);
-        bitgen_t b = bitgen_of(&g);
         u_bg[j] = next_double(&g) >= signal_fraction ? next_double(&g) : NAN;
-        for (long c = 0; c < count; c++)
-            z[j * count + c] = random_standard_normal(&b);
         save(&g, words + 4 * j);
     }
 }

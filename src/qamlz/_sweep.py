@@ -137,17 +137,15 @@ class NumpyStreams:
     def __init__(self, seed: int, start: int, stop: int):
         self.rngs = [np.random.default_rng((seed, i)) for i in range(start, stop)]
 
-    def head(self, signal_fraction: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    def head(self, signal_fraction: float) -> np.ndarray:
         """Each stream's class uniform u, then its process uniform if u >=
-        `signal_fraction` (a background event), then normals of `shape`: the
-        process uniforms, NaN for signal events, and the stacked normals."""
+        `signal_fraction` (a background event): the process uniforms, NaN for
+        signal events."""
         u_bg = np.full(len(self.rngs), np.nan)
-        z = np.empty((len(self.rngs), *shape))
         for r, rng in enumerate(self.rngs):
             if rng.random() >= signal_fraction:
                 u_bg[r] = rng.random()
-            rng.standard_normal(out=z[r])
-        return u_bg, z
+        return u_bg
 
     def normals(self, rows: np.ndarray, shape) -> np.ndarray:
         """Normals of `shape` from each stream in `rows`, stacked."""
@@ -264,7 +262,7 @@ def _compiled_streams(lib):
     rows = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     seed_fn, head_fn, normals_fn = lib.stream_seed, lib.stream_head, lib.stream_normals
     seed_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, words]
-    head_fn.argtypes = [words, ctypes.c_long, ctypes.c_double, floats, floats, ctypes.c_long]
+    head_fn.argtypes = [words, ctypes.c_long, ctypes.c_double, floats]
     normals_fn.argtypes = [words, rows, ctypes.c_long, floats, ctypes.c_long]
     for fn in (seed_fn, head_fn, normals_fn):
         fn.restype = None
@@ -284,11 +282,10 @@ def _compiled_streams(lib):
                 raise ValueError("stream words are not (n, 4)")
             return len(self.words)
 
-        def head(self, signal_fraction, shape):
-            n = self._count()
-            u_bg, z = np.empty(n), np.empty((n, *shape))
-            head_fn(self.words, n, signal_fraction, u_bg, z, math.prod(shape))
-            return u_bg, z
+        def head(self, signal_fraction):
+            u_bg = np.empty(self._count())
+            head_fn(self.words, len(u_bg), signal_fraction, u_bg)
+            return u_bg
 
         def normals(self, rows, shape):
             if not (rows.ndim == 1 and ((0 <= rows) & (rows < self._count())).all()):

@@ -44,7 +44,7 @@ from .evaluate import (
     scores_by_process,
 )
 from .features import fit_feature_pipeline, variable_set
-from .ising import keep_count
+from .ising import AugmentedClassifierSet, keep_count
 from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
 #: grid points whose post-prune coupler count exceeds this have no hardware
@@ -236,7 +236,7 @@ def cmd_train(cfg: Config) -> int:
         for rec in model.trajectory:
             fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
     final = model.trajectory[-1]
-    print(f"wrote {cfg.out_dir / 'model.json'}: {model.n_spins} spins, "
+    print(f"wrote {cfg.out_dir / 'model.json'}: {model.aug.n_spins} spins, "
           f"final train distance {final.train_distance:.6g}, "
           f"test distance {final.test_distance:.6g}")
     return 0
@@ -284,7 +284,7 @@ def _scan_point(args: tuple) -> tuple:
     """One grid point, executed possibly in a worker process."""
     split, pipeline, zcfg, params, n_runs, budget = args
     point = tuple(getattr(zcfg, name) for name in _AXES)
-    n_spins = pipeline.n_var * (2 * zcfg.offset_range + 1)
+    n_spins = AugmentedClassifierSet(pipeline.weak, zcfg.delta, zcfg.offset_range).n_spins
     if keep_count(n_spins * (n_spins - 1) // 2, zcfg.cutoff_pct) > budget:
         return (*point, "", "", "no embedding")
     report = run_uncertainty(zcfg, split, pipeline, n_runs=n_runs, params=params)

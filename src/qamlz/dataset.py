@@ -13,6 +13,7 @@ same values.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
 import warnings
@@ -159,11 +160,17 @@ _LOADTXT = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', encodin
 #: from a number as whitespace and `float()` does not; the csv module refuses
 #: NUL before Python 3.11
 _ROW_LOOP_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: the largest `csv.field_size_limit`, which is a C long
+_FIELD_LIMIT = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
 
 
 @contextmanager
-def _read_errors(path: Path):
-    """Raise a file that cannot be opened, decoded or tokenised as a `DataError` naming it."""
+def _reading(path: Path):
+    """A read of `path` by `csv.reader`, whose cells may then be as long as
+    numpy's reader takes them: the field size limit is raised to its largest
+    for the read, and restored after. A file that cannot be opened, decoded
+    or tokenised is raised as a `DataError` naming it."""
+    limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -172,6 +179,8 @@ def _read_errors(path: Path):
         raise DataError(f"{path}: unreadable CSV ({exc})") from None
     except OSError as exc:
         raise DataError(f"cannot read event file {path}: {exc.strerror or exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _read_header(path: Path, reader,
@@ -206,13 +215,12 @@ def load_events(path: str | Path, schema: Sequence[str] | None = None) -> Datase
     The columns are parsed by numpy's C reader (`_load_columns`). A file it
     refuses, or whose columns fail a check, is read again row by row by
     `_load_rows`, the source of every error message. The two take the same
-    files to the same bits, save that only numpy's reader takes a cell longer
-    than `csv.field_size_limit()`.
+    files to the same bits.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    with _read_errors(path):
+    with _reading(path):
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header, schema = _read_header(path, reader, schema)
@@ -267,7 +275,7 @@ def _load_rows(path: str | Path, schema: Sequence[str] | None = None) -> Dataset
     """`load_events` by a Python loop over the rows of `csv.reader`: the reader
     of files `_load_columns` refuses, and the source of every error message."""
     path = Path(path)
-    with _read_errors(path), path.open(newline="", encoding="utf-8") as fh:
+    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header, schema = _read_header(path, reader, schema)
         col = {name: header.index(name) for name in header}
@@ -401,15 +409,14 @@ def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
     inside the bounds, or else the one after the last check, unclipped.
 
     Event r draws from its own stream in `streams` (see `_sweep.NumpyStreams`):
-    the class uniform, the process uniform of a background event, then
-    attempts with model `models[proc[r]]`. Attempts come in blocks of
-    `_ROUNDS`: the first drawn with the uniforms, each later one only for
-    the events still pending. A block consumes a stream as one draw per
-    attempt does, and a stream is dropped after its event, so the extra
-    draws of a round change nothing.
+    the class uniform, the process uniform of a background event (`head`),
+    then attempts with model `models[proc[r]]`. Attempts come in blocks of
+    `_ROUNDS`, each drawn (`normals`) only for the events still pending. A
+    block consumes a stream as one draw per attempt does, and a stream is
+    dropped after its event, so the extra draws of a round change nothing.
     """
     k = len(lo)
-    u_bg, z = streams.head(signal_fraction, (_ROUNDS[0], k))
+    u_bg = streams.head(signal_fraction)
     n = len(u_bg)
     bg = ~np.isnan(u_bg)
     proc = np.zeros(n, dtype=np.intp)
@@ -419,8 +426,7 @@ def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
     pending = np.arange(n)
     tried = 0
     for block in _ROUNDS:
-        if tried:
-            z = streams.normals(pending, (block, k))
+        z = streams.normals(pending, (block, k))
         x = np.empty_like(z)
         for m, (mean, fac) in enumerate(models):
             sel = proc[pending] == m

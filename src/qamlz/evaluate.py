@@ -146,9 +146,9 @@ def _score_models(models: Sequence[TrainedModel], d: Dataset) -> list[np.ndarray
     if any(m.pipeline is not first.pipeline
            or (m.delta, m.offset_range) != (first.delta, first.offset_range) for m in models):
         raise ConfigError("models scored together must share a pipeline and augmented set")
-    signs = first.augmented_set().signs_from_h(first.pipeline.transform(d))
+    signs = first.aug.signs_from_h(first.pipeline.transform(d))
     # the signs stay int8: a float64 matvec rounds differently and changes the scores' bits
-    return [signs @ (m.mu / m.n_var) for m in models]
+    return [signs @ (m.mu / m.aug.n_var) for m in models]
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,6 @@ class FeaturePipeline:
     pca: PcaTransform | None
     weak: WeakClassifierSet
 
-    @property
-    def n_var(self) -> int:
-        return self.weak.n_classifiers
-
     def transform(self, d: Dataset) -> np.ndarray:
         x = feature_matrix(d, self.variables)
         if self.pca is not None:

@@ -40,6 +40,14 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_layout(delta: float, offset_range: int) -> None:
+    """The two rules of an augmentation: A >= 0, and delta > 0 unless A = 0."""
+    if offset_range < 0:
+        raise ConfigError("offset_range must be >= 0")
+    if offset_range > 0 and not delta > 0:
+        raise ConfigError("delta must be > 0 when offset_range > 0")
+
+
 @dataclass(frozen=True)
 class AugmentedClassifierSet:
     """Offset copies sgn(h_i + delta*l)/N of each weak classifier.
@@ -55,10 +63,7 @@ class AugmentedClassifierSet:
     offset_range: int
 
     def __post_init__(self):
-        if self.offset_range < 0:
-            raise ConfigError("offset_range must be >= 0")
-        if self.offset_range > 0 and not self.delta > 0:
-            raise ConfigError("delta must be > 0 when offset_range > 0")
+        _check_layout(self.delta, self.offset_range)
 
     @property
     def n_var(self) -> int:
@@ -88,9 +93,6 @@ class AugmentedClassifierSet:
         if h.ndim != 2 or h.shape[1] != self.n_var:
             raise DataError(f"expected (n, {self.n_var}) h matrix, got {h.shape}")
         return sign_pm1(h[:, self.var_index] + self.offsets[None, :])
-
-def augment(base: WeakClassifierSet, delta: float, offset_range: int) -> AugmentedClassifierSet:
-    return AugmentedClassifierSet(base=base, delta=delta, offset_range=offset_range)
 
 
 # ---------------------------------------------------------------------------

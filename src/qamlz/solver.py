@@ -268,7 +268,8 @@ class ChainConfig:
     """Chain emulation knobs: physical spins per logical spin and the
     intra-chain coupling strength relative to the largest problem coupler.
     An optional per-iteration strength schedule, read through
-    `at_iteration`, overrides `strength`."""
+    `at_iteration`, overrides `strength`: the training loop hands the chain
+    solver, which reads only `strength`, a copy holding the iteration's entry."""
 
     length: int = 4
     strength: float = 1.0
@@ -285,14 +286,13 @@ class ChainConfig:
             raise ConfigError("chain strength schedule entries must be positive")
 
 
-def expand_chains(p: IsingProblem, cc: ChainConfig, strength: float | None = None) -> IsingProblem:
+def expand_chains(p: IsingProblem, cc: ChainConfig) -> IsingProblem:
     """Physical problem: each logical spin becomes a ferromagnetic chain of
     `length` spins sharing the field evenly; logical couplers attach between
     the last spin of the lower chain and the first spin of the upper chain."""
     length = cc.length
-    r = strength if strength is not None else cc.strength
     max_j = float(np.abs(p.values).max(initial=0.0))
-    chain_coupling = -r * max_j  # negative = ferromagnetic, aligned spins favoured
+    chain_coupling = -cc.strength * max_j  # negative = ferromagnetic, aligned spins favoured
     h = np.repeat(p.h / length, length)
     pairs = p.pairs * length + np.array([length - 1, 0])
     values = p.values
@@ -326,7 +326,6 @@ def solve_chain_emulated(
     cc: ChainConfig,
     sched: AnnealSchedule,
     seed: int | tuple,
-    strength: float | None = None,
 ) -> SolverResult:
     """Anneal the chain-expanded problem and decode each chain by majority
     vote; even splits are broken by a seeded coin. Reported energies are those
@@ -334,7 +333,7 @@ def solve_chain_emulated(
     broken_chain_fraction counts chains whose physical spins disagree, over
     all reads. With length 1 this is sample-for-sample identical to solve_sa.
     """
-    res = solve_sa(expand_chains(p, cc, strength), sched, seed=seed)
+    res = solve_sa(expand_chains(p, cc), sched, seed=seed)
     rng_tie = np.random.default_rng((2, *_as_key(seed)))
     logical, broken_fraction = decode_chains(res.spins, p.n_spins, cc.length, rng_tie)
     return SolverResult(spins=logical, energies=energies_batch(p, logical),

@@ -11,7 +11,8 @@ randomness is drawn from streams keyed by (seed, iteration, candidate, gauge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .ising import (
     AugmentedClassifierSet,
     CouplingMatrices,
     IsingProblem,
-    augment,
+    _check_layout,
     apply_gauge,
     build_couplings_from_signs,
     effective_problem,
@@ -100,10 +101,7 @@ class ZoomConfig:
             raise ConfigError("external_timeout must be a positive number of seconds or null")
         if not 0.0 <= self.cutoff_pct <= 100.0:
             raise ConfigError("cutoff_pct must be in [0, 100]")
-        if self.offset_range < 0:
-            raise ConfigError("offset_range must be >= 0")
-        if self.offset_range > 0 and not self.delta > 0:
-            raise ConfigError("delta must be > 0 when offset_range > 0")
+        _check_layout(self.delta, self.offset_range)
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
 
@@ -133,7 +131,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Final classifier weights plus everything needed to score new events."""
+    """Final classifier weights plus everything needed to score new events:
+    `mu` weighs the spins of `aug`, the augmented set that `delta` and
+    `offset_range` lay out over the pipeline's weak classifiers."""
 
     mu: np.ndarray
     delta: float
@@ -143,20 +143,13 @@ class TrainedModel:
     settings: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mu.shape != (self.n_spins,):
-            raise ConfigError(f"mu has shape {self.mu.shape}, the model has {self.n_spins} spins")
+        if self.mu.shape != (self.aug.n_spins,):
+            raise ConfigError(f"mu has shape {self.mu.shape}, the model has {self.aug.n_spins} spins")
         self.mu.setflags(write=False)
 
-    @property
-    def n_var(self) -> int:
-        return self.pipeline.n_var
-
-    @property
-    def n_spins(self) -> int:
-        return self.n_var * (2 * self.offset_range + 1)
-
-    def augmented_set(self):
-        return augment(self.pipeline.weak, self.delta, self.offset_range)
+    @cached_property
+    def aug(self) -> AugmentedClassifierSet:
+        return AugmentedClassifierSet(self.pipeline.weak, self.delta, self.offset_range)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,8 @@ def _solve_backend(problem, cfg: ZoomConfig, t: int, seed: tuple):
         return solve_external(problem, cfg.external_command, timeout=cfg.external_timeout)
     cc = cfg.chain
     strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
-    return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed, strength=strength)
+    cc = replace(cc, strength=strength, strength_schedule=None)
+    return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed)
 
 
 def _window(d: float | None, best: float) -> float:
@@ -291,7 +285,7 @@ def prepare(
     for name, d in (("train", train), ("test", test)):
         if not d.weights.sum() > 0.0:
             raise DataError(f"the {name} sample has zero total weight")
-    aug = augment(features.weak, delta, offset_range)
+    aug = AugmentedClassifierSet(features.weak, delta, offset_range)
     signs_train = aug.signs_from_h(features.transform(train))
     signs_test = aug.signs_from_h(features.transform(test))
     cm = build_couplings_from_signs(signs_train, train.tags, train.weights, aug.n_var)

@@ -14,13 +14,13 @@ import pytest
 
 from qamlz import (
     AnnealSchedule,
+    AugmentedClassifierSet,
     ChainConfig,
     FomParams,
     ZoomConfig,
     apply_gauge,
     apply_pca,
     asimov_significance,
-    augment,
     build_couplings_from_signs,
     default_generator_spec,
     effective_problem,
@@ -91,7 +91,7 @@ def test_01_coupler_arithmetic():
     vals = np.vstack([np.linspace(-1, 1, 10)] * 12).T
     train = Dataset(tuple(f"v{i}" for i in range(12)), vals, [1, -1] * 5,
                     np.ones(10), ["signal", "wjets"] * 5)
-    aug = augment(normalize_fit(train), delta=0.009, offset_range=5)
+    aug = AugmentedClassifierSet(normalize_fit(train), delta=0.009, offset_range=5)
     n_spins = aug.n_spins
     n_couplers = n_spins * (n_spins - 1) // 2
     assert n_spins == 132

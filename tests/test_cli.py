@@ -340,6 +340,23 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == 3
         assert "the model has 6 spins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta", -0.5, "delta must be > 0 when offset_range > 0"),
+        ("offset_range", -1, "offset_range must be >= 0"),
+    ], ids=["negative-delta", "negative-offset-range"])
+    def test_model_layout_the_augmented_set_rejects_is_data_error(self, tmp_path, capsys,
+                                                                  key, value, message):
+        cfg = _base_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model_path = tmp_path / "out" / "model.json"
+        doc = json.loads(model_path.read_text())
+        assert doc["offset_range"] == 1
+        model_path.write_text(json.dumps({**doc, key: value}))
+        assert main(["eval", "--config", str(cfg)]) == 3
+        assert f"malformed model file {model_path}: {message}\n" in capsys.readouterr().err
+        for name in ("fom_curve.csv", "eval_summary.json", "overtraining.json"):
+            assert not (tmp_path / "out" / name).exists()
+
     def test_model_path_that_is_a_directory_is_data_error(self, tmp_path):
         cfg = _base_config(tmp_path, model=str(tmp_path))
         assert main(["eval", "--config", str(cfg)]) == 3
@@ -418,6 +435,8 @@ class TestScan:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "run_uncertainty",
                             lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
+        # more usable CPUs than grid points, whatever the host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         cfg = self._scan_config(tmp_path, delta=[0.05, 0.1])
         assert main(["scan", "--config", str(cfg), "--jobs", "64"]) == 0
         assert sizes == [2]
@@ -464,7 +483,8 @@ class TestScan:
         zcfg = ZoomConfig(delta=0.025, offset_range=offset_range, cutoff_pct=cutoff)
 
         def status(budget):
-            task = (None, SimpleNamespace(n_var=n_var), zcfg, FomParams(), 2, budget)
+            pipeline = SimpleNamespace(weak=SimpleNamespace(n_classifiers=n_var))
+            task = (None, pipeline, zcfg, FomParams(), 2, budget)
             return cli._scan_point(task)[-1]
 
         assert status(kept) == "ok"

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import dataclasses
 import shutil
@@ -267,7 +268,7 @@ class TestCompiledStreams:
         for bad in [words[:, :3].copy(), np.asfortranarray(words), words.astype(np.int64)]:
             streams.words = bad
             with pytest.raises((ValueError, ctypes.ArgumentError)):
-                streams.head(0.5, (2, 3))
+                streams.head(0.5)
         streams.words = words
         assert streams.normals(np.array([3, 0]), (2, 3)).shape == (2, 2, 3)
 
@@ -376,12 +377,21 @@ class TestLoad:
                 load(tmp_path)
 
     def test_cell_beyond_the_csv_field_limit(self, tmp_path):
-        # numpy's reader has no field limit, so only the row loop refuses it
+        # numpy's reader has no field limit, and the row loop lifts csv's for its
+        # read: so a file numpy's reader leaves to the row loop may hold long cells
         p = tmp_path / "events.csv"
-        p.write_text("tag,weight,process,x,junk\n1,1.0,signal,0.5," + "a" * 200_000 + "\n")
+        long_row = "1,1.0,signal,0.5," + "a" * 200_000 + "\n"
+        p.write_text("tag,weight,process,x,junk\n" + long_row)
+        limit = csv.field_size_limit()
         assert load_events(p, ["x"]).values.tolist() == [[0.5]]
-        with pytest.raises(DataError, match=r"unreadable CSV \(field larger than field limit"):
-            _load_rows(p, ["x"])
+        assert _load_rows(p, ["x"]).values.tolist() == [[0.5]]
+        assert csv.field_size_limit() == limit
+        p.write_text("tag,weight,process,x,junk\n" + long_row + "-1,1.0,wjets,0.25,\x1c\n")
+        assert load_events(p, ["x"]).values.tolist() == [[0.5], [0.25]]
+        p.write_text("tag,weight,process,x,junk\n" + long_row + "2,1.0,wjets,0.25,b\n")
+        with pytest.raises(DataError, match=f"{p}: tag must be \\+1 or -1 at row 2, got '2'"):
+            load_events(p, ["x"])
+        assert csv.field_size_limit() == limit
 
     def test_unknown_columns_ignored_and_order_kept(self, tmp_path):
         p = self._write(

@@ -189,7 +189,7 @@ class TestStrongScore:
             total = 0.0
             for spin in range(len(model.mu)):
                 var, off = divmod(spin, 2 * a + 1)
-                c = (1.0 if h[var] + model.delta * (off - a) >= 0 else -1.0) / model.n_var
+                c = (1.0 if h[var] + model.delta * (off - a) >= 0 else -1.0) / model.aug.n_var
                 total += model.mu[spin] * c
             assert batch[i] == pytest.approx(total, abs=1e-12)
 
@@ -198,13 +198,13 @@ class TestStrongScore:
         # so float64 signs would change the scores' last bits, and with them
         # every curve and summary written from the scores
         model, split = _trained_toy(n_var=3, offset_range=3)
-        signs = model.augmented_set().signs_from_h(model.pipeline.transform(split.assess))
-        want = signs.astype(np.int8) @ (model.mu / model.n_var)
+        signs = model.aug.signs_from_h(model.pipeline.transform(split.assess))
+        want = signs.astype(np.int8) @ (model.mu / model.aug.n_var)
         assert score_events(model, split.assess).tobytes() == want.tobytes()
 
     def test_score_bound(self):
         model, split = _trained_toy()
-        bound = np.abs(model.mu).sum() / model.n_var
+        bound = np.abs(model.mu).sum() / model.aug.n_var
         assert np.abs(score_events(model, split.assess)).max() <= bound + 1e-12
 
     def test_linearity_in_mu(self, rng):

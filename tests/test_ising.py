@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qamlz import (
+    AugmentedClassifierSet,
     ConfigError,
     Dataset,
     IsingProblem,
     apply_gauge,
-    augment,
     build_couplings_from_signs,
     effective_problem,
     energy,
@@ -52,19 +52,19 @@ def _all_configs(n):
 
 class TestAugment:
     def test_zero_offsets_reproduce_base_sign(self, rng):
-        aug = augment(_weak_set(3), delta=0.0, offset_range=0)
+        aug = AugmentedClassifierSet(_weak_set(3), delta=0.0, offset_range=0)
         h = rng.uniform(-1, 1, size=(20, 3))
         signs = aug.signs_from_h(h)
         assert signs.shape == (20, 3)
         np.testing.assert_array_equal(signs, sign_pm1(h))
 
     def test_paper_scale_spin_and_coupler_count(self):
-        aug = augment(_weak_set(12), delta=0.009, offset_range=5)
+        aug = AugmentedClassifierSet(_weak_set(12), delta=0.009, offset_range=5)
         assert aug.n_spins == 132
         assert aug.n_spins * (aug.n_spins - 1) // 2 == 8646
 
     def test_offset_ladder(self):
-        aug = augment(_weak_set(1), delta=0.025, offset_range=3)
+        aug = AugmentedClassifierSet(_weak_set(1), delta=0.025, offset_range=3)
         np.testing.assert_allclose(
             aug.offsets, [-0.075, -0.05, -0.025, 0.0, 0.025, 0.05, 0.075]
         )
@@ -72,13 +72,13 @@ class TestAugment:
         assert aug.var_index.tolist() == [0] * 7
 
     def test_layout_variable_major(self):
-        aug = augment(_weak_set(2), delta=0.1, offset_range=1)
+        aug = AugmentedClassifierSet(_weak_set(2), delta=0.1, offset_range=1)
         # spin I = i*(2A+1) + (l+A) is variable i at offset delta*l
         assert aug.var_index.tolist() == [0, 0, 0, 1, 1, 1]
         np.testing.assert_array_equal(aug.offsets, [-0.1, 0.0, 0.1] * 2)
 
     def test_sign_zero_is_plus_one(self):
-        aug = augment(_weak_set(1), delta=0.5, offset_range=1)
+        aug = AugmentedClassifierSet(_weak_set(1), delta=0.5, offset_range=1)
         # h = 0.5 makes h + delta*l = 0 at l = -1
         signs = aug.signs_from_h(np.array([[0.5]]))
         assert signs[0, 0] == 1
@@ -86,7 +86,7 @@ class TestAugment:
 
     def test_delta_required_with_offsets(self):
         with pytest.raises(ConfigError):
-            augment(_weak_set(1), delta=0.0, offset_range=2)
+            AugmentedClassifierSet(_weak_set(1), delta=0.0, offset_range=2)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ class TestAugment:
 
 class TestCouplings:
     def test_single_signal_event(self):
-        aug = augment(_weak_set(1), delta=0.0, offset_range=0)
+        aug = AugmentedClassifierSet(_weak_set(1), delta=0.0, offset_range=0)
         signs = np.array([[1]], dtype=np.int8)  # h > 0
         cm = build_couplings_from_signs(signs, np.array([1]), np.array([1.0]), 1)
         assert cm.tag_sums[0] == 1.0
@@ -118,7 +118,7 @@ class TestCouplings:
         d = Dataset(("a", "b", "c"), spec_vals, tags, w,
                     ["signal" if t == 1 else "ttbar" for t in tags])
         ws = weak_fit(d, n_bins=6)
-        aug = augment(ws, delta=0.07, offset_range=1)
+        aug = AugmentedClassifierSet(ws, delta=0.07, offset_range=1)
         cm = build_couplings_from_signs(aug.signs_from_h(ws.evaluate_matrix(spec_vals)),
                                         tags, w, aug.n_var)
 
@@ -461,8 +461,6 @@ def test_coupler_store_leaves_caller_arrays_writable():
 @given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2**31 - 1))
 def test_coupler_count_law(n_var, seed):
     offset_range = seed % 3
-    if offset_range > 0:
-        aug = augment(_weak_set(min(n_var, 6)), delta=0.01, offset_range=offset_range)
-    else:
-        aug = augment(_weak_set(min(n_var, 6)), delta=0.0, offset_range=0)
+    delta = 0.01 if offset_range > 0 else 0.0
+    aug = AugmentedClassifierSet(_weak_set(min(n_var, 6)), delta=delta, offset_range=offset_range)
     assert aug.n_spins == aug.n_var * (2 * offset_range + 1)

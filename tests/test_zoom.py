@@ -220,7 +220,7 @@ class TestRunQamlz:
         model = run_qamlz(prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range), cfg)
         assert model.mu[0] > 0
         h = pipe.transform(split.train)
-        signs = model.augmented_set().signs_from_h(h)
+        signs = model.aug.signs_from_h(h)
         d_zero = weighted_distance(signs, split.train.tags, split.train.weights,
                                    np.zeros(1), 1)
         d_model = weighted_distance(signs, split.train.tags, split.train.weights,
