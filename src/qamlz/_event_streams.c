@@ -17,6 +17,8 @@
 #include <math.h>
 #include <stdint.h>
 
+#include "_pcg64.h"
+
 typedef struct bitgen {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -27,11 +29,6 @@ typedef struct bitgen {
 
 double random_standard_normal(bitgen_t *bitgen_state);
 
-typedef unsigned __int128 u128;
-
-/* PCG64's multiplier, PCG_DEFAULT_MULTIPLIER_128 */
-#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
-
 /* SeedSequence's hash constants */
 #define INIT_A 0x43b0d7e5u
 #define MULT_A 0x931e8875u
@@ -40,37 +37,15 @@ typedef unsigned __int128 u128;
 #define MIX_MULT_L 0xca01f9ddu
 #define MIX_MULT_R 0x4973f715u
 
-typedef struct {
-    u128 state, inc;
-} pcg64_t;
-
-/* pcg_setseq_128_xsl_rr_64_random_r: step, then the XSL-RR output */
+/* the bitgen_t callbacks of one stream */
 static uint64_t next_uint64(void *st)
 {
-    pcg64_t *g = st;
-    g->state = g->state * PCG_MULT + g->inc;
-    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    unsigned rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << ((-rot) & 63));
+    return pcg64_next(st);
 }
 
 static double next_double(void *st)
 {
-    return (double)(next_uint64(st) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-static pcg64_t load(const uint64_t *w)
-{
-    pcg64_t g = {((u128)w[0] << 64) | w[1], ((u128)w[2] << 64) | w[3]};
-    return g;
-}
-
-static void save(const pcg64_t *g, uint64_t *w)
-{
-    w[0] = (uint64_t)(g->state >> 64);
-    w[1] = (uint64_t)g->state;
-    w[2] = (uint64_t)(g->inc >> 64);
-    w[3] = (uint64_t)g->inc;
+    return pcg64_next_double(st);
 }
 
 /* random_standard_normal reads only next_uint64 and next_double */
@@ -136,10 +111,10 @@ void stream_seed(uint64_t seed, uint64_t start, long n, uint64_t *restrict words
         u128 initseq = ((u128)out[5] << 96) | ((u128)out[4] << 64)
                        | ((u128)out[7] << 32) | out[6];
         pcg64_t g = {0, (initseq << 1) | 1};
-        g.state = g.state * PCG_MULT + g.inc;
+        pcg64_step(&g);
         g.state += initstate;
-        g.state = g.state * PCG_MULT + g.inc;
-        save(&g, words + 4 * j);
+        pcg64_step(&g);
+        pcg64_save(&g, words + 4 * j);
     }
 }
 
@@ -150,9 +125,9 @@ void stream_head(uint64_t *restrict words, long n, double signal_fraction,
                  double *restrict u_bg)
 {
     for (long j = 0; j < n; j++) {
-        pcg64_t g = load(words + 4 * j);
-        u_bg[j] = next_double(&g) >= signal_fraction ? next_double(&g) : NAN;
-        save(&g, words + 4 * j);
+        pcg64_t g = pcg64_load(words + 4 * j);
+        u_bg[j] = pcg64_next_double(&g) >= signal_fraction ? pcg64_next_double(&g) : NAN;
+        pcg64_save(&g, words + 4 * j);
     }
 }
 
@@ -162,10 +137,10 @@ void stream_normals(uint64_t *restrict words, const int64_t *restrict rows, long
                     double *restrict z, long count)
 {
     for (long j = 0; j < m; j++) {
-        pcg64_t g = load(words + 4 * rows[j]);
+        pcg64_t g = pcg64_load(words + 4 * rows[j]);
         bitgen_t b = bitgen_of(&g);
         for (long c = 0; c < count; c++)
             z[j * count + c] = random_standard_normal(&b);
-        save(&g, words + 4 * rows[j]);
+        pcg64_save(&g, words + 4 * rows[j]);
     }
 }

@@ -1,9 +1,9 @@
-"""The compiled loops of qamlz: blocks of Metropolis sweeps over every read of
-a simulated-annealing batch, the frontier loop of variable fixing, and the
+"""The compiled loops of qamlz: the Metropolis sweeps over every read of a
+simulated-annealing batch, the frontier loop of variable fixing, and the
 per-event random streams of synthetic generation.
 
-`solve_sa` runs its temperature ladder through `SWEEP` a block of sweeps at a
-time, `ising.fix_variables` runs its fixing passes through `FIX`, and
+`solve_sa` runs its whole temperature ladder through one call of `SWEEP`,
+`ising.fix_variables` runs its fixing passes through `FIX`, and
 `dataset.generate_synthetic` draws each chunk of events from `STREAMS`. The
 references are `numpy_sweep`, `numpy_fix` and `NumpyStreams`. `SWEEP` and
 `FIX` are the same loops compiled from `_sa_sweep.c` with the system C
@@ -26,23 +26,29 @@ All four loops walk the couplers as compressed sparse rows
 only the fields of i's neighbours. A dense row would also subtract c*0.0 from
 every other field, which changes at most the sign of a zero field, and a zero
 field's sign never changes a decision. Both sweeps hold the state and the
-fields as (n_spins, n_reads), the reads innermost, so one spin's reads, like
-its uniforms, are contiguous: each decides spin i in every read, then updates
-the accepted reads' neighbour fields. A flip of spin i changes no read's
-field at i, so every field receives the same operations in the same order as
-when one read is swept after another. Each compiled loop performs the same
-floating-point operations in the same order as its reference. So `FIX` leaves
-the reference's fields and live spins bit for bit (`fix_variables` reads its
-+-1/0 fixing vector from them), and `SWEEP` the same samples, with one
-difference: `exp`. The C library's and numpy's vectorised versions disagree
-in the last ulp on about 5% of arguments. That flips an
-acceptance only when the uniform falls inside that ulp, about once in 1e16
-updates. The C sweep calls `exp` for under 2% of the updates of an
-84-spin, 100-read anneal: where its result is exactly 0.0 it rejects, and
-elsewhere two cubic Taylor bounds, 1/P(y) >= e^-y >= L(y) at y = delta/T,
-settle most comparisons u < exp(-y) with margins far beyond their rounding.
-Each of those decisions is the one `exp` would give; `_sa_sweep.c` has the
-argument.
+fields as (n_spins, n_reads), the reads innermost, so one spin's reads are
+contiguous: each decides spin i in every read, then updates the accepted
+reads' neighbour fields. A flip of spin i changes no read's field at i, so
+every field receives the same operations in the same order as when one read
+is swept after another. Both sweeps draw one uniform per (sweep, spin, read),
+in that order, from the read batch's own PCG64 `Generator`: the numpy sweep
+as one `rng.random((n_spins, n_reads))` per sweep, the C sweep as PCG64's
+`next_double` at the point of use, from the generator's state words
+(`_pcg64.h`, which the event streams share), which it writes back. So both
+draw the same doubles and leave the generator in the same state.
+
+Each compiled loop performs the same floating-point operations in the same
+order as its reference. So `FIX` leaves the reference's fields and live spins
+bit for bit (`fix_variables` reads its +-1/0 fixing vector from them), and
+`SWEEP` the same samples, with one difference: `exp`. The C library's and
+numpy's vectorised versions disagree in the last ulp on about 5% of
+arguments. That flips an acceptance only when the uniform falls inside that
+ulp, about once in 1e16 updates. The C sweep divides and calls `exp` for under 2% of the updates of
+an 84-spin, 100-read anneal: where its result is exactly 0.0 it rejects, and
+elsewhere two cubic Taylor bounds, 1/P(y) >= e^-y >= L(y) at y =
+delta*(1/T), settle most comparisons u < exp(-delta/T) with margins far
+beyond their rounding. Each of those decisions is the one `exp` would give;
+`_sa_sweep.c` has the argument.
 
 The library is cached as `$XDG_CACHE_HOME/qamlz/sa_sweep-<key>.so` (default
 `~/.cache/qamlz/`), with a key hashed from the sources, the flags, the
@@ -67,6 +73,8 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_sa_sweep.c")
 STREAMS_SOURCE = Path(__file__).with_name("_event_streams.c")
+#: PCG64 in C, included by both sources
+HEADER = Path(__file__).with_name("_pcg64.h")
 #: numpy's C distributions, whose random_standard_normal the streams call;
 #: found without importing numpy.random, which the compiled paths never need
 ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
@@ -77,10 +85,10 @@ NPYMATH = Path(np.get_include()).parent / "lib" / "libnpymath.a"
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
+def numpy_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
     """Sweeps in place over (n, reads) `state` and coupling `fields`, one per
-    entry of `temps`: spins in index order, all reads at once, spin i of sweep
-    b accepting with the uniforms[b, i] row (shape (sweeps, n, reads)).
+    entry of `temps`: spins in index order, all reads at once, spin i of a
+    sweep accepting with row i of that sweep's `rng.random((n, reads))`.
 
     A flip of spin i in a read only shifts that read's fields at i's
     neighbours nb[start[i]:start[i + 1]] by -2*s_i*vals[...], so cold sweeps
@@ -88,15 +96,18 @@ def numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
     """
     # each spin's neighbours and couplers as columns, to broadcast over reads
     rows = [(nb[a:b, None], vals[a:b, None]) for a, b in zip(start[:-1], start[1:])]
-    for temp, u in zip(temps, uniforms):
-        for i, s in enumerate(state):
-            delta = -2.0 * s * (fields[i] + h[i])
-            accept = (delta <= 0.0) | (u[i] < np.exp(-np.maximum(delta, 0.0) / temp))
-            reads = np.flatnonzero(accept)
-            if len(reads):
-                neighbours, v = rows[i]
-                fields[neighbours, reads] -= 2.0 * s[reads] * v
-                s[reads] *= -1.0
+    # where delta/temp overflows (a tiny temp) the exponent is -inf and exp 0.0
+    with np.errstate(over="ignore"):
+        for temp in temps:
+            u = rng.random(state.shape)
+            for i, s in enumerate(state):
+                delta = -2.0 * s * (fields[i] + h[i])
+                accept = (delta <= 0.0) | (u[i] < np.exp(-np.maximum(delta, 0.0) / temp))
+                reads = np.flatnonzero(accept)
+                if len(reads):
+                    neighbours, v = rows[i]
+                    fields[neighbours, reads] -= 2.0 * s[reads] * v
+                    s[reads] *= -1.0
 
 
 def numpy_fix(h, alive, start, nb, vals) -> None:
@@ -167,7 +178,8 @@ def _library() -> Path:
     binary = os.path.realpath(compiler)
     st = os.stat(binary)
     key = hashlib.sha256(b"\0".join([
-        SOURCE.read_bytes(), STREAMS_SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+        SOURCE.read_bytes(), STREAMS_SOURCE.read_bytes(), HEADER.read_bytes(),
+        " ".join(CFLAGS).encode(),
         f"{binary}:{st.st_size}:{st.st_mtime_ns}".encode(),
         *(path.read_bytes() for path in archives),
     ])).hexdigest()[:16]
@@ -217,10 +229,11 @@ def _compiled():
     out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    cube = np.ctypeslib.ndpointer(np.float64, ndim=3, flags="C_CONTIGUOUS")
+    words = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS,WRITEABLE")
+    lo = (1 << 64) - 1
     sweep_fn = lib.sa_sweeps
     scratch = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    sweep_fn.argtypes = [out, out, index, index, vector, vector, cube, vector, scratch,
+    sweep_fn.argtypes = [out, out, index, index, vector, vector, words, vector, scratch,
                          ctypes.c_long, ctypes.c_long, ctypes.c_long]
     sweep_fn.restype = None
     written = dict(ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
@@ -231,15 +244,22 @@ def _compiled():
                        index, index, vector, ctypes.c_long]
     fix_fn.restype = None
 
-    def compiled_sweep(state, fields, start, nb, vals, h, uniforms, temps) -> None:
+    def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
         n, reads = state.shape
-        sweeps = len(temps)
-        if not (fields.shape == (n, reads) and h.shape == (n,) and start.shape == (n + 1,)
-                and uniforms.shape == (sweeps, n, reads)):
+        if not (fields.shape == (n, reads) and h.shape == (n,) and start.shape == (n + 1,)):
             raise ValueError("sweep arrays disagree in shape")
         _check_rows(start, nb, vals, n)
-        sweep_fn(state, fields, start, nb, vals, h, uniforms, temps,
-                 np.empty(reads, dtype=np.int64), sweeps, reads, n)
+        doc = rng.bit_generator.state
+        if doc["bit_generator"] != "PCG64":
+            raise ValueError(f"the compiled sweep draws from PCG64, not {doc['bit_generator']}")
+        pcg = doc["state"]
+        # the 128-bit state and increment as (state hi, state lo, inc hi, inc lo)
+        w = np.array([pcg["state"] >> 64, pcg["state"] & lo, pcg["inc"] >> 64, pcg["inc"] & lo],
+                     dtype=np.uint64)
+        sweep_fn(state, fields, start, nb, vals, h, w, temps,
+                 np.empty(reads, dtype=np.int64), len(temps), reads, n)
+        pcg["state"] = int(w[0]) << 64 | int(w[1])
+        rng.bit_generator.state = doc
 
     def compiled_fix(h, alive, start, nb, vals) -> None:
         n = len(h)

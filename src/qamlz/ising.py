@@ -40,12 +40,25 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: the largest offset range A: a layout has n_var * (2A + 1) spins, and its
+#: coupling sums are a dense float64 matrix over them, 32 MiB for one
+#: variable at A = 1024
+_MAX_OFFSET_RANGE = 1024
+
+
 def _check_layout(delta: float, offset_range: int) -> None:
-    """The two rules of an augmentation: A >= 0, and delta > 0 unless A = 0."""
+    """The rules of an augmentation: 0 <= A <= `_MAX_OFFSET_RANGE`, delta > 0
+    unless A = 0, and every offset delta*l finite."""
     if offset_range < 0:
         raise ConfigError("offset_range must be >= 0")
+    if offset_range > _MAX_OFFSET_RANGE:
+        raise ConfigError(f"offset_range must be <= {_MAX_OFFSET_RANGE}, got {offset_range}")
+    if not math.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta}")
     if offset_range > 0 and not delta > 0:
         raise ConfigError("delta must be > 0 when offset_range > 0")
+    if not math.isfinite(delta * offset_range):
+        raise ConfigError(f"delta * offset_range must be finite, got {delta} * {offset_range}")
 
 
 @dataclass(frozen=True)

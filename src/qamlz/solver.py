@@ -34,10 +34,14 @@ _ENUM_CHUNK = 1 << 14
 #: (rows x couplers) temporaries of a 24-spin problem stay near 2 MiB
 _RESCORE_ROWS = 1 << 10
 _UNIT_ROUNDOFF = 2.0 ** -53
-#: uniforms drawn per block of SA sweeps (1 MiB), or one sweep's if that is
-#: more: each block is one kernel call, and drawing every sweep's uniforms at
-#: once would hold n_spins * n_reads * sweeps doubles
-_SWEEP_CHUNK = 1 << 17
+#: upper bounds of an `AnnealSchedule`'s counts. An anneal holds its state
+#: and fields as two (n_spins, n_reads) float64 arrays, 1 MiB per spin at
+#: 2^16 reads, and a solve selects at most n_reads states, so an
+#: excited-state cap takes the same bound; 2^20 sweeps are a thousand times
+#: the default, and each gauge is one more anneal of every candidate centre
+_MAX_READS = 1 << 16
+_MAX_SWEEPS = 1 << 20
+_MAX_GAUGES = 1 << 10
 
 
 def at_iteration(schedule, t: int):
@@ -67,16 +71,24 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.n_reads < 1:
             raise ConfigError("n_reads must be >= 1")
+        if self.n_reads > _MAX_READS:
+            raise ConfigError(f"n_reads must be <= {_MAX_READS}, got {self.n_reads}")
         if self.sweeps < 2:
             raise ConfigError("sweeps must be >= 2 for a decreasing ladder")
+        if self.sweeps > _MAX_SWEEPS:
+            raise ConfigError(f"sweeps must be <= {_MAX_SWEEPS}, got {self.sweeps}")
         if not self.t_cold > 0:
             raise ConfigError("t_cold must be positive")
         if self.t_hot is not None and not self.t_hot > self.t_cold:
             raise ConfigError("t_hot must exceed t_cold")
         if not self.n_g or any(g < 1 for g in self.n_g):
             raise ConfigError("gauge counts must be >= 1")
+        if any(g > _MAX_GAUGES for g in self.n_g):
+            raise ConfigError(f"gauge counts must be <= {_MAX_GAUGES}")
         if not self.n_e or any(e < 1 for e in self.n_e):
             raise ConfigError("excited-state caps must be >= 1")
+        if any(e > _MAX_READS for e in self.n_e):
+            raise ConfigError(f"excited-state caps must be <= {_MAX_READS}")
         if any(w is not None and w < 0 for w in self.d):
             raise ConfigError("energy windows d must be >= 0 or null")
         if not self.d:
@@ -220,12 +232,12 @@ def solve_sa(
     (spin, read) is drawn per sweep regardless of acceptance so the stream is
     state-independent. `init` overrides the seeded +-1 starting states (shape
     (n_reads, n_spins)); acceptance draws are unaffected, which lets callers
-    pair runs across a gauge relabeling. The ladder runs in blocks of sweeps
-    holding at most `_SWEEP_CHUNK` uniforms, one kernel call and one
-    (sweeps, n_spins, n_reads) draw per block: the same doubles that one draw
-    per sweep gives. Each block runs compiled C when a compiler was found at
-    import, else numpy; both hold the reads innermost, walk the couplers as
-    sparse rows and give the same samples (see `qamlz._sweep`).
+    pair runs across a gauge relabeling. The whole ladder is one call of the
+    sweep, which draws each sweep's uniforms from `rng_sweep` as one
+    `random((n_spins, n_reads))` would. It runs compiled C, drawing each
+    uniform where it is used, when a compiler was found at import, else
+    numpy; both hold the reads innermost, walk the couplers as sparse rows
+    and give the same samples (see `qamlz._sweep`).
     """
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
@@ -242,14 +254,7 @@ def solve_sa(
     # (n_spins, n_reads), the reads innermost
     fields = np.ascontiguousarray((state @ p.dense_couplers()).T)
     state = np.ascontiguousarray(state.T)
-    start, nb, vals = p.neighbours()
-    temps = sched.ladder(p)
-    block = max(1, _SWEEP_CHUNK // max(1, n * sched.n_reads))
-    sweep = _sweep.SWEEP
-    for b in range(0, len(temps), block):
-        t = temps[b:b + block]
-        sweep(state, fields, start, nb, vals, p.h,
-              rng_sweep.random((len(t), n, sched.n_reads)), t)
+    _sweep.SWEEP(state, fields, *p.neighbours(), p.h, rng_sweep, sched.ladder(p))
     spins = state.T.astype(np.int8, order="C")
     return SolverResult(spins=spins, energies=energies_batch(p, spins))
 

@@ -340,18 +340,22 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == 3
         assert "the model has 6 spins" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("delta", -0.5, "delta must be > 0 when offset_range > 0"),
-        ("offset_range", -1, "offset_range must be >= 0"),
-    ], ids=["negative-delta", "negative-offset-range"])
+    @pytest.mark.parametrize("over, message", [
+        ({"delta": -0.5}, "delta must be > 0 when offset_range > 0"),
+        ({"offset_range": -1}, "offset_range must be >= 0"),
+        # offsets of +-inf split nothing
+        ({"delta": 1e308, "offset_range": 2},
+         "delta * offset_range must be finite, got 1e+308 * 2"),
+        ({"offset_range": 2**64}, f"offset_range must be <= 1024, got {2**64}"),
+    ], ids=["negative-delta", "negative-offset-range", "infinite-offsets", "huge-offset-range"])
     def test_model_layout_the_augmented_set_rejects_is_data_error(self, tmp_path, capsys,
-                                                                  key, value, message):
+                                                                  over, message):
         cfg = _base_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         model_path = tmp_path / "out" / "model.json"
         doc = json.loads(model_path.read_text())
         assert doc["offset_range"] == 1
-        model_path.write_text(json.dumps({**doc, key: value}))
+        model_path.write_text(json.dumps({**doc, **over}))
         assert main(["eval", "--config", str(cfg)]) == 3
         assert f"malformed model file {model_path}: {message}\n" in capsys.readouterr().err
         for name in ("fom_curve.csv", "eval_summary.json", "overtraining.json"):
@@ -912,6 +916,34 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("train", "zoom.schedule.n_reads", 2**64, "n_reads must be <= 65536"),
+        ("train", "zoom.schedule.sweeps", 2**64, "sweeps must be <= 1048576"),
+        ("train", "zoom.schedule.n_g", [1e308], "gauge counts must be <= 1024"),
+        ("train", "zoom.schedule.n_e", [2**64], "excited-state caps must be <= 65536"),
+        # offsets of +-inf used to train to exit 0, splitting nothing
+        ("train", "zoom.delta", 1e308, "delta * offset_range must be finite"),
+        ("train", "zoom.offset_range", 2**64, "offset_range must be <= 1024"),
+        ("scan", "scan.offset_range", [1e308], "offset_range must be <= 1024"),
+    ], ids=["n_reads", "sweeps", "n_g", "n_e", "delta", "offset_range", "scan-offset_range"])
+    def test_count_beyond_its_bound_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, path, value, message):
+        # each used to end in a traceback (exit 1), an OverflowError or a run
+        # that did not end; every one is refused at read time
+        def refuse(*args, **kwargs):
+            raise AssertionError("events were read or generated for a bad config")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(cli, "load_events", refuse)
+        cfg = _base_config(tmp_path, scan={"delta": [0.1], "offset_range": [1], "n_runs": 2})
+        doc = _set(json.loads(cfg.read_text()), "zoom.offset_range", 2)
+        cfg.write_text(json.dumps(_set(doc, path, value)))
+        began = time.monotonic()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert time.monotonic() - began < 10
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval", "scan"])
     def test_each_section_is_read_once(self, tmp_path, monkeypatch, command):

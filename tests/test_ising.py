@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qamlz import (
     sign_pm1,
     ungauge,
     weak_fit,
+    ZoomConfig,
 )
 from qamlz.ising import energies_batch
 
@@ -87,6 +90,22 @@ class TestAugment:
     def test_delta_required_with_offsets(self):
         with pytest.raises(ConfigError):
             AugmentedClassifierSet(_weak_set(1), delta=0.0, offset_range=2)
+
+    @pytest.mark.parametrize("delta, offset_range, message", [
+        (math.nan, 0, "delta must be finite"),
+        (math.inf, 0, "delta must be finite"),
+        (math.inf, 1, "delta must be finite"),
+        (1e308, 3, "delta * offset_range must be finite"),
+        (0.025, 2**64, "offset_range must be <= 1024"),
+    ])
+    def test_offsets_must_be_finite(self, delta, offset_range, message):
+        # offsets of +-inf or NaN used to give every event the same signs
+        for build in (lambda: AugmentedClassifierSet(_weak_set(2), delta, offset_range),
+                      lambda: ZoomConfig(delta=delta, offset_range=offset_range)):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build()
+        AugmentedClassifierSet(_weak_set(2), 1e308 / 3, 3)  # finite offsets are fine
+        AugmentedClassifierSet(_weak_set(1), 0.025, 1024)
 
 
 # ---------------------------------------------------------------------------

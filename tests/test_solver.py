@@ -567,6 +567,18 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             AnnealSchedule(n_e=())
 
+    @pytest.mark.parametrize("over, message", [
+        (dict(n_reads=2**16 + 1), "n_reads must be <= 65536"),
+        (dict(sweeps=2**20 + 1), "sweeps must be <= 1048576"),
+        (dict(n_g=(1, 2**10 + 1)), "gauge counts must be <= 1024"),
+        (dict(n_e=(2**16 + 1,)), "excited-state caps must be <= 65536"),
+    ])
+    def test_counts_are_bounded(self, over, message):
+        # built, never run: the bounds themselves are accepted
+        AnnealSchedule(n_reads=2**16, sweeps=2**20, n_g=(2**10,), n_e=(2**16,))
+        with pytest.raises(ConfigError, match=message):
+            AnnealSchedule(**over)
+
     def test_extend_by_last(self):
         sched = AnnealSchedule(n_g=(50, 10), n_e=(1,), d=(0.5,))
         assert at_iteration(sched.n_g, 0) == 50

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, default_generator_spec, prune,
-                   solve_chain_emulated, solve_sa, solver)
+                   solve_chain_emulated, solve_sa)
 
 from conftest import (make_problem, random_problem, reference_fix_variables,
                       reference_generate_synthetic)
@@ -103,64 +103,98 @@ def test_kernel_matches_numpy_sweep_on_pruned_problems(monkeypatch, n, reads, sw
 
 def test_kernel_matches_numpy_sweep_past_exp_underflow(monkeypatch):
     # at t_cold = 1e-9 a flip costing more than 7.46e-7 has -delta/temp below
-    # -746, where the C sweep rejects without calling exp
+    # -746, where the C sweep rejects without calling exp; below 2^-1024
+    # (1e-309, 1e-320) 1/temp overflows and the C sweep's bounds decide nothing
     rng = np.random.default_rng(13)
-    sched = AnnealSchedule(n_reads=50, sweeps=60, t_cold=1e-9)
-    for p in (_sparse_problem(rng, 40, 85.0), random_problem(rng, 12, scale=2.0 ** -10)):
-        compiled, reference = _compiled_and_reference(monkeypatch, solve_sa, p, sched, seed=6)
-        _assert_same(compiled, reference)
-        s = compiled.spins.astype(np.float64)
-        delta = -2.0 * s * (s @ p.dense_couplers() + p.h)  # each single flip's cost
-        assert (delta / sched.t_cold > 746.0).mean() > 0.5
+    problems = (_sparse_problem(rng, 40, 85.0), random_problem(rng, 12, scale=2.0 ** -10))
+    for t_cold in (1e-9, 1e-309, 1e-320):
+        sched = AnnealSchedule(n_reads=50, sweeps=60, t_cold=t_cold)
+        for p in problems:
+            compiled, reference = _compiled_and_reference(monkeypatch, solve_sa, p, sched, seed=6)
+            _assert_same(compiled, reference)
+            s = compiled.spins.astype(np.float64)
+            delta = -2.0 * s * (s @ p.dense_couplers() + p.h)  # each single flip's cost
+            assert (delta > 746.0 * sched.t_cold).mean() > 0.5
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_exp_bounds_decide_as_libm_exp():
-    # one spin without neighbours, one read per (y, u): the kernel's cost is
-    # delta = -2*f = y at temp 1, so it flips exactly when u < exp(-y).
-    # y runs from 1e-12 to just below the cut at 746, densely where y^4/24,
-    # the gap between the bounds and e^-y, passes the rounding of P and L
-    # (near 1e-4) and their margins (near 0.01), and where L(y) = 0 (1.596);
-    # u is libm's exp(-y) and the two doubles on either side of it
+    # the sweep's own decision for a flip of cost delta at temp, through its C
+    # wrapper metropolis_decisions: accept exactly when u < exp(-delta/temp).
+    # y = delta/temp runs from 1e-12 to just below the cut at 746, densely
+    # where y^4/24, the gap between the bounds and e^-y, passes the rounding
+    # of P and L (near 1e-4) and their margins (near 0.01), and where L(y) = 0
+    # (1.596); u is libm's exp(-delta/temp) and the two doubles on either side
+    # of it. The bounds take y as delta*(1/temp), which rounds apart from
+    # delta/temp; below temp = 2^-1024 (1e-309) 1/temp overflows
     assert _sweep.SWEEP is not _sweep.numpy_sweep, "cc is on PATH but the kernel did not load"
+    decide = ctypes.CDLL(str(_sweep._library())).metropolis_decisions
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    decide.restype = None
+    decide.argtypes = [vector, vector, ctypes.c_long, ctypes.c_double,
+                       np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")]
     exp = ctypes.CDLL(ctypes.util.find_library("m")).exp
     exp.restype, exp.argtypes = ctypes.c_double, [ctypes.c_double]
     y = np.unique(np.concatenate([np.geomspace(1e-12, 745.9, 4000),
                                   np.geomspace(1e-5, 0.1, 6000),
                                   np.linspace(1.55, 1.65, 2000)]))
-    e = np.array([exp(-v) for v in y.tolist()])
-    below, above = np.nextafter(e, -1.0), np.nextafter(e, 1.0)
-    u = np.column_stack([np.nextafter(below, -1.0), below, e, above, np.nextafter(above, 1.0)])
-    keep = (0.0 <= u) & (u < 1.0)
-    uniforms, want = u[keep], (u < e[:, None])[keep]
-    fields = -0.5 * np.broadcast_to(y[:, None], u.shape)[keep]
-    state = np.ones((1, len(uniforms)))
-    _sweep.SWEEP(state, fields[None, :], np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                 np.zeros(0), np.zeros(1), uniforms[None, None, :], np.ones(1))
-    np.testing.assert_array_equal(state[0] == -1.0, want)
-    assert want.any() and not want.all()
+    for temp in (1.0, 3.0, 1e-9, 1e-309):
+        delta = y * temp
+        e = np.array([exp(v) for v in (-delta / temp).tolist()])
+        below, above = np.nextafter(e, -1.0), np.nextafter(e, 1.0)
+        u = np.column_stack([np.nextafter(below, -1.0), below, e, above, np.nextafter(above, 1.0)])
+        keep = (0.0 <= u) & (u < 1.0)
+        uniforms, want = u[keep], (u < e[:, None])[keep]
+        accepted = np.empty(len(uniforms), dtype=np.uint8)
+        decide(np.ascontiguousarray(np.broadcast_to(delta[:, None], u.shape)[keep]), uniforms,
+               len(uniforms), temp, accepted)
+        np.testing.assert_array_equal(accepted == 1, want, err_msg=f"temp {temp}")
+        assert want.any() and not want.all()
 
 
-def test_block_draw_equals_per_sweep_draws():
-    n, reads, k = 84, 100, 15
-    assert max(1, solver._SWEEP_CHUNK // (n * reads)) == k
-    block = np.random.default_rng((1, 7)).random((k, n, reads))
-    rng = np.random.default_rng((1, 7))
-    np.testing.assert_array_equal(block, [rng.random((n, reads)) for _ in range(k)])
-
-
-def test_solve_sa_calls_the_sweep_once_per_block(monkeypatch):
+def test_solve_sa_calls_the_sweep_once_per_solve(monkeypatch):
     calls = []
 
-    def recording(state, fields, start, nb, vals, h, uniforms, temps):
-        calls.append((uniforms.shape, len(temps)))
-        _sweep.numpy_sweep(state, fields, start, nb, vals, h, uniforms, temps)
+    def recording(state, fields, start, nb, vals, h, rng, temps):
+        calls.append((rng.bit_generator.state, temps.copy()))
+        _sweep.numpy_sweep(state, fields, start, nb, vals, h, rng, temps)
 
     p = _sparse_problem(np.random.default_rng(2), 84, 85.0)
-    monkeypatch.setattr(_sweep, "SWEEP", recording)
-    solve_sa(p, AnnealSchedule(n_reads=100, sweeps=200), seed=1)
-    assert calls == [((15, 84, 100), 15)] * 13 + [((5, 84, 100), 5)]
-    assert all(np.prod(shape) <= solver._SWEEP_CHUNK for shape, _ in calls)
+    sched = AnnealSchedule(n_reads=100, sweeps=200)
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "SWEEP", recording)
+        recorded = solve_sa(p, sched, seed=1)
+    assert len(calls) == 1  # the whole ladder, from the read batch's own stream
+    state, temps = calls[0]
+    assert state == np.random.default_rng((1, 1)).bit_generator.state
+    np.testing.assert_array_equal(temps, sched.ladder(p))
+    _assert_same(recorded, solve_sa(p, sched, seed=1))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("key", [(1, 7), (1, 2**64 - 1), (1, 7, 3, 0, 2)])
+def test_compiled_sweep_draws_the_generators_stream(key):
+    # equal generators, the 32-bit buffer of each full: equal sweeps, and
+    # each generator left where the numpy sweep's per-sweep draws leave it
+    assert _sweep.SWEEP is not _sweep.numpy_sweep, "cc is on PATH but the kernel did not load"
+    p = _sparse_problem(np.random.default_rng(4), 30, 50.0)
+    reads = 9
+    temps = AnnealSchedule(n_reads=reads, sweeps=20).ladder(p)
+    init = np.random.default_rng(5).choice([-1.0, 1.0], size=(p.n_spins, reads))
+    runs = []
+    for sweep in (_sweep.SWEEP, _sweep.numpy_sweep):
+        state = init.copy()
+        fields = np.ascontiguousarray((state.T @ p.dense_couplers()).T)
+        rng = np.random.default_rng(key)
+        rng.integers(2**32, dtype=np.uint32, size=3)
+        sweep(state, fields, *p.neighbours(), p.h, rng, temps)
+        runs.append((state, fields, rng.bit_generator.state,
+                     rng.integers(2**32, dtype=np.uint32), rng.random()))
+    (state, fields, *rest), (ref_state, ref_fields, *ref_rest) = runs
+    np.testing.assert_array_equal(state, ref_state)
+    np.testing.assert_array_equal(fields, ref_fields)
+    assert rest == ref_rest
+    assert (state != init).any()
 
 
 def test_neighbour_rows_built_once_and_read_only():
@@ -182,19 +216,20 @@ def test_kernel_rejects_disagreeing_arrays():
     reads, n = 3, 2
     state, fields, h = np.ones((n, reads)), np.zeros((n, reads)), np.zeros(n)
     start, nb, vals = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.5])
-    uniforms, temps = np.zeros((4, n, reads)), np.ones(4)
 
     def sweep(**over):
         args = dict(state=state, fields=fields, start=start, nb=nb, vals=vals, h=h,
-                    uniforms=uniforms, temps=temps)
+                    rng=np.random.default_rng(0), temps=np.ones(4))
         _sweep.SWEEP(**{**args, **over})
 
     sweep()
-    for over in [dict(uniforms=np.zeros((4, reads, n))), dict(temps=np.ones(3)),
-                 dict(start=np.array([0, 2])), dict(state=np.ones((reads, n))),
+    for over in [dict(start=np.array([0, 2])), dict(state=np.ones((reads, n))),
                  dict(state=state.T), dict(fields=np.zeros((reads, n)))]:
         with pytest.raises(ValueError, match="disagree in shape"):
             sweep(**over)
+    # the C loop steps PCG64 itself: another bit generator is refused
+    with pytest.raises(ValueError, match="draws from PCG64, not MT19937"):
+        sweep(rng=np.random.Generator(np.random.MT19937(0)))
     for over in [dict(start=np.array([1, 1, 2])), dict(start=np.array([0, 2, 1])),
                  dict(nb=np.array([1, 2])), dict(nb=np.array([-1, 0])),
                  dict(nb=np.array([1])), dict(vals=np.array([0.5]))]:
@@ -361,3 +396,17 @@ def test_cache_key_follows_the_archive_bytes(monkeypatch, tmp_path):
     assert len(set(libs)) == 3 and all(lib.exists() for lib in libs)
     assert hasattr(ctypes.CDLL(str(libs[0])), "stream_seed")
     assert not hasattr(ctypes.CDLL(str(libs[2])), "stream_seed")
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_cache_key_follows_the_header_bytes(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for name in ("SOURCE", "STREAMS_SOURCE", "HEADER"):  # built from copies side by side
+        copy = tmp_path / getattr(_sweep, name).name
+        copy.write_bytes(getattr(_sweep, name).read_bytes())
+        monkeypatch.setattr(_sweep, name, copy)
+    libs = [_sweep._library()]
+    with _sweep.HEADER.open("ab") as f:
+        f.write(b"\n")  # the PCG64 that both sources include, edited
+    libs.append(_sweep._library())
+    assert len(set(libs)) == 2 and all(lib.exists() for lib in libs)
