@@ -152,7 +152,32 @@ def test_exp_bounds_decide_as_libm_exp():
         assert want.any() and not want.all()
 
 
-def test_solve_sa_calls_the_sweep_once_per_solve(monkeypatch):
+def test_block_draw_equals_per_sweep_draws():
+    # one call over a block of sweeps draws what one call per sweep draws:
+    # equal samples, and the generator left at the same place
+    p = _sparse_problem(np.random.default_rng(3), 30, 50.0)
+    reads = 11
+    temps = AnnealSchedule(n_reads=reads, sweeps=15).ladder(p)
+    init = np.random.default_rng(6).choice([-1.0, 1.0], size=(p.n_spins, reads))
+    for sweep in {_sweep.SWEEP, _sweep.numpy_sweep}:
+        runs = []
+        for blocks in ([temps], [temps[i:i + 1] for i in range(len(temps))]):
+            state = init.copy()
+            fields = np.ascontiguousarray((state.T @ p.dense_couplers()).T)
+            rng = np.random.default_rng((1, 7))
+            for block in blocks:
+                sweep(state, fields, *p.neighbours(), p.h, rng, np.ascontiguousarray(block))
+            runs.append((state, fields, rng.bit_generator.state, rng.random()))
+        (state, fields, *rest), (ref_state, ref_fields, *ref_rest) = runs
+        np.testing.assert_array_equal(state, ref_state)
+        np.testing.assert_array_equal(fields, ref_fields)
+        assert rest == ref_rest
+        assert (state != init).any()
+
+
+def test_solve_sa_calls_the_sweep_once_per_block(monkeypatch):
+    # the block is the whole ladder: one call per solve, where a ladder of
+    # this size was once split into 14 calls of at most 1 MiB of uniforms
     calls = []
 
     def recording(state, fields, start, nb, vals, h, rng, temps):
