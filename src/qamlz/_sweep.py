@@ -11,7 +11,11 @@ compiler (`cc`) when this module is first imported, or the references
 themselves when there is no compiler on PATH, the cache directory cannot be
 written or the library does not load; one line on stderr says so. Compiling
 at import, not at the first solve, keeps the compiler out of the solves a
-caller times.
+caller times. The library is loaded once, as `_LIB` (None where it is
+unavailable), and its functions' argument types are set beside it;
+`compiled_sweep`, `compiled_fix` and `CompiledStreams` call it, and `SWEEP`,
+`FIX` and `STREAMS` are each one assignment of a compiled loop or its
+reference.
 
 `STREAMS` seeds and draws every event's PCG64 stream in `_event_streams.c`,
 compiled into the same library and linked with numpy's own normal sampler,
@@ -221,115 +225,101 @@ def _check_rows(start, nb, vals, n) -> None:
         raise ValueError("neighbour arrays are not compressed sparse rows over the spins")
 
 
-def _compiled():
-    """`numpy_sweep`'s and `numpy_fix`'s signatures over the C functions of
-    one library, and `NumpyStreams`' over its streams, or None where it was
-    built without them."""
-    lib = ctypes.CDLL(str(_library()))
-    out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    words = np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS,WRITEABLE")
-    lo = (1 << 64) - 1
-    sweep_fn = lib.sa_sweeps
-    scratch = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    sweep_fn.argtypes = [out, out, index, index, vector, vector, words, vector, scratch,
-                         ctypes.c_long, ctypes.c_long, ctypes.c_long]
-    sweep_fn.restype = None
-    written = dict(ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    fix_fn = lib.fix_frontier
-    fix_fn.argtypes = [np.ctypeslib.ndpointer(np.float64, **written),
-                       np.ctypeslib.ndpointer(np.bool_, **written),
-                       np.ctypeslib.ndpointer(np.uint8, **written),
-                       index, index, vector, ctypes.c_long]
-    fix_fn.restype = None
+try:
+    _LIB = ctypes.CDLL(str(_library()))
+except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+    print(f"qamlz: compiled SA sweep, fixing loop and event streams unavailable ({exc}); "
+          "using the numpy sweep and fixing loop and a numpy generator per event",
+          file=sys.stderr)
+    _LIB = None
 
-    def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
-        n, reads = state.shape
-        if not (fields.shape == (n, reads) and h.shape == (n,) and start.shape == (n + 1,)):
-            raise ValueError("sweep arrays disagree in shape")
-        _check_rows(start, nb, vals, n)
-        doc = rng.bit_generator.state
-        if doc["bit_generator"] != "PCG64":
-            raise ValueError(f"the compiled sweep draws from PCG64, not {doc['bit_generator']}")
-        pcg = doc["state"]
-        # the 128-bit state and increment as (state hi, state lo, inc hi, inc lo)
-        w = np.array([pcg["state"] >> 64, pcg["state"] & lo, pcg["inc"] >> 64, pcg["inc"] & lo],
-                     dtype=np.uint64)
-        sweep_fn(state, fields, start, nb, vals, h, w, temps,
-                 np.empty(reads, dtype=np.int64), len(temps), reads, n)
-        pcg["state"] = int(w[0]) << 64 | int(w[1])
-        rng.bit_generator.state = doc
-
-    def compiled_fix(h, alive, start, nb, vals) -> None:
-        n = len(h)
-        if not (h.shape == alive.shape == (n,) and start.shape == (n + 1,)):
-            raise ValueError("fixing arrays disagree in shape")
-        _check_rows(start, nb, vals, n)
-        fix_fn(h, alive, np.empty(n, dtype=np.uint8), start, nb, vals, n)
-
-    try:
-        streams = _compiled_streams(lib)
-    except AttributeError:  # built without numpy's archive
-        streams = None
-    return compiled_sweep, compiled_fix, streams
-
-
-def _compiled_streams(lib):
-    """`NumpyStreams` over the C functions of `lib`."""
-    words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    rows = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    seed_fn, head_fn, normals_fn = lib.stream_seed, lib.stream_head, lib.stream_normals
-    seed_fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, words]
-    head_fn.argtypes = [words, ctypes.c_long, ctypes.c_double, floats]
-    normals_fn.argtypes = [words, rows, ctypes.c_long, floats, ctypes.c_long]
-    for fn in (seed_fn, head_fn, normals_fn):
-        fn.restype = None
-
-    class CompiledStreams:
-        """`NumpyStreams`'s draws, from each stream's PCG64 state held as four
-        uint64 `words`: state hi, state lo, inc hi, inc lo."""
-
-        def __init__(self, seed: int, start: int, stop: int):
-            if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
-                raise ValueError("stream keys are not 64-bit integers")
-            self.words = np.empty((stop - start, 4), dtype=np.uint64)
-            seed_fn(seed, start, stop - start, self.words)
-
-        def _count(self) -> int:
-            if self.words.shape[1:] != (4,):
-                raise ValueError("stream words are not (n, 4)")
-            return len(self.words)
-
-        def head(self, signal_fraction):
-            u_bg = np.empty(self._count())
-            head_fn(self.words, len(u_bg), signal_fraction, u_bg)
-            return u_bg
-
-        def normals(self, rows, shape):
-            if not (rows.ndim == 1 and ((0 <= rows) & (rows < self._count())).all()):
-                raise ValueError("stream rows out of range")
-            z = np.empty((len(rows), *shape))
-            normals_fn(self.words, rows, len(rows), z, math.prod(shape))
-            return z
-
-    return CompiledStreams
-
-
-def _select():
-    try:
-        sweep, fix, streams = _compiled()
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        print(f"qamlz: compiled SA sweep, fixing loop and event streams unavailable ({exc}); "
-              "using the numpy sweep and fixing loop and a numpy generator per event",
-              file=sys.stderr)
-        return numpy_sweep, numpy_fix, NumpyStreams
-    if streams is None:
+# the arrays the C functions take, as ctypes checks them: dtype, rank, layout
+# and whether the function writes them
+_out = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+_index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+_written = dict(ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+_words = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+_floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+if _LIB is not None:
+    _LIB.sa_sweeps.argtypes = [
+        _out, _out, _index, _index, _vector, _vector,
+        np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS,WRITEABLE"),
+        _vector, np.ctypeslib.ndpointer(np.int64, **_written),
+        ctypes.c_long, ctypes.c_long, ctypes.c_long]
+    _LIB.fix_frontier.argtypes = [np.ctypeslib.ndpointer(np.float64, **_written),
+                                  np.ctypeslib.ndpointer(np.bool_, **_written),
+                                  np.ctypeslib.ndpointer(np.uint8, **_written),
+                                  _index, _index, _vector, ctypes.c_long]
+    _LIB.sa_sweeps.restype = _LIB.fix_frontier.restype = None
+    # the streams are in the library only where it linked numpy's archive
+    if hasattr(_LIB, "stream_seed"):
+        _LIB.stream_seed.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, _words]
+        _LIB.stream_head.argtypes = [_words, ctypes.c_long, ctypes.c_double, _floats]
+        _LIB.stream_normals.argtypes = [_words, _index, ctypes.c_long, _floats, ctypes.c_long]
+        _LIB.stream_seed.restype = _LIB.stream_head.restype = _LIB.stream_normals.restype = None
+    else:
         print(f"qamlz: compiled event streams unavailable ({ARCHIVE} is missing or does not "
               "link); using a numpy generator per event", file=sys.stderr)
-        streams = NumpyStreams
-    return sweep, fix, streams
 
 
-SWEEP, FIX, STREAMS = _select()
+def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
+    """`numpy_sweep` in C: `sa_sweeps` draws from and advances `rng`'s PCG64."""
+    n, reads = state.shape
+    if not (fields.shape == (n, reads) and h.shape == (n,) and start.shape == (n + 1,)):
+        raise ValueError("sweep arrays disagree in shape")
+    _check_rows(start, nb, vals, n)
+    doc = rng.bit_generator.state
+    if doc["bit_generator"] != "PCG64":
+        raise ValueError(f"the compiled sweep draws from PCG64, not {doc['bit_generator']}")
+    pcg = doc["state"]
+    lo = (1 << 64) - 1
+    # the 128-bit state and increment as (state hi, state lo, inc hi, inc lo)
+    w = np.array([pcg["state"] >> 64, pcg["state"] & lo, pcg["inc"] >> 64, pcg["inc"] & lo],
+                 dtype=np.uint64)
+    _LIB.sa_sweeps(state, fields, start, nb, vals, h, w, temps,
+                   np.empty(reads, dtype=np.int64), len(temps), reads, n)
+    pcg["state"] = int(w[0]) << 64 | int(w[1])
+    rng.bit_generator.state = doc
+
+
+def compiled_fix(h, alive, start, nb, vals) -> None:
+    """`numpy_fix` in C (`fix_frontier`)."""
+    n = len(h)
+    if not (h.shape == alive.shape == (n,) and start.shape == (n + 1,)):
+        raise ValueError("fixing arrays disagree in shape")
+    _check_rows(start, nb, vals, n)
+    _LIB.fix_frontier(h, alive, np.empty(n, dtype=np.uint8), start, nb, vals, n)
+
+
+class CompiledStreams:
+    """`NumpyStreams`'s draws, from each stream's PCG64 state held as four
+    uint64 `words`: state hi, state lo, inc hi, inc lo."""
+
+    def __init__(self, seed: int, start: int, stop: int):
+        if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
+            raise ValueError("stream keys are not 64-bit integers")
+        self.words = np.empty((stop - start, 4), dtype=np.uint64)
+        _LIB.stream_seed(seed, start, stop - start, self.words)
+
+    def _count(self) -> int:
+        if self.words.shape[1:] != (4,):
+            raise ValueError("stream words are not (n, 4)")
+        return len(self.words)
+
+    def head(self, signal_fraction):
+        u_bg = np.empty(self._count())
+        _LIB.stream_head(self.words, len(u_bg), signal_fraction, u_bg)
+        return u_bg
+
+    def normals(self, rows, shape):
+        if not (rows.ndim == 1 and ((0 <= rows) & (rows < self._count())).all()):
+            raise ValueError("stream rows out of range")
+        z = np.empty((len(rows), *shape))
+        _LIB.stream_normals(self.words, rows, len(rows), z, math.prod(shape))
+        return z
+
+
+SWEEP = numpy_sweep if _LIB is None else compiled_sweep
+FIX = numpy_fix if _LIB is None else compiled_fix
+STREAMS = CompiledStreams if hasattr(_LIB, "stream_seed") else NumpyStreams

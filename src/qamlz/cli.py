@@ -97,6 +97,11 @@ _SCAN = {"delta": tuple[float, ...], "offset_range": tuple[int, ...],
          "cutoff_pct": tuple[float, ...], "fixing": tuple[bool, ...],
          "n_runs": int, "coupler_budget": int}
 _FOM_CURVE = dict.fromkeys("sbf", tuple[float, ...])
+#: upper bounds of the data counts: the generated event table's largest
+#: array holds 136 B per event, 2 GiB at 2^24 events, and a weak classifier
+#: keeps one response per bin of every variable
+_MAX_EVENTS = 1 << 24
+_MAX_BINS = 1 << 16
 #: the scan axes, each a `ZoomConfig` field
 _AXES = ("delta", "offset_range", "cutoff_pct", "fixing")
 
@@ -144,6 +149,8 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     seed = top.get("seed", 0) if seed is None else seed
     out_dir = Path(top.get("out_dir", "out"))
     data = from_json(_DATA, top.get("data", {}), "data")
+    if data.get("n_events", 0) > _MAX_EVENTS:
+        raise ConfigError(f"data.n_events must be <= {_MAX_EVENTS}, got {data['n_events']}")
     generator = data.pop("generator", None)
     for name in data.get("assess_processes", ()):
         if name not in PROCESSES:
@@ -154,6 +161,10 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     if not isinstance(selector, str):
         selector = from_json(tuple[str, ...], selector, "variables")
     variables, weak_mode = variable_set(selector)
+    if "n_bins" in top and top["n_bins"] < 2:
+        raise ConfigError(f"n_bins must be >= 2, got {top['n_bins']}")
+    if "n_bins" in top and top["n_bins"] > _MAX_BINS:
+        raise ConfigError(f"n_bins must be <= {_MAX_BINS}, got {top['n_bins']}")
     features = {"variables": variables, "weak_mode": weak_mode,
                 **{k: top[k] for k in ("weak_mode", "n_bins") if k in top}}
     if "pca" in top:

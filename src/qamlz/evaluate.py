@@ -22,6 +22,10 @@ from .dataset import Dataset, SampleSplit
 from .errors import ConfigError, DataError
 from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
+#: cuts of one FOM scan: each is one figure-of-merit call in Python, about
+#: 2 us, so a scan of 5000 events per class at the bound takes 0.14 s
+_MAX_GRID_POINTS = 1 << 16
+
 #: Published maximal figures of merit of the derived-variable ranking,
 #: recorded as reference metadata only (they depend on the original search
 #: samples and are not reproduced on synthetic data).
@@ -58,6 +62,10 @@ class FomParams:
             )
         if self.grid_points < 2:
             raise ConfigError(f"fom.grid_points must be >= 2, got {self.grid_points}")
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"fom.grid_points must be <= {_MAX_GRID_POINTS}, got {self.grid_points}"
+            )
         if self.min_counts < 0:
             raise ConfigError(f"fom.min_counts must be >= 0, got {self.min_counts}")
 
@@ -147,7 +155,9 @@ def _score_models(models: Sequence[TrainedModel], d: Dataset) -> list[np.ndarray
            or (m.delta, m.offset_range) != (first.delta, first.offset_range) for m in models):
         raise ConfigError("models scored together must share a pipeline and augmented set")
     signs = first.aug.signs_from_h(first.pipeline.transform(d))
-    # the signs stay int8: a float64 matvec rounds differently and changes the scores' bits
+    # a matvec's bits follow the float64 operand's layout, not the dtype: the
+    # int8 product rounds as a C-ordered float64 one does, while astype(float64)
+    # would keep signs_from_h's Fortran order and change the scores' bits
     return [signs @ (m.mu / m.aug.n_var) for m in models]
 
 

@@ -95,8 +95,9 @@ class AnnealSchedule:
             object.__setattr__(self, "d", (None,))
 
     def ladder(self, p: IsingProblem) -> np.ndarray:
-        """Strictly decreasing geometric temperature ladder, hot end derived
-        from the problem scale when not set explicitly."""
+        """Decreasing geometric temperature ladder from the hot end to
+        `t_cold`, every rung > 0, the hot end derived from the problem scale
+        when not set explicitly."""
         hot = self.t_hot
         if hot is None:
             start, _, v = p.neighbours()
@@ -107,7 +108,10 @@ class AnnealSchedule:
             hot = 2.0 * scale if scale > 0 else 1.0
             hot = max(hot, self.t_cold * 10.0)
         ratio = (self.t_cold / hot) ** (1.0 / (self.sweeps - 1))
-        return hot * ratio ** np.arange(self.sweeps)
+        ladder = hot * ratio ** np.arange(self.sweeps)
+        # where t_cold / hot or a power of the ratio underflows, that ladder
+        # reaches T = 0; spacing the exponents instead keeps every rung > 0
+        return ladder if (ladder > 0).all() else np.geomspace(hot, self.t_cold, self.sweeps)
 
 
 @dataclass(frozen=True)

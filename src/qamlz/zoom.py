@@ -47,6 +47,9 @@ from .solver import (
 
 # rng purpose codes inside the (seed, purpose, ...) keys
 _K_SOLVE, _K_GAUGE, _K_FLIP = 3, 4, 5
+#: iterations of one training run: 128 times the default 8, each at least
+#: one anneal or enumeration
+_MAX_ITERATIONS = 1 << 10
 
 
 def default_p_flip(iterations: int) -> tuple[float, ...]:
@@ -80,8 +83,13 @@ class ZoomConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.iterations > _MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be <= {_MAX_ITERATIONS}, got {self.iterations}")
         if not 0.0 < self.base < 1.0:
             raise ConfigError("zoom base must be in (0, 1)")
+        if not self.base ** (self.iterations - 1) > 0:
+            raise ConfigError(f"the last search width base ** (iterations - 1) must be > 0; "
+                              f"{self.base} ** {self.iterations - 1} underflows to 0")
         if self.p_flip is None:
             object.__setattr__(self, "p_flip", default_p_flip(self.iterations))
         if self.q_flip is None:
@@ -248,7 +256,10 @@ class TrainingProblem:
     features: FeaturePipeline
     aug: AugmentedClassifierSet
     couplings: CouplingMatrices
-    train_signs: np.ndarray  # float64: weighted_distance needs float64 signs for its bits
+    # float64 in signs_from_h's Fortran order, which astype keeps: the bits of
+    # weighted_distance's matvec follow that layout, and a C-ordered copy would
+    # change every train and test distance
+    train_signs: np.ndarray
     test_signs: np.ndarray
     train_tags: np.ndarray
     train_weights: np.ndarray

@@ -902,6 +902,8 @@ class TestExitCodes:
         ("gen", "data.assess_processes", ["qcd"],
          "data.assess_processes names an unknown process 'qcd'; expected one of"),
         ("gen", "seed", 2**64, "seed must be a non-negative 64-bit integer"),
+        # used to be refused by weak_fit only after the data were generated and split
+        ("train", "n_bins", 1, "n_bins must be >= 2, got 1"),
     ])
     def test_bad_value_is_refused_before_any_data(self, tmp_path, monkeypatch, capsys,
                                                   command, path, value, message):
@@ -917,18 +919,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, path, value, message", [
-        ("train", "zoom.schedule.n_reads", 2**64, "n_reads must be <= 65536"),
-        ("train", "zoom.schedule.sweeps", 2**64, "sweeps must be <= 1048576"),
-        ("train", "zoom.schedule.n_g", [1e308], "gauge counts must be <= 1024"),
-        ("train", "zoom.schedule.n_e", [2**64], "excited-state caps must be <= 65536"),
+    @pytest.mark.parametrize("command, changes, message", [
+        ("train", {"zoom.schedule.n_reads": 2**64}, "n_reads must be <= 65536"),
+        ("train", {"zoom.schedule.sweeps": 2**64}, "sweeps must be <= 1048576"),
+        ("train", {"zoom.schedule.n_g": [1e308]}, "gauge counts must be <= 1024"),
+        ("train", {"zoom.schedule.n_e": [2**64]}, "excited-state caps must be <= 65536"),
         # offsets of +-inf used to train to exit 0, splitting nothing
-        ("train", "zoom.delta", 1e308, "delta * offset_range must be finite"),
-        ("train", "zoom.offset_range", 2**64, "offset_range must be <= 1024"),
-        ("scan", "scan.offset_range", [1e308], "offset_range must be <= 1024"),
-    ], ids=["n_reads", "sweeps", "n_g", "n_e", "delta", "offset_range", "scan-offset_range"])
+        ("train", {"zoom.delta": 1e308}, "delta * offset_range must be finite"),
+        ("train", {"zoom.offset_range": 2**64}, "offset_range must be <= 1024"),
+        ("scan", {"scan.offset_range": [1e308]}, "offset_range must be <= 1024"),
+        ("train", {"data.n_events": 2**64}, "data.n_events must be <= 16777216"),
+        ("train", {"data.n_events": 10**12}, "data.n_events must be <= 16777216"),
+        ("train", {"n_bins": 2**64}, "n_bins must be <= 65536"),
+        ("train", {"fom.grid_points": 2**64}, "fom.grid_points must be <= 65536"),
+        ("train", {"zoom.iterations": 2**64}, "iterations must be <= 1024"),
+        # trained 324 iterations, then exited 2 once sigma = 0.1**324 was 0.0
+        ("train", {"zoom.iterations": 330, "zoom.base": 0.1},
+         "0.1 ** 329 underflows to 0"),
+    ], ids=["n_reads", "sweeps", "n_g", "n_e", "delta", "offset_range", "scan-offset_range",
+            "n_events", "n_events-1e12", "n_bins", "grid_points", "iterations",
+            "iterations-base"])
     def test_count_beyond_its_bound_is_config_error(self, tmp_path, monkeypatch, capsys,
-                                                    command, path, value, message):
+                                                    command, changes, message):
         # each used to end in a traceback (exit 1), an OverflowError or a run
         # that did not end; every one is refused at read time
         def refuse(*args, **kwargs):
@@ -938,7 +950,9 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_events", refuse)
         cfg = _base_config(tmp_path, scan={"delta": [0.1], "offset_range": [1], "n_runs": 2})
         doc = _set(json.loads(cfg.read_text()), "zoom.offset_range", 2)
-        cfg.write_text(json.dumps(_set(doc, path, value)))
+        for path, value in changes.items():
+            _set(doc, path, value)
+        cfg.write_text(json.dumps(doc))
         began = time.monotonic()
         assert main([command, "--config", str(cfg)]) == 2
         assert time.monotonic() - began < 10

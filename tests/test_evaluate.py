@@ -194,9 +194,10 @@ class TestStrongScore:
             assert batch[i] == pytest.approx(total, abs=1e-12)
 
     def test_scores_take_int8_signs(self):
-        # numpy's int8 x float64 product rounds unlike the float64 BLAS product,
-        # so float64 signs would change the scores' last bits, and with them
-        # every curve and summary written from the scores
+        # signs_from_h returns a Fortran-ordered matrix, and astype(float64)
+        # keeps that order, whose matvec rounds unlike the int8 product (which
+        # matches a C-ordered float64 one); scoring through such a copy would
+        # change the scores' last bits, and every curve and summary from them
         model, split = _trained_toy(n_var=3, offset_range=3)
         signs = model.aug.signs_from_h(model.pipeline.transform(split.assess))
         want = signs.astype(np.int8) @ (model.mu / model.aug.n_var)

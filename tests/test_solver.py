@@ -246,6 +246,14 @@ class TestSa:
         assert (np.diff(ladder) < 0).all()
         assert ladder[-1] == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize("t_hot, t_cold", [(1e300, 1e-300), (1e10, 1e-320)])
+    def test_ladder_whose_ratio_underflows_stays_positive(self, rng, t_hot, t_cold):
+        # (t_cold / t_hot) ** (1/4) underflows to 0.0 here, which would run
+        # every sweep after the first at T = 0
+        ladder = AnnealSchedule(t_hot=t_hot, t_cold=t_cold, sweeps=5).ladder(random_problem(rng, 5))
+        assert (ladder > 0).all() and (np.diff(ladder) <= 0).all()
+        assert (ladder[0], ladder[-1]) == (t_hot, t_cold)
+
     def test_bad_init_rejected(self, rng):
         p = random_problem(rng, 4)
         with pytest.raises(ConfigError):
