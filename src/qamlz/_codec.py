@@ -1,5 +1,7 @@
-"""The one reader of typed values from parsed JSON: config sections, the
-inline generator spec and `model.json`.
+"""The one reader of JSON the program takes in: `read_json` turns the bytes
+of the config, `model.json` and an external-solver reply into a document,
+and `from_json` reads typed values from it: config sections, the inline
+generator spec and `model.json`.
 
 The model and spec dataclass fields are their file format. Writing is
 `dataclasses.asdict` dumped with `json.dumps(..., default=np.ndarray.tolist)`;
@@ -27,16 +29,38 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _finite(v) -> bool:
-    # JSON admits NaN and Infinity, and an integer too large for a float
+def is_finite(v) -> bool:
+    """A JSON number that is a finite float: JSON admits NaN and Infinity,
+    and an integer too large for a float."""
     return is_number(v) and abs(v) <= sys.float_info.max
+
+
+def read_json(raw: bytes, error: type[Exception], what: str):
+    """The JSON document in `raw`, which must be UTF-8 text. Bytes that are
+    not, text that is not JSON, an integer beyond Python's 4300-digit limit
+    and a document nested deeper than the recursion limit raise `error`
+    naming `what`."""
+    try:
+        # decoded first: handed bytes, Python's reader would also take UTF-16 and UTF-32
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def shown(doc) -> str:
+    """`doc` as JSON for a message; one nested too deep to encode is named
+    by its kind."""
+    try:
+        return json.dumps(doc)
+    except RecursionError:
+        return f"a {type(doc).__name__} nested too deep to show"
 
 
 #: kind -> (what a value must be, the test it must pass)
 _KINDS = {
     # an integer may be written as an integral number such as 8.0
     int: ("an integer", lambda v: is_number(v) and (isinstance(v, int) or v.is_integer())),
-    float: ("a finite number", _finite),
+    float: ("a finite number", is_finite),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list", lambda v: isinstance(v, list)),
@@ -47,7 +71,7 @@ _KINDS = {
 def _check(kind, doc, where: str):
     what, test = _KINDS[kind]
     if not test(doc):
-        raise ConfigError(f"{where or 'config'} must be {what}, got {json.dumps(doc)}")
+        raise ConfigError(f"{where or 'config'} must be {what}, got {shown(doc)}")
     return doc
 
 
@@ -97,9 +121,10 @@ def from_json(kind, doc, where: str, **given):
         (inner,) = (a for a in args if a is not type(None))
         return None if doc is None else from_json(inner, doc, where)
     if kind is np.ndarray:
-        # a ragged list gives an array of lists, which are not numbers
+        # a ragged list gives an array of lists, which are not numbers; ravel,
+        # as numpy's iterator (`flat`) refuses an array of more than 32 dimensions
         arr = np.array(_check(list, doc, where), dtype=object)
-        if not all(map(_finite, arr.flat)):
+        if not all(map(is_finite, arr.ravel())):
             raise ConfigError(f"{where} must be a rectangular list of finite numbers")
         return arr.astype(np.float64)
     if origin is tuple:
@@ -108,7 +133,7 @@ def from_json(kind, doc, where: str, **given):
             args = args[:1] * len(items)
         elif len(items) != len(args):
             raise ConfigError(f"{where} must be a list of {len(args)} entries, "
-                              f"got {json.dumps(doc)}")
+                              f"got {shown(doc)}")
         return tuple(from_json(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, items)))
     if origin is Mapping:
         return {k: from_json(args[1], v, at + k) for k, v in _check(Mapping, doc, where).items()}

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._codec import did_you_mean, from_json
+from ._codec import did_you_mean, from_json, read_json, shown
 from .dataset import (
     PROCESSES,
     Dataset,
@@ -73,11 +73,10 @@ def _write_json(path: Path, doc) -> None:
 
 def load_config(path: str | Path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return read_json(raw, ConfigError, f"config {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +101,13 @@ _FOM_CURVE = dict.fromkeys("sbf", tuple[float, ...])
 #: keeps one response per bin of every variable
 _MAX_EVENTS = 1 << 24
 _MAX_BINS = 1 << 16
+#: upper bounds of the scan: each run of a grid point is one more training,
+#: and `read_config` builds and checks one `ZoomConfig` per point
+_MAX_RUNS = 1 << 10
+_MAX_POINTS = 1 << 12
+#: each `fom` row, one per (s, b, f), is one figure-of-merit evaluation and
+#: one line of fom.csv
+_MAX_FOM_ROWS = 1 << 16
 #: the scan axes, each a `ZoomConfig` field
 _AXES = ("delta", "offset_range", "cutoff_pct", "fixing")
 
@@ -134,7 +140,7 @@ def _generator_from_config(doc) -> GeneratorSpec:
         return default_generator_spec(**preset)
     if not isinstance(doc, Mapping) or "preset" in doc or "processes" not in doc:
         raise ConfigError(f'{where} must be {{"preset": "default"}} or an inline spec '
-                          f'with a "processes" key, got {json.dumps(doc)}')
+                          f'with a "processes" key, got {shown(doc)}')
     try:
         return from_json(GeneratorSpec, doc, where)
     except ConfigError as exc:
@@ -183,6 +189,11 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
         raise ConfigError("scan grid axes must be non-empty")
     if n_runs < 2:
         raise ConfigError(f"scan.n_runs must be >= 2 for a standard deviation, got {n_runs}")
+    if n_runs > _MAX_RUNS:
+        raise ConfigError(f"scan.n_runs must be <= {_MAX_RUNS}, got {n_runs}")
+    n_points = np.prod([len(axis) for axis in axes], dtype=object)  # exact, unbounded
+    if n_points > _MAX_POINTS:
+        raise ConfigError(f"the scan grid must have at most {_MAX_POINTS} points, got {n_points}")
     if budget < 0:
         raise ConfigError(f"scan.coupler_budget must be >= 0, got {budget}")
     if scan and seed + n_runs - 1 >= 2**64:
@@ -190,13 +201,16 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
                           f"grid point trains at seed + k; got seed {seed}")
     grid = tuple(dataclasses.replace(zoom, **dict(zip(_AXES, point)))
                  for point in itertools.product(*axes)) if scan else ()
+    fom_curve = from_json(_FOM_CURVE, top.get("fom_curve", {}), "fom_curve")
+    n_rows = np.prod([len(values) for values in fom_curve.values()], dtype=object)
+    if n_rows > _MAX_FOM_ROWS:
+        raise ConfigError(f"fom_curve must give at most {_MAX_FOM_ROWS} rows, got {n_rows}")
 
     return Config(
         seed=seed, out_dir=out_dir, model=Path(top.get("model", out_dir / "model.json")),
         data=data, generator=None if generator is None else _generator_from_config(generator),
         features=features, zoom=zoom, fom=from_json(FomParams, top.get("fom", {}), "fom"),
-        n_runs=n_runs, coupler_budget=budget, grid=grid,
-        fom_curve=from_json(_FOM_CURVE, top.get("fom_curve", {}), "fom_curve"),
+        n_runs=n_runs, coupler_budget=budget, grid=grid, fom_curve=fom_curve,
     )
 
 
@@ -257,9 +271,9 @@ def cmd_eval(cfg: Config) -> int:
     if not cfg.model.exists():
         raise DataError(f"model file not found: {cfg.model} (run `train` first?)")
     try:
-        doc = json.loads(cfg.model.read_text(encoding="utf-8"))
+        doc = read_json(cfg.model.read_bytes(), DataError, f"model file {cfg.model}")
         model = from_json(TrainedModel, doc, "model")
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         raise DataError(f"malformed model file {cfg.model}: {exc}") from exc
     split = prepare_split(cfg)
     curve = fom_scan_dataset(model, split.assess, cfg.fom)

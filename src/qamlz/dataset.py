@@ -368,10 +368,10 @@ class GeneratorSpec:
         for name, pm in self.processes.items():
             if name not in PROCESSES:
                 raise ConfigError(f"unknown process {name!r}")
-            mean = np.asarray(pm.mean, dtype=np.float64)
-            cov = np.asarray(pm.cov, dtype=np.float64)
-            if mean.shape != (k,) or cov.shape != (k, k):
+            # row by row: numpy refuses a ragged covariance with a ValueError
+            if len(pm.mean) != k or len(pm.cov) != k or any(len(row) != k for row in pm.cov):
                 raise ConfigError(f"process {name!r}: mean/cov shape does not match schema")
+            cov = np.asarray(pm.cov, dtype=np.float64)
             if not np.allclose(cov, cov.T, atol=1e-12):
                 raise ConfigError(f"process {name!r}: covariance not symmetric")
             eigmin = float(np.linalg.eigvalsh(cov).min())

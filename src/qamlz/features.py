@@ -52,9 +52,19 @@ class WeakClassifierSet:
             a = getattr(self, arr)
             if a is not None:
                 a.setflags(write=False)
+        n = self.n_classifiers
+        if self.lo.shape != (n,) or self.hi.shape != (n,):
+            raise ConfigError(f"lo and hi must have shape ({n},), one entry per variable, "
+                              f"got {self.lo.shape} and {self.hi.shape}")
         if self.mode == "density":
             if self.edges is None or self.responses is None:
                 raise ConfigError("density mode requires edges and responses")
+            if self.edges.ndim != 1 or len(self.edges) < 2:
+                raise ConfigError(f"bin edges must be a list of at least 2 numbers, "
+                                  f"got shape {self.edges.shape}")
+            if self.responses.shape != (n, len(self.edges) - 1):
+                raise ConfigError(f"bin responses must have shape ({n}, {len(self.edges) - 1}), "
+                                  f"one per bin of every variable, got {self.responses.shape}")
             if not (np.diff(self.edges) > 0).all():
                 raise ConfigError("bin edges must be strictly increasing")
             if np.abs(self.responses).max(initial=0.0) > 1.0 + 1e-12:
@@ -264,6 +274,11 @@ class PcaTransform:
     def __post_init__(self):
         for a in (self.mean, self.components, self.eigenvalues):
             a.setflags(write=False)
+        k = self.mean.size
+        shapes = (self.mean.shape, self.components.shape, self.eigenvalues.shape)
+        if shapes != ((k,), (k, k), (k,)):
+            raise ConfigError(f"PCA mean, components and eigenvalues must have shapes (k,), "
+                              f"(k, k) and (k,), got {shapes[0]}, {shapes[1]} and {shapes[2]}")
 
 
 def fit_pca(matrix: np.ndarray) -> PcaTransform:
@@ -314,6 +329,14 @@ class FeaturePipeline:
     derived: tuple[str, ...]  # the presets among `variables`, a record for model.json
     pca: PcaTransform | None
     weak: WeakClassifierSet
+
+    def __post_init__(self):
+        width = len(self.variables)
+        if self.pca is not None and self.pca.mean.size != width:
+            raise ConfigError(f"pca is {self.pca.mean.size} wide, not len(variables) = {width}")
+        if self.weak.n_classifiers != width:
+            raise ConfigError(f"weak has {self.weak.n_classifiers} classifiers, "
+                              f"not len(variables) = {width}")
 
     def transform(self, d: Dataset) -> np.ndarray:
         x = feature_matrix(d, self.variables)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _sweep
-from ._codec import is_number
+from ._codec import is_finite, is_number, read_json
 from .errors import ConfigError, DataError
 from .ising import IsingProblem, energies_batch
 
@@ -42,6 +42,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _MAX_READS = 1 << 16
 _MAX_SWEEPS = 1 << 20
 _MAX_GAUGES = 1 << 10
+#: the chain-expanded problem has `length` physical spins per logical spin,
+#: so its anneal is `length` times as large
+_MAX_CHAIN_LENGTH = 1 << 6
 
 
 def at_iteration(schedule, t: int):
@@ -287,6 +290,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError("chain length must be >= 1")
+        if self.length > _MAX_CHAIN_LENGTH:
+            raise ConfigError(f"chain length must be <= {_MAX_CHAIN_LENGTH}, got {self.length}")
         if not self.strength > 0:
             raise ConfigError("chain strength must be positive")
         if self.strength_schedule is not None and any(
@@ -358,10 +363,10 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     """Validate a reply of the form {"samples": [{"spins": [+-1...], "energy": f}]}.
 
     Reported energies must match the problem's own evaluation to 1e-9. This is
-    the wire format a hardware- or service-backed solver must speak. Spins,
-    energies and `broken_chain_fraction` must be JSON numbers, the last a
-    fraction in [0, 1]. Any malformed reply raises `DataError` naming the
-    first bad sample.
+    the wire format a hardware- or service-backed solver must speak. Spins
+    and `broken_chain_fraction` must be JSON numbers, the last a fraction in
+    [0, 1], and energies finite floats. Any malformed reply raises
+    `DataError` naming the first bad sample.
     """
     samples = doc.get("samples") if isinstance(doc, Mapping) else None
     if not isinstance(samples, list) or not samples:
@@ -369,8 +374,8 @@ def parse_solver_reply(p: IsingProblem, doc: Mapping) -> SolverResult:
     spins = np.empty((len(samples), p.n_spins), dtype=np.int8)
     reported = np.empty(len(samples))
     for k, rec in enumerate(samples):
-        if not isinstance(rec, Mapping) or not is_number(rec.get("energy")):
-            raise DataError(f"sample {k}: needs `spins` and a numeric `energy`")
+        if not isinstance(rec, Mapping) or not is_finite(rec.get("energy")):
+            raise DataError(f"sample {k}: reported `energy` is missing or not a finite number")
         s = rec.get("spins")
         if not (isinstance(s, list) and len(s) == p.n_spins
                 and all(is_number(v) and v in (-1, 1) for v in s)):
@@ -400,16 +405,12 @@ def solve_external(p: IsingProblem, command: Sequence[str],
     """
     try:
         proc = subprocess.run(
-            list(command), input=json.dumps(p.to_dict()), capture_output=True,
-            text=True, timeout=timeout, check=True,
+            list(command), input=json.dumps(p.to_dict()).encode(), capture_output=True,
+            timeout=timeout, check=True,
         )
     except (OSError, subprocess.SubprocessError) as exc:
         raise DataError(f"external solver failed: {exc}") from exc
-    try:
-        doc = json.loads(proc.stdout)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"external solver reply is not valid JSON: {exc}") from exc
-    return parse_solver_reply(p, doc)
+    return parse_solver_reply(p, read_json(proc.stdout, DataError, "external solver reply"))
 
 
 # ---------------------------------------------------------------------------

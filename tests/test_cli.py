@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,11 +9,15 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_mutations import BYTE_FORMS, ODD_VALUES, REFUSED, mutated, paths
 
 import qamlz
 from qamlz import AnnealSchedule, ChainConfig, FomParams, ZoomConfig, cli, fom, score_events
@@ -76,6 +81,29 @@ def _set(doc: dict, path: str, value) -> dict:
         node = node.setdefault(name, {})
     node[key] = value
     return doc
+
+
+def _external_config(tmp_path: Path, command) -> Path:
+    """The base config with the external solver `command`."""
+    cfg = _base_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["zoom"].update(solver="external", external_command=command)
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def _reply_stub(path, form: str, value=None) -> list[str]:
+    """An external-solver command that replies to each problem with one
+    sample, every spin up, and its energy, mutated at `path` by
+    `json_mutations.mutated(reply, path, form, value)`."""
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "from json_mutations import mutated; p = json.load(sys.stdin); "
+              "e = sum(p['h']) + sum(v for _, _, v in p['J']); "
+              "reply = {'samples': [{'spins': [1] * p['n'], 'energy': e}], "
+              "'broken_chain_fraction': 0.0}; "
+              "sys.stdout.buffer.write(mutated(reply, *json.loads(sys.argv[2])))")
+    return [sys.executable, "-c", script, str(Path(__file__).parent),
+            json.dumps([path, form, value])]
 
 
 def _read_csv(path: Path):
@@ -365,6 +393,63 @@ class TestEval:
         cfg = _base_config(tmp_path, model=str(tmp_path))
         assert main(["eval", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("literal, path, value, message", [
+        ("model_normalized.json", "pipeline.weak.lo", [],
+         "lo and hi must have shape (2,), one entry per variable, got (0,) and (2,)"),
+        ("model_normalized.json", "pipeline.weak.hi", [], "lo and hi must have shape (2,)"),
+        ("model_density_pca.json", "pipeline.pca.mean", [],
+         "PCA mean, components and eigenvalues must have shapes (k,), (k, k) and (k,), "
+         "got (0,), (2, 2) and (2,)"),
+        ("model_density_pca.json", "pipeline.pca.components", [],
+         "got (2,), (0,) and (2,)"),
+        ("model_density_pca.json", "pipeline.pca.eigenvalues", [1.0],
+         "got (2,), (2, 2) and (1,)"),
+        ("model_density_pca.json", "pipeline.weak.responses", [],
+         "bin responses must have shape (2, 8), one per bin of every variable, got (0,)"),
+        ("model_density_pca.json", "pipeline.weak.responses", [-1], "got (1,)"),
+        ("model_density_pca.json", "pipeline.weak.responses", [[1.0]], "got (1, 1)"),
+        ("model_density_pca.json", "pipeline.weak.edges", [[1.0]],
+         "bin edges must be a list of at least 2 numbers, got shape (1, 1)"),
+        ("model_density_pca.json", "pipeline.weak.edges", [0.0],
+         "bin edges must be a list of at least 2 numbers, got shape (1,)"),
+        ("model_density_pca.json", "pipeline.variables", ["v0"],
+         "pca is 2 wide, not len(variables) = 1"),
+        ("model_normalized.json", "pipeline.variables", ["v0"],
+         "weak has 2 classifiers, not len(variables) = 1"),
+        # used to raise numpy's RuntimeError for more than 32 dimensions (exit 1)
+        ("model_normalized.json", "mu", json.loads("[" * 40 + "0.5" + "]" * 40),
+         f"mu has shape {(1,) * 40}, the model has 6 spins"),
+    ], ids=["lo", "hi", "pca-mean", "pca-components", "pca-eigenvalues", "responses-empty",
+            "responses-flat", "responses-one-bin", "edges-2d", "edges-one", "pca-width",
+            "weak-width", "mu-40-deep"])
+    def test_model_array_of_wrong_shape_is_data_error(self, tmp_path, capsys, literal, path,
+                                                      value, message):
+        # lo, hi, the PCA mean and components, the responses and 2-D edges
+        # used to end in a traceback (exit 1) while scoring; the eigenvalues
+        # and a single edge scored with exit 0, and a width that does not
+        # match failed only once scoring began, without naming the file
+        model_path = tmp_path / "model.json"
+        doc = json.loads((DATA / literal).read_text())
+        model_path.write_text(json.dumps(_set(doc, path, value)))
+        over = {"pca": True} if "pca" in literal else {"weak_mode": "normalized"}
+        cfg = _base_config(tmp_path, model=str(model_path), **over)
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"malformed model file {model_path}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("form", BYTE_FORMS)
+    def test_model_that_is_not_a_document_is_data_error(self, tmp_path, capsys, form):
+        # "deep" and "deep-990" used to end in a RecursionError (exit 1),
+        # which eval did not catch
+        model_path = tmp_path / "model.json"
+        doc = json.loads((DATA / "model_normalized.json").read_text())
+        model_path.write_bytes(mutated(doc, ("offset_range",), form))
+        cfg = _base_config(tmp_path, model=str(model_path), weak_mode="normalized")
+        assert main(["eval", "--config", str(cfg)]) == 3
+        assert f"model file {model_path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestScan:
     def _scan_config(self, tmp_path, **scan_over):
@@ -603,6 +688,17 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["train", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("form", BYTE_FORMS)
+    def test_config_that_is_not_a_document_is_config_error(self, tmp_path, capsys, form):
+        # each used to end in a traceback (exit 1): a UnicodeDecodeError,
+        # Python's 4300-digit ValueError, or a RecursionError while parsing
+        # or, at 990 deep, while printing the bad value
+        cfg = _base_config(tmp_path, fom_curve={"s": [10.0], "b": [100.0]})
+        cfg.write_bytes(mutated(json.loads(cfg.read_text()), ("n_bins",), form))
+        assert main(["fom", "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -723,7 +819,10 @@ class TestExitCodes:
         ("bounds", {"v0": [0.0]}),
         ("bounds", {"v0": [0.0, None, 5.0]}),
         ("processes", [1]),
-    ], ids=["bound-of-one-entry", "bound-of-three-entries", "processes-not-an-object"])
+        # numpy refused the ragged covariance with a ValueError (exit 1)
+        ("processes", {"signal": {"mean": [1.5, 1.0], "cov": [[1.0], [0.0, 1.0]]}}),
+    ], ids=["bound-of-one-entry", "bound-of-three-entries", "processes-not-an-object",
+            "ragged-covariance"])
     def test_malformed_generator_spec(self, tmp_path, capsys, key, value):
         cfg = _base_config(tmp_path)
         doc = json.loads(cfg.read_text())
@@ -779,14 +878,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("reply", [
         "[]",
         '{"samples": [{"spins": [1] * d["n"], "energy": float("nan")}]}',
+        # used to raise OverflowError (exit 1) when stored as a float
+        '{"samples": [{"spins": [1] * d["n"], "energy": 10**400}]}',
     ])
     def test_malformed_external_reply(self, tmp_path, reply):
         script = f"import json, sys; d = json.load(sys.stdin); print(json.dumps({reply}))"
-        cfg = _base_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
-        cfg.write_text(json.dumps(doc))
+        cfg = _external_config(tmp_path, [sys.executable, "-c", script])
         assert main(["train", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("form", BYTE_FORMS)
+    def test_external_reply_that_is_not_a_document_is_data_error(self, tmp_path, capsys, form):
+        # each used to end in a traceback (exit 1); stdout that was not UTF-8
+        # failed to decode inside subprocess.run
+        cfg = _external_config(tmp_path, _reply_stub(("samples", 0, "energy"), form))
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_broken_chain_fraction_in_external_reply(self, tmp_path, capsys):
         # a well-formed sample whose reply reports a NaN chain breakage
@@ -794,10 +901,7 @@ class TestExitCodes:
                   "e = sum(d['h']) + sum(v for _, _, v in d['J']); "
                   "print(json.dumps({'samples': [{'spins': [1] * d['n'], 'energy': e}], "
                   "'broken_chain_fraction': float('nan')}))")
-        cfg = _base_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["zoom"].update(solver="external", external_command=[sys.executable, "-c", script])
-        cfg.write_text(json.dumps(doc))
+        cfg = _external_config(tmp_path, [sys.executable, "-c", script])
         assert main(["train", "--config", str(cfg)]) == 3
         assert "broken_chain_fraction must be a number in [0, 1], got nan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train_log.jsonl").exists()
@@ -936,9 +1040,24 @@ class TestExitCodes:
         # trained 324 iterations, then exited 2 once sigma = 0.1**324 was 0.0
         ("train", {"zoom.iterations": 330, "zoom.base": 0.1},
          "0.1 ** 329 underflows to 0"),
+        # ran past 30 s
+        ("scan", {"scan.n_runs": 2**31}, "scan.n_runs must be <= 1024, got 2147483648"),
+        # built 2,000,000 grid points in 27.6 s, although `fom` uses none
+        ("fom", {"scan": {"delta": [0.1 + k / 1000 for k in range(100)],
+                          "offset_range": list(range(100)),
+                          "cutoff_pct": [float(k) for k in range(100)],
+                          "fixing": [False, True]},
+                 "fom_curve": {"s": [10.0], "b": [100.0]}},
+         "the scan grid must have at most 4096 points, got 2000000"),
+        # with solver "chain", asked numpy for 48 TiB (MemoryError)
+        ("train", {"zoom.chain.length": 2**40}, "chain length must be <= 64, got 1099511627776"),
+        # 1000 x 1000 x 100 rows ran out of memory
+        ("fom", {"fom_curve": {"s": [float(k) for k in range(300)],
+                               "b": [float(k + 1) for k in range(300)]}},
+         "fom_curve must give at most 65536 rows, got 90000"),
     ], ids=["n_reads", "sweeps", "n_g", "n_e", "delta", "offset_range", "scan-offset_range",
             "n_events", "n_events-1e12", "n_bins", "grid_points", "iterations",
-            "iterations-base"])
+            "iterations-base", "n_runs", "grid", "chain-length", "fom-rows"])
     def test_count_beyond_its_bound_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                     command, changes, message):
         # each used to end in a traceback (exit 1), an OverflowError or a run
@@ -1015,3 +1134,106 @@ class TestExitCodes:
         doc["seed"] = -7
         cfg.write_text(json.dumps(doc))
         assert main(["gen", "--config", str(cfg)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Property: whatever one mutation does to a document the program takes in, the
+# command exits 0, 2, 3 or 4, with no exception escaping `main`
+# ---------------------------------------------------------------------------
+
+#: every key the config reader takes, at values that run tiny: 600 events of
+#: two toy variables and exact 6-spin solves; `eval` reads the checked-in
+#: model that `train` writes for the base config in normalized mode
+_FULL_CONFIG = {
+    "seed": 11, "out_dir": "out", "model": str(DATA / "model_normalized.json"),
+    "data": {
+        "generator": {
+            "schema": ["v0", "v1"],
+            "processes": {
+                "signal": {"mean": [1.5, 1.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+                "wjets": {"mean": [-1.5, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            },
+            "signal_fraction": 0.5, "background_fractions": {"wjets": 1.0},
+            "s_tot": 120.0, "b_tot": 480.0,
+            "bounds": {"v0": [-10.0, None]}, "integer_variables": [],
+        },
+        "n_events": 600, "schema": None, "preselection": False, "qa_fraction": 0.5,
+        "assess_processes": [],
+    },
+    "variables": ["v0", "v1"], "weak_mode": "normalized", "pca": False, "n_bins": 8,
+    "zoom": {
+        "iterations": 2, "base": 0.5, "delta": 0.1, "offset_range": 1, "cutoff_pct": 0.0,
+        "fixing": False, "solver": "exact", "p_flip": [0.0], "q_flip": [0.0], "lambda": 0.0,
+        "schedule": {"n_reads": 4, "sweeps": 8, "t_hot": None, "t_cold": 0.01,
+                     "n_g": [1], "n_e": [1], "d": [None]},
+        "chain": {"length": 2, "strength": 1.0, "strength_schedule": None},
+        "external_command": None, "external_timeout": None,
+    },
+    "fom": {"f": 0.2, "min_counts": 5, "grid_points": 101},
+    "scan": {"delta": [0.1], "offset_range": [1], "cutoff_pct": [0.0], "fixing": [False],
+             "n_runs": 2, "coupler_budget": 5600},
+    "fom_curve": {"s": [10.0], "b": [100.0], "f": [0.2]},
+}
+#: (model file, the config over the base one it is read with)
+_MODELS = {"model_normalized.json": {"weak_mode": "normalized"},
+           "model_density_pca.json": {"pca": True}}
+_MODEL_NODES = [(literal, path) for literal in _MODELS
+                for path in paths(json.loads((DATA / literal).read_text()))]
+_REPLY = {"samples": [{"spins": [1], "energy": 0.0}], "broken_chain_fraction": 0.0}
+#: (form, value) of `json_mutations.mutated`
+_MUTATIONS = st.one_of(st.tuples(st.just("value"), st.sampled_from(ODD_VALUES)),
+                       st.tuples(st.sampled_from(BYTE_FORMS), st.none()))
+
+
+def _exit_code(argv, cwd: Path) -> int:
+    """`main(argv)` run in `cwd`, within 20 s. Its output is dropped, and so
+    are the warnings an odd value provokes: the property is the exit code."""
+    began = time.monotonic()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
+          warnings.catch_warnings(record=True)):
+        old = os.getcwd()
+        os.chdir(cwd)
+        try:
+            rc = main(argv)
+        finally:
+            os.chdir(old)
+    assert time.monotonic() - began < 20
+    return rc
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "scan", "fom"])
+def test_full_config_runs(tmp_path, command):
+    # the unmutated documents of the properties below run to exit 0
+    (tmp_path / "config.json").write_text(json.dumps(_FULL_CONFIG))
+    assert _exit_code([command, "--config", "config.json"], tmp_path) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["gen", "train", "eval", "scan", "fom"]),
+       path=st.sampled_from(list(paths(_FULL_CONFIG))), mutation=_MUTATIONS)
+def test_any_config_mutation_exits_cleanly(tmp_path_factory, command, path, mutation):
+    tmp = tmp_path_factory.mktemp("config")
+    (tmp / "config.json").write_bytes(mutated(_FULL_CONFIG, path, *mutation))
+    rc = _exit_code([command, "--config", "config.json"], tmp)
+    assert rc == 2 if mutation[0] in REFUSED else rc in (0, 2, 3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(node=st.sampled_from(_MODEL_NODES), mutation=_MUTATIONS)
+def test_any_model_mutation_exits_cleanly(tmp_path_factory, node, mutation):
+    literal, path = node
+    tmp = tmp_path_factory.mktemp("model")
+    (tmp / "model.json").write_bytes(
+        mutated(json.loads((DATA / literal).read_text()), path, *mutation))
+    cfg = _base_config(tmp, model=str(tmp / "model.json"), **_MODELS[literal])
+    rc = _exit_code(["eval", "--config", str(cfg)], tmp)
+    assert rc == 3 if mutation[0] in REFUSED else rc in (0, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from(list(paths(_REPLY))), mutation=_MUTATIONS)
+def test_any_external_reply_mutation_exits_cleanly(tmp_path_factory, path, mutation):
+    tmp = tmp_path_factory.mktemp("reply")
+    cfg = _external_config(tmp, _reply_stub(path, *mutation))
+    rc = _exit_code(["train", "--config", str(cfg)], tmp)
+    assert rc == 3 if mutation[0] in REFUSED else rc in (0, 3)
