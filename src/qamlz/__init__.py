@@ -85,9 +85,11 @@ from .evaluate import (
     FomParams,
     UncertaintyReport,
     asimov_significance,
+    event_signs,
     fom,
     fom_scan,
     fom_scan_dataset,
+    model_scores,
     overtraining_check,
     rank_variables,
     run_uncertainty,

@@ -12,6 +12,7 @@ fields.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 import types
@@ -35,16 +36,40 @@ def is_finite(v) -> bool:
     return is_number(v) and abs(v) <= sys.float_info.max
 
 
+#: the deepest nesting of arrays and objects a document may have; a valid
+#: config, model.json or reply nests fewer than 10 levels. It is checked
+#: before parsing: Python's reader refuses a deep document only where it
+#: runs out of stack, which depends on the caller's stack and recursion limit.
+MAX_DEPTH = 100
+_NON_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _depth(raw: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text `raw`,
+    counted without recursion: the running sum over the brackets outside
+    strings, once escaped backslashes and quotes are dropped. No byte of a
+    multi-byte UTF-8 character is a bracket, a quote or a backslash."""
+    unescaped = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(unescaped.split(b'"')[::2]).translate(None, _NON_BRACKETS)
+    return max(itertools.accumulate(map(_STEP.__getitem__, brackets)), default=0)
+
+
 def read_json(raw: bytes, error: type[Exception], what: str):
     """The JSON document in `raw`, which must be UTF-8 text. Bytes that are
     not, text that is not JSON, an integer beyond Python's 4300-digit limit
-    and a document nested deeper than the recursion limit raise `error`
-    naming `what`."""
+    and a document nested deeper than `MAX_DEPTH` raise `error` naming
+    `what`."""
     try:
         # decoded first: handed bytes, Python's reader would also take UTF-16 and UTF-32
-        return json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
+        text = raw.decode("utf-8")
+        if _depth(raw) <= MAX_DEPTH:
+            return json.loads(text)
+    except RecursionError:  # a caller's stack so deep that less nesting overflows it
+        pass
+    except ValueError as exc:  # ValueError covers both decode errors
         raise error(f"{what} is not valid JSON: {exc}") from exc
+    raise error(f"{what} is not valid JSON: nested deeper than {MAX_DEPTH} levels")
 
 
 def shown(doc) -> str:

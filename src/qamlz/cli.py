@@ -37,13 +37,14 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .evaluate import (
     FomParams,
+    event_signs,
     fom,
     fom_scan_dataset,
     overtraining_check,
     run_uncertainty,
     scores_by_process,
 )
-from .features import fit_feature_pipeline, variable_set
+from .features import FeaturePipeline, fit_feature_pipeline, variable_set
 from .ising import AugmentedClassifierSet, keep_count
 from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
@@ -305,14 +306,53 @@ def cmd_eval(cfg: Config) -> int:
     return 0
 
 
-def _scan_point(args: tuple) -> tuple:
-    """One grid point, executed possibly in a worker process."""
-    split, pipeline, zcfg, params, n_runs, budget = args
+@dataclass
+class _ScanContext:
+    """What every grid point of a scan reads: the split, the feature pipeline
+    and the scan settings, with a one-entry cache of the last layout's
+    prepared problem and assess sign matrix. The grid is layout-major, as
+    `delta` and `offset_range` are the outer axes of `read_config`'s product,
+    and a process takes its points in grid order, so it prepares each layout
+    at most once and holds one layout's arrays at a time."""
+
+    split: SampleSplit
+    pipeline: FeaturePipeline
+    params: FomParams
+    n_runs: int
+    budget: int
+    layout: tuple = ()
+    prepared: tuple = ()  # (TrainingProblem, assess signs) of `layout`
+
+    def prepared_for(self, zcfg: ZoomConfig) -> tuple:
+        layout = (zcfg.delta, zcfg.offset_range)
+        if layout != self.layout:
+            self.layout, self.prepared = (), ()  # the old arrays go before the new are built
+            problem = prepare(self.split.train, self.split.test, self.pipeline, *layout)
+            self.prepared = problem, event_signs(self.pipeline, problem.aug, self.split.assess)
+            self.layout = layout
+        return self.prepared
+
+
+#: a scan worker's context, set once per worker process by `_start_scan_worker`
+_worker_context: _ScanContext | None = None
+
+
+def _start_scan_worker(*fields) -> None:
+    global _worker_context
+    _worker_context = _ScanContext(*fields)
+
+
+def _scan_point(zcfg: ZoomConfig, ctx: _ScanContext | None = None) -> tuple:
+    """The scan.csv row of one grid point, on `ctx` or, in a pool worker, on
+    the worker's context."""
+    ctx = _worker_context if ctx is None else ctx
     point = tuple(getattr(zcfg, name) for name in _AXES)
-    n_spins = AugmentedClassifierSet(pipeline.weak, zcfg.delta, zcfg.offset_range).n_spins
-    if keep_count(n_spins * (n_spins - 1) // 2, zcfg.cutoff_pct) > budget:
+    n_spins = AugmentedClassifierSet(ctx.pipeline.weak, zcfg.delta, zcfg.offset_range).n_spins
+    if keep_count(n_spins * (n_spins - 1) // 2, zcfg.cutoff_pct) > ctx.budget:
         return (*point, "", "", "no embedding")
-    report = run_uncertainty(zcfg, split, pipeline, n_runs=n_runs, params=params)
+    problem, assess_signs = ctx.prepared_for(zcfg)
+    report = run_uncertainty(zcfg, problem, ctx.split.assess, assess_signs,
+                             n_runs=ctx.n_runs, params=ctx.params)
     return (*point, report.mean, report.std, "ok")
 
 
@@ -328,16 +368,18 @@ def cmd_scan(cfg: Config, jobs: int) -> int:
         raise ConfigError("config needs a `scan` section with grid axes")
     split = prepare_split(cfg)
     pipeline = fit_feature_pipeline(split.train, **cfg.features)
-    tasks = [(split, pipeline, zcfg, cfg.fom, cfg.n_runs, cfg.coupler_budget)
-             for zcfg in cfg.grid]
+    context = (split, pipeline, cfg.fom, cfg.n_runs, cfg.coupler_budget)
     # the pool starts all its workers at once, so it is no larger than the
     # grid or the CPUs this process may run on
-    jobs = min(jobs, len(tasks), _usable_cpus())
+    jobs = min(jobs, len(cfg.grid), _usable_cpus())
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_point, tasks))
+        # each worker receives the context once, and a task is one ZoomConfig
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_scan_worker,
+                                 initargs=context) as pool:
+            rows = list(pool.map(_scan_point, cfg.grid))
     else:
-        rows = [_scan_point(task) for task in tasks]
+        ctx = _ScanContext(*context)
+        rows = [_scan_point(zcfg, ctx) for zcfg in cfg.grid]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.out_dir / "scan.csv", SCAN_HEADER, rows)
     infeasible = sum(1 for r in rows if r[-1] == "no embedding")

@@ -18,9 +18,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._kstest import ks_2samp
-from .dataset import Dataset, SampleSplit
+from .dataset import Dataset
 from .errors import ConfigError, DataError
-from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
+from .features import FeaturePipeline
+from .ising import AugmentedClassifierSet
+from .zoom import TrainedModel, TrainingProblem, ZoomConfig, run_qamlz
 
 #: cuts of one FOM scan: each is one figure-of-merit call in Python, about
 #: 2 us, so a scan of 5000 events per class at the bound takes 0.14 s
@@ -142,23 +144,24 @@ def _fom_or_limit(s: float, b: float, params: FomParams) -> float:
 
 def score_events(model: TrainedModel, d: Dataset) -> np.ndarray:
     """Strong-classifier output for every event in the dataset."""
-    return _score_models([model], d)[0]
+    return model_scores(event_signs(model.pipeline, model.aug, d), model)
 
 
-def _score_models(models: Sequence[TrainedModel], d: Dataset) -> list[np.ndarray]:
-    """`score_events` of each model. The models share one feature pipeline and
-    augmented set, as the seeds of one prepared problem do, so `d` is
-    transformed and its sign matrix taken once and each model costs one
-    matvec."""
-    first = models[0]
-    if any(m.pipeline is not first.pipeline
-           or (m.delta, m.offset_range) != (first.delta, first.offset_range) for m in models):
-        raise ConfigError("models scored together must share a pipeline and augmented set")
-    signs = first.aug.signs_from_h(first.pipeline.transform(d))
+def event_signs(pipeline: FeaturePipeline, aug: AugmentedClassifierSet,
+                d: Dataset) -> np.ndarray:
+    """The int8 sign matrix of `d` over the augmented set. The models of one
+    prepared problem share a pipeline and augmented set, so they share this
+    matrix, and each then costs one matvec in `model_scores`."""
+    return aug.signs_from_h(pipeline.transform(d))
+
+
+def model_scores(signs: np.ndarray, model: TrainedModel) -> np.ndarray:
+    """`score_events` of `model` from the `event_signs` of its pipeline and
+    augmented set."""
     # a matvec's bits follow the float64 operand's layout, not the dtype: the
     # int8 product rounds as a C-ordered float64 one does, while astype(float64)
     # would keep signs_from_h's Fortran order and change the scores' bits
-    return [signs @ (m.mu / m.aug.n_var) for m in models]
+    return signs @ (model.mu / model.aug.n_var)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +265,20 @@ def fom_scan_dataset(
 ) -> FomCurve:
     """Score a dataset with the model and scan the tags' weighted yields.
     Each class must hold a positive total weight."""
-    return _fom_scan_models([model], d, params)[0]
+    sig = _signal_mask(d)
+    scores = model_scores(event_signs(model.pipeline, model.aug, d), model)
+    return fom_scan(scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params)
 
 
-def _fom_scan_models(
-    models: Sequence[TrainedModel], d: Dataset, params: FomParams
-) -> list[FomCurve]:
-    """`fom_scan_dataset` of each model, scored together by `_score_models`."""
+def _signal_mask(d: Dataset) -> np.ndarray:
+    """`d.tags == 1`, once both classes are checked to hold events and weight."""
     sig = d.tags == 1
     if not sig.any() or sig.all():
         raise DataError("dataset must contain both signal and background events")
     for name, mask in (("signal", sig), ("background", ~sig)):
         if not d.weights[mask].any():
             raise DataError(f"the {name} events have zero total weight")
-    return [fom_scan(scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params)
-            for scores in _score_models(models, d)]
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +301,34 @@ class UncertaintyReport:
 
 def run_uncertainty(
     cfg: ZoomConfig,
-    data: SampleSplit,
-    pipeline,
+    problem: TrainingProblem,
+    assess: Dataset,
+    assess_signs: np.ndarray,
     n_runs: int = 10,
     params: FomParams = FomParams(),
 ) -> UncertaintyReport:
-    """Train `n_runs` models differing only in seed and report the sample mean
-    and standard deviation of their maximal figures of merit on the assess
-    sample. Prepares the training problem once, trains every seed on it, then
-    scores: the prepared arrays are dropped before the assess sample is
-    transformed, once for all the models."""
+    """Train `n_runs` models on the prepared `problem`, differing only in
+    seed, and report the sample mean and standard deviation of their maximal
+    figures of merit on the `assess` sample, scored from its `event_signs`
+    over the problem's pipeline and augmented set. The problem and the signs
+    depend only on (delta, offset_range), so a scan builds them once per
+    layout and hands them to every grid point of it."""
     if n_runs < 2:
         raise ConfigError("n_runs must be >= 2 for a defined standard deviation")
-    problem = prepare(data.train, data.test, pipeline, cfg.delta, cfg.offset_range)
-    models = [run_qamlz(problem, dataclasses.replace(cfg, seed=cfg.seed + k))
-              for k in range(n_runs)]
-    del problem
-    curves = _fom_scan_models(models, data.assess, params)
-    if any(curve.no_valid_cut for curve in curves):
-        raise DataError("no valid cut on the assess sample; lower min_counts")
-    return UncertaintyReport.from_foms([curve.best_fom for curve in curves])
+    if assess_signs.shape != (len(assess), problem.aug.n_spins):
+        raise ConfigError(f"assess_signs must have shape {(len(assess), problem.aug.n_spins)}, "
+                          f"one row per assess event, got {assess_signs.shape}")
+    sig = _signal_mask(assess)
+    foms = []
+    for k in range(n_runs):
+        scores = model_scores(assess_signs,
+                              run_qamlz(problem, dataclasses.replace(cfg, seed=cfg.seed + k)))
+        curve = fom_scan(scores[sig], assess.weights[sig], scores[~sig], assess.weights[~sig],
+                         params)
+        if curve.no_valid_cut:
+            raise DataError("no valid cut on the assess sample; lower min_counts")
+        foms.append(curve.best_fom)
+    return UncertaintyReport.from_foms(foms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ import json
 ODD_VALUES = (0, -1, 2**31, 2**64, 1e308, -1e308, 1e-320, 0.5, "x", None, True, [], {},
               [1e308], [-1])
 
-#: byte forms: the first four no reader may take as a document. "latin-1"
-#: writes a string node outside UTF-8, "utf-16" encodes the whole document,
-#: "digits" is an integer past Python's 4300-digit limit and "deep" nests
-#: past the recursion limit; "deep-990" nests 990 deep, which Python's reader
-#: takes or refuses depending on how deep the caller's stack already is
-REFUSED = ("latin-1", "utf-16", "digits", "deep")
-BYTE_FORMS = REFUSED + ("deep-990",)
+#: byte forms no reader may take as a document: "latin-1" writes a string
+#: node outside UTF-8, "utf-16" encodes the whole document, "digits" is an
+#: integer past Python's 4300-digit limit, and "deep" and "deep-990" nest
+#: 200,000 and 990 deep, past the reader's bound of 100 levels
+REFUSED = BYTE_FORMS = ("latin-1", "utf-16", "digits", "deep", "deep-990")
 _RAW = {"digits": "1" * 5000, "deep": "[" * 200_000 + "]" * 200_000,
         "deep-990": "[" * 990 + "]" * 990}
 

@@ -1,15 +1,19 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +25,9 @@ from json_mutations import BYTE_FORMS, ODD_VALUES, REFUSED, mutated, paths
 
 import qamlz
 from qamlz import AnnealSchedule, ChainConfig, FomParams, ZoomConfig, cli, fom, score_events
+from qamlz._codec import MAX_DEPTH, read_json
 from qamlz.cli import main, prepare_data, read_config
+from qamlz.errors import ConfigError
 
 DATA = Path(__file__).parent / "data"
 
@@ -509,8 +515,9 @@ class TestScan:
         sizes = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)  # as each worker does, here in this process
 
             def __enter__(self):
                 return self
@@ -521,6 +528,7 @@ class TestScan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        monkeypatch.setattr(cli, "_worker_context", None)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "run_uncertainty",
                             lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
@@ -535,10 +543,12 @@ class TestScan:
     def test_pool_is_no_larger_than_the_usable_cpus(self, tmp_path, monkeypatch):
         sizes = []
 
-        def fake_pool(max_workers):  # records the size, starts no process
+        def fake_pool(max_workers, initializer, initargs):  # records the size, starts no process
             sizes.append(max_workers)
+            initializer(*initargs)
             return contextlib.nullcontext(SimpleNamespace(map=map))
 
+        monkeypatch.setattr(cli, "_worker_context", None)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", fake_pool)
         monkeypatch.setattr(cli, "run_uncertainty",
                             lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
@@ -569,15 +579,103 @@ class TestScan:
         kept = prune(effective_problem(cm, np.zeros(n), 1.0), cutoff).n_couplers
         monkeypatch.setattr(cli, "run_uncertainty",
                             lambda *args, **kwargs: SimpleNamespace(mean=0.0, std=0.0))
+        monkeypatch.setattr(cli._ScanContext, "prepared_for", lambda self, zcfg: (None, None))
         zcfg = ZoomConfig(delta=0.025, offset_range=offset_range, cutoff_pct=cutoff)
 
         def status(budget):
             pipeline = SimpleNamespace(weak=SimpleNamespace(n_classifiers=n_var))
-            task = (None, pipeline, zcfg, FomParams(), 2, budget)
-            return cli._scan_point(task)[-1]
+            ctx = cli._ScanContext(SimpleNamespace(assess=None), pipeline, FomParams(), 2, budget)
+            return cli._scan_point(zcfg, ctx)[-1]
 
         assert status(kept) == "ok"
         assert status(kept - 1) == "no embedding"
+
+    #: two layouts, (0.1, 1) of 6 spins and (0.1, 5) of 22 spins, each with
+    #: two feasible points; at cutoff 0 the 231 couplers of offset_range 5
+    #: are over the budget of 100
+    _LAYOUTS = {"delta": [0.1], "offset_range": [1, 5], "cutoff_pct": [0.0, 80.0],
+                "fixing": [False, True], "n_runs": 3, "coupler_budget": 100}
+
+    def _layouts_config(self, tmp_path) -> Path:
+        cfg = self._scan_config(tmp_path, **self._LAYOUTS)
+        doc = json.loads(cfg.read_text())
+        doc["zoom"] = {"iterations": 2, "solver": "sa",
+                       "schedule": {"n_reads": 4, "sweeps": 8, "n_g": [2, 1], "n_e": [2]}}
+        cfg.write_text(json.dumps(doc))
+        return cfg
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_matches_point_by_point_reference(self, tmp_path, jobs):
+        # every grid point prepared, trained seed by seed and scored on its
+        # own, from public pieces alone
+        cfg_path = self._layouts_config(tmp_path)
+        cfg = read_config(json.loads(cfg_path.read_text()))
+        split = cli.prepare_split(cfg)
+        pipeline = qamlz.fit_feature_pipeline(split.train, **cfg.features)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(cli.SCAN_HEADER)
+        for zcfg in cfg.grid:
+            point = (zcfg.delta, zcfg.offset_range, zcfg.cutoff_pct, zcfg.fixing)
+            if (zcfg.offset_range, zcfg.cutoff_pct) == (5, 0.0):
+                writer.writerow((*point, "", "", "no embedding"))
+                continue
+            foms = []
+            for k in range(cfg.n_runs):
+                problem = qamlz.prepare(split.train, split.test, pipeline, zcfg.delta,
+                                        zcfg.offset_range)
+                model = qamlz.run_qamlz(problem, dataclasses.replace(zcfg, seed=zcfg.seed + k))
+                foms.append(qamlz.fom_scan_dataset(model, split.assess, cfg.fom).best_fom)
+            report = qamlz.UncertaintyReport.from_foms(foms)
+            writer.writerow((*point, report.mean, report.std, "ok"))
+        assert main(["scan", "--config", str(cfg_path), "--jobs", jobs]) == 4
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == want.getvalue().encode()
+
+    def test_serial_scan_prepares_once_per_layout(self, tmp_path, monkeypatch):
+        layouts = []
+        prepare = cli.prepare
+        monkeypatch.setattr(cli, "prepare", lambda train, test, pipeline, *layout:
+                            layouts.append(layout) or prepare(train, test, pipeline, *layout))
+        assert main(["scan", "--config", str(self._layouts_config(tmp_path))]) == 4
+        assert layouts == [(0.1, 1), (0.1, 5)]
+
+    def test_tasks_carry_only_the_point(self, tmp_path, monkeypatch):
+        # the split and the pipeline go to each worker once, not with each task
+        tasks, pools = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(items)
+                return [(*(getattr(z, a) for a in cli._AXES), 0.0, 0.0, "ok") for z in items]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["scan", "--config", str(self._layouts_config(tmp_path)),
+                     "--jobs", "2"]) == 0
+        assert len(tasks) == 8 and len(pools) == 1
+        assert all(isinstance(t, ZoomConfig) for t in tasks)
+        assert max(len(pickle.dumps(t)) for t in tasks) < 10_000
+        assert len(pickle.dumps(pools[0])) > 10_000  # the split travels in the initargs
+
+    def test_spawned_workers_give_the_serial_rows(self, tmp_path):
+        # nothing a worker reads comes from pages inherited through fork
+        cfg = read_config(json.loads(self._layouts_config(tmp_path).read_text()))
+        split = cli.prepare_split(cfg)
+        pipeline = qamlz.fit_feature_pipeline(split.train, **cfg.features)
+        context = (split, pipeline, cfg.fom, cfg.n_runs, cfg.coupler_budget)
+        serial = [cli._scan_point(zcfg, cli._ScanContext(*context)) for zcfg in cfg.grid]
+        with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=cli._start_scan_worker, initargs=context) as pool:
+            assert list(pool.map(cli._scan_point, cfg.grid, timeout=120)) == serial
 
     def test_missing_scan_section(self, tmp_path):
         cfg = _base_config(tmp_path)
@@ -683,6 +781,38 @@ def test_readme_config_block_matches_the_reader():
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1, 400, 990, 200_000])
+    def test_nesting_verdict_does_not_depend_on_the_stack(self, tmp_path, capsys, depth):
+        # whether a deep model file was refused, and with which message, used
+        # to depend on how deep the caller's stack already was
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[" * depth + "]" * depth)
+        cfg = _base_config(tmp_path, model=str(model_path))
+
+        def run(frames: int):
+            if frames:
+                return run(frames - 1)
+            return main(["eval", "--config", str(cfg)]), capsys.readouterr().err
+
+        shallow = run(0)
+        assert run(500) == shallow
+        assert shallow[0] == 3
+        too_deep = f"is not valid JSON: nested deeper than {MAX_DEPTH} levels"
+        assert (too_deep in shallow[1]) == (depth > MAX_DEPTH)
+
+    def test_stack_overflow_while_parsing_is_the_nesting_error(self):
+        # a stack so deep already that a document within the bound overflows it
+        raw = b"[" * MAX_DEPTH + b"]" * MAX_DEPTH
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 20)
+        try:
+            read_json(raw, ConfigError, "doc")
+        except ConfigError as exc:
+            error = exc
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(error) == f"doc is not valid JSON: nested deeper than {MAX_DEPTH} levels"
+
     def test_bad_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

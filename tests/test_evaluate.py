@@ -13,11 +13,13 @@ from qamlz import (
     FomParams,
     ZoomConfig,
     asimov_significance,
+    event_signs,
     fit_feature_pipeline,
     fom,
     fom_scan,
     fom_scan_dataset,
     generate_synthetic,
+    model_scores,
     overtraining_check,
     prepare,
     rank_variables,
@@ -28,7 +30,7 @@ from qamlz import (
     split_samples,
     two_gaussian_spec,
 )
-from qamlz import evaluate, zoom
+from qamlz import zoom
 from qamlz.evaluate import REFERENCE_BDT_FOM, REFERENCE_DERIVED_FOM
 from qamlz.features import DERIVED_PRESETS, FeaturePipeline
 
@@ -316,19 +318,26 @@ class TestRunUncertainty:
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=8)
         return split, pipe
 
+    @staticmethod
+    def _run(cfg, split, pipe, **kwargs):
+        """`run_uncertainty` on the problem and assess signs of `cfg`'s layout."""
+        problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
+        signs = event_signs(pipe, problem.aug, split.assess)
+        return run_uncertainty(cfg, problem, split.assess, signs, **kwargs)
+
     def test_single_run_rejected(self):
         split, pipe = self._prepared()
         cfg = ZoomConfig(iterations=1, delta=0.1, offset_range=0, solver="exact",
                          schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=1)
         with pytest.raises(ConfigError):
-            run_uncertainty(cfg, split, pipe, n_runs=1)
+            self._run(cfg, split, pipe, n_runs=1)
 
     def test_deterministic_pipeline_zero_std(self):
         split, pipe = self._prepared()
         cfg = ZoomConfig(iterations=2, delta=0.1, offset_range=0, solver="exact",
                          p_flip=(0.0,), q_flip=(0.0,),
                          schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=11)
-        report = run_uncertainty(cfg, split, pipe, n_runs=3, params=FomParams(min_counts=5))
+        report = self._run(cfg, split, pipe, n_runs=3, params=FomParams(min_counts=5))
         assert report.std == 0.0
         assert report.mean == report.max_foms[0]
 
@@ -339,14 +348,15 @@ class TestRunUncertainty:
             schedule=AnnealSchedule(n_reads=8, sweeps=40, n_g=(1,), n_e=(1,)),
             seed=5,
         )
-        report = run_uncertainty(cfg, split, pipe, n_runs=4, params=FomParams(min_counts=5))
+        report = self._run(cfg, split, pipe, n_runs=4, params=FomParams(min_counts=5))
         assert len(report.max_foms) == 4
         assert report.std >= 0.0
         assert report.mean == pytest.approx(np.mean(report.max_foms))
 
     def test_runs_share_one_prepared_problem(self, monkeypatch):
-        # the coupling sums are built once for all seeds, and training every
-        # seed on that one problem reproduces separate preparations bit for bit
+        # run_uncertainty builds no coupling sums and transforms no sample: it
+        # trains every seed on the problem it is given, which reproduces
+        # separate preparations bit for bit, and scores from the given signs
         split, pipe = self._prepared(seed=9)
         cfg = ZoomConfig(
             iterations=3, delta=0.1, offset_range=1, solver="sa",
@@ -361,6 +371,8 @@ class TestRunUncertainty:
             model = run_qamlz(problem, run_cfg)
             separate.append(fom_scan_dataset(model, split.assess, params).best_fom)
 
+        problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
+        signs = event_signs(pipe, problem.aug, split.assess)
         calls, transformed = [], []
         build = zoom.build_couplings_from_signs
         monkeypatch.setattr(zoom, "build_couplings_from_signs",
@@ -368,23 +380,24 @@ class TestRunUncertainty:
         transform = FeaturePipeline.transform
         monkeypatch.setattr(FeaturePipeline, "transform",
                             lambda self, d: transformed.append(d) or transform(self, d))
-        report = run_uncertainty(cfg, split, pipe, n_runs=3, params=params)
-        assert len(calls) == 1
-        # train and test once for the problem, the assess sample once for all models
-        assert [d is split.assess for d in transformed] == [False, False, True]
+        report = run_uncertainty(cfg, problem, split.assess, signs, n_runs=3, params=params)
+        assert calls == [] and transformed == []
         assert np.array(report.max_foms).tobytes() == np.array(separate).tobytes()
 
-    def test_models_scored_together_share_a_pipeline(self):
+    def test_assess_signs_must_fit_the_problem(self):
+        # a model scored from shared signs matches score_events bit for bit,
+        # and signs of another layout or sample are refused before training
         split, pipe = self._prepared()
         cfg = ZoomConfig(iterations=1, delta=0.1, offset_range=0, solver="exact",
                          schedule=AnnealSchedule(n_g=(1,), n_e=(1,)), seed=1)
         problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
         model = run_qamlz(problem, cfg)
-        refit = dataclasses.replace(model, pipeline=dataclasses.replace(pipe))
-        scores = evaluate._score_models([model, model], split.assess)
-        assert scores[1].tobytes() == score_events(model, split.assess).tobytes()
-        with pytest.raises(ConfigError, match="share a pipeline"):
-            evaluate._score_models([model, refit], split.assess)
+        signs = event_signs(pipe, problem.aug, split.assess)
+        assert model_scores(signs, model).tobytes() == score_events(model, split.assess).tobytes()
+        wider = prepare(split.train, split.test, pipe, cfg.delta, 1)
+        for bad in (event_signs(pipe, wider.aug, split.assess), signs[1:]):
+            with pytest.raises(ConfigError, match="assess_signs must have shape"):
+                run_uncertainty(cfg, problem, split.assess, bad, n_runs=2)
 
 
 # ---------------------------------------------------------------------------
