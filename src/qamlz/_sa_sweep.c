@@ -2,15 +2,19 @@
  * simulated-annealing batch down a whole temperature ladder (sa_sweeps), and
  * the frontier loop of field-dominance variable fixing (fix_frontier).
  *
- * Each is the twin of a Python function in qamlz._sweep, operation for
- * operation. The couplers are compressed sparse rows: spin i's neighbours
- * are nb[start[i]:start[i + 1]], ascending, with values vals[...]. The sweep
- * holds its reads innermost, (n, reads), so the reads of one spin are
- * contiguous; it draws its uniforms from the batch's PCG64 generator as it
- * goes, and it calls exp only for the flips that two cubic Taylor bounds on
- * exp cannot decide.
+ * Each is the twin of a Python function in qamlz._sweep: fix_frontier
+ * operation for operation, and sa_sweeps with the same decisions, draws and
+ * fields, up to the sign of a zero field (see sa_sweeps). The couplers are
+ * compressed sparse rows: spin i's neighbours are nb[start[i]:start[i + 1]],
+ * ascending, with values vals[...]. The sweep holds its reads innermost,
+ * (n, reads), so the reads of one spin are contiguous; it draws its uniforms
+ * from the batch's PCG64 generator as it goes, and it calls exp only for the
+ * flips that two cubic Taylor bounds on exp cannot decide.
  * Build with -ffp-contract=off so that no multiply-add is fused and every
- * rounding matches numpy's.
+ * rounding matches numpy's. -O3 vectorises elementwise loops only: GCC and
+ * Clang reorder floating-point operations only under -ffast-math or
+ * -fassociative-math, so each element gets the same operations in the same
+ * order at -O0 as at -O3.
  */
 #include <float.h>
 #include <math.h>
@@ -86,23 +90,37 @@ void metropolis_decisions(const double *restrict delta, const double *restrict u
 }
 
 /* The twin of numpy_sweep. state and fields are (n, reads) row-major, h has
- * n entries, temps has one temperature (> 0) per sweep, words is the batch's
- * PCG64 generator (see _pcg64.h), saved again at the end, and accepted is
- * scratch of reads entries. Sweep by sweep, spin i of every read is decided
- * in index order, the reads innermost, each with the generator's next
- * uniform, in two phases: first every read is decided and the accepted
- * reads are listed, then their neighbours' fields are updated row by row
- * and their spins flip. This gives the order of visiting one read after
- * another: no flip of spin i changes any read's f[i] (a spin is not its own
- * neighbour), and each field still receives the same updates in the same
- * order. The uniforms are drawn in (sweep, spin, read) order, that of one
- * Generator.random((n, reads)) per sweep.
+ * n entries, vals are finite, temps has one temperature (> 0) per sweep,
+ * words is the batch's PCG64 generator (see _pcg64.h), saved again at the
+ * end, and accepted (reads entries) and mask (reads doubles) are scratch.
+ * Sweep by sweep, spin i of every read is decided in index order, the reads
+ * innermost, each with the generator's next uniform, in two phases: first
+ * every read is decided and the accepted reads are listed, then their
+ * neighbours' fields are updated row by row and their spins flip. This gives
+ * the order of visiting one read after another: no flip of spin i changes
+ * any read's f[i] (a spin is not its own neighbour), and each field still
+ * receives the same updates in the same order. The uniforms are drawn in
+ * (sweep, spin, read) order, that of one Generator.random((n, reads)) per
+ * sweep.
+ *
+ * Where more than a quarter of the reads accept (hot sweeps), each
+ * neighbour row is updated whole, in a contiguous loop that vectorises:
+ * row[r] -= mask[r] * v, with mask[r] = 2*s[r] for an accepted read and 0.0
+ * for the rest. An accepted read gets the list's operations, as 2*s[r] is
+ * exact; a rejected read subtracts (+-0.0)*v = +-0.0 from its field, since v
+ * is finite. That leaves a nonzero field as it is and can change only the
+ * sign of a zero field, which never changes a decision: delta = -2*s*(f + h)
+ * and f + h are equal as numbers for f = +0.0 and f = -0.0, and both tests
+ * on delta (<= 0, and the bounds and exp through y = delta*inv) give the
+ * same answer for +0.0 and -0.0. Below the quarter the scattered list is
+ * cheaper.
  */
 void sa_sweeps(double *restrict state, double *restrict fields,
                const int64_t *restrict start, const int64_t *restrict nb,
                const double *restrict vals, const double *restrict h,
                uint64_t *restrict words, const double *restrict temps,
-               int64_t *restrict accepted, long sweeps, long reads, long n)
+               int64_t *restrict accepted, double *restrict mask,
+               long sweeps, long reads, long n)
 {
     pcg64_t g = pcg64_load(words);
     for (long b = 0; b < sweeps; b++) {
@@ -116,10 +134,22 @@ void sa_sweeps(double *restrict state, double *restrict fields,
                 accepted[m] = r;
                 m += metropolis(delta, temp, inv, pcg64_next_double(&g));
             }
-            for (int64_t k = start[i]; k < start[i + 1]; k++) {
-                double *row = fields + nb[k] * reads, v = vals[k];
+            if (4 * m > reads) {
+                for (long r = 0; r < reads; r++)
+                    mask[r] = 0.0;
                 for (long a = 0; a < m; a++)
-                    row[accepted[a]] -= 2.0 * s[accepted[a]] * v;
+                    mask[accepted[a]] = 2.0 * s[accepted[a]];
+                for (int64_t k = start[i]; k < start[i + 1]; k++) {
+                    double *row = fields + nb[k] * reads, v = vals[k];
+                    for (long r = 0; r < reads; r++)
+                        row[r] -= mask[r] * v;
+                }
+            } else {
+                for (int64_t k = start[i]; k < start[i + 1]; k++) {
+                    double *row = fields + nb[k] * reads, v = vals[k];
+                    for (long a = 0; a < m; a++)
+                        row[accepted[a]] -= 2.0 * s[accepted[a]] * v;
+                }
             }
             for (long a = 0; a < m; a++)
                 s[accepted[a]] = -s[accepted[a]];

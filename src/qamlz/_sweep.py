@@ -27,24 +27,30 @@ per event; one line on stderr says so.
 
 All four loops walk the couplers as compressed sparse rows
 (`IsingProblem.neighbours`). In the sweeps an accepted flip of spin i updates
-only the fields of i's neighbours. A dense row would also subtract c*0.0 from
-every other field, which changes at most the sign of a zero field, and a zero
-field's sign never changes a decision. Both sweeps hold the state and the
-fields as (n_spins, n_reads), the reads innermost, so one spin's reads are
+only the fields of i's neighbours. Both sweeps hold the state and the fields
+as (n_spins, n_reads), the reads innermost, so one spin's reads are
 contiguous: each decides spin i in every read, then updates the accepted
 reads' neighbour fields. A flip of spin i changes no read's field at i, so
 every field receives the same operations in the same order as when one read
-is swept after another. Both sweeps draw one uniform per (sweep, spin, read),
-in that order, from the read batch's own PCG64 `Generator`: the numpy sweep
-as one `rng.random((n_spins, n_reads))` per sweep, the C sweep as PCG64's
+is swept after another. Where more than a quarter of the reads accept spin i,
+the C sweep updates each neighbour row whole, in a loop that vectorises: it
+subtracts 2*s*c from the accepted reads' fields, as the list does, and
+(+-0.0)*c = +-0.0 from the rest. That changes at most the sign of a zero field,
+and a zero field's sign never changes a decision, since f + h and so the flip's
+cost are equal as numbers for f = +0.0 and -0.0. It is why `compiled_sweep`
+refuses couplers that are not finite: 0.0 times an infinite c is NaN. Both
+sweeps draw one uniform per (sweep, spin, read), in that order, from the read
+batch's own PCG64 `Generator`: the numpy sweep as one
+`rng.random((n_spins, n_reads))` per sweep, the C sweep as PCG64's
 `next_double` at the point of use, from the generator's state words
 (`_pcg64.h`, which the event streams share), which it writes back. So both
 draw the same doubles and leave the generator in the same state.
 
 Each compiled loop performs the same floating-point operations in the same
-order as its reference. So `FIX` leaves the reference's fields and live spins
-bit for bit (`fix_variables` reads its +-1/0 fixing vector from them), and
-`SWEEP` the same samples, with one difference: `exp`. The C library's and
+order as its reference, but for the sweep's subtractions of +-0.0 above. So
+`FIX` leaves the reference's fields and live spins bit for bit (`fix_variables`
+reads its +-1/0 fixing vector from them), and `SWEEP` the same samples and
+fields equal as numbers, with one difference: `exp`. The C library's and
 numpy's vectorised versions disagree in the last ulp on about 5% of
 arguments. That flips an acceptance only when the uniform falls inside that
 ulp, about once in 1e16 updates. The C sweep divides and calls `exp` for under 2% of the updates of
@@ -84,9 +90,12 @@ HEADER = Path(__file__).with_name("_pcg64.h")
 ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 #: numpy's math library: before numpy 2 the distributions call npy_log1p in it
 NPYMATH = Path(np.get_include()).parent / "lib" / "libnpymath.a"
-# never -ffast-math or -march=native: both license reordered or fused
+# -O3 vectorises the sweep's whole-row updates; it keeps every bit, as GCC
+# and Clang reorder floating-point operations only under -ffast-math or
+# -fassociative-math, and -ffp-contract=off forbids fused multiply-adds.
+# Never -ffast-math or -march=native: both license reordered or fused
 # arithmetic, and then the samples would depend on the build
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def numpy_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
@@ -246,6 +255,7 @@ if _LIB is not None:
         _out, _out, _index, _index, _vector, _vector,
         np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS,WRITEABLE"),
         _vector, np.ctypeslib.ndpointer(np.int64, **_written),
+        np.ctypeslib.ndpointer(np.float64, **_written),
         ctypes.c_long, ctypes.c_long, ctypes.c_long]
     _LIB.fix_frontier.argtypes = [np.ctypeslib.ndpointer(np.float64, **_written),
                                   np.ctypeslib.ndpointer(np.bool_, **_written),
@@ -269,6 +279,9 @@ def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
     if not (fields.shape == (n, reads) and h.shape == (n,) and start.shape == (n + 1,)):
         raise ValueError("sweep arrays disagree in shape")
     _check_rows(start, nb, vals, n)
+    # a hot sweep subtracts 0.0 * v from rejected reads' fields: NaN for an infinite v
+    if not np.isfinite(vals).all():
+        raise ValueError("couplers are not finite")
     doc = rng.bit_generator.state
     if doc["bit_generator"] != "PCG64":
         raise ValueError(f"the compiled sweep draws from PCG64, not {doc['bit_generator']}")
@@ -278,7 +291,7 @@ def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
     w = np.array([pcg["state"] >> 64, pcg["state"] & lo, pcg["inc"] >> 64, pcg["inc"] & lo],
                  dtype=np.uint64)
     _LIB.sa_sweeps(state, fields, start, nb, vals, h, w, temps,
-                   np.empty(reads, dtype=np.int64), len(temps), reads, n)
+                   np.empty(reads, dtype=np.int64), np.empty(reads), len(temps), reads, n)
     pcg["state"] = int(w[0]) << 64 | int(w[1])
     rng.bit_generator.state = doc
 

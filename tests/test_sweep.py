@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qamlz import (AnnealSchedule, ChainConfig, IsingProblem, _sweep, default_generator_spec, prune,
+from qamlz import (AnnealSchedule, ChainConfig, ConfigError, IsingProblem, _sweep,
+                   default_generator_spec, prune,
                    solve_chain_emulated, solve_sa)
 
 from conftest import (make_problem, random_problem, reference_fix_variables,
@@ -265,6 +266,89 @@ def test_kernel_rejects_disagreeing_arrays():
                  dict(nb=nb.astype(np.int32))]:
         with pytest.raises(ctypes.ArgumentError):
             sweep(**over)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernel_refuses_non_finite_couplers(bad):
+    # a hot sweep updates rejected reads by 0.0 * v, which is NaN for an
+    # infinite v; IsingProblem refuses such couplers before any sweep
+    state, fields = np.ones((2, 4)), np.zeros((2, 4))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="couplers are not finite"):
+        _sweep.compiled_sweep(state, fields, np.array([0, 1, 2]), np.array([1, 0]),
+                              np.array([0.5, bad]), np.zeros(2), rng, np.ones(3))
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    with pytest.raises(ConfigError, match="couplers must be finite"):
+        IsingProblem(h=np.zeros(2), pairs=[[0, 1]], values=[bad])
+
+
+def _accept_counts(state, fields, start, nb, vals, h, seed, temps):
+    """m[b, i], the number of reads that flip spin i in sweep b of
+    `numpy_sweep`, run one sweep per call (which visits each spin once) from
+    copies of `state` and `fields` with `default_rng(seed)`."""
+    state, fields, rng = state.copy(), fields.copy(), np.random.default_rng(seed)
+    counts = []
+    for b in range(len(temps)):
+        before = state.copy()
+        _sweep.numpy_sweep(state, fields, start, nb, vals, h, rng, temps[b:b + 1])
+        counts.append((state != before).sum(axis=1))
+    return np.array(counts)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("reads", [1, 3, 4, 5, 8, 100])
+def test_build_flags_and_both_update_paths_keep_the_bits(monkeypatch, tmp_path, reads):
+    # the kernel built at -O0, SWEEP (built at CFLAGS) and numpy_sweep on an
+    # unpruned 84-spin problem, down a ladder of very hot sweeps (nearly every
+    # read accepts: whole-row updates) and then cooler ones (fewer: the
+    # accepted list), with accept counts m on both sides of reads / 4 and on
+    # it. Most couplers are 0.0 and the rest +-1/4, so many fields are exactly
+    # zero, and each zero field starts as -0.0
+    so = tmp_path / "sa_sweep_O0.so"
+    subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-ffp-contract=off", "-o", str(so),
+                    str(_sweep.SOURCE), "-lm"], check=True, capture_output=True, timeout=120)
+    lib = ctypes.CDLL(str(so))
+    lib.sa_sweeps.argtypes, lib.sa_sweeps.restype = _sweep._LIB.sa_sweeps.argtypes, None
+    rng = np.random.default_rng(reads)
+    n = 84
+    pairs = [[a, b] for a in range(n) for b in range(a + 1, n)]
+    p = IsingProblem(h=rng.integers(-4, 5, size=n) / 4, pairs=pairs,
+                     values=rng.choice([-0.25, 0.0, 0.25], p=[0.1, 0.8, 0.1], size=len(pairs)))
+    temps = np.concatenate([[1e9] * 3, np.geomspace(8.0, 0.05, 40)])
+    init = rng.choice([-1.0, 1.0], size=(n, reads))
+    fields0 = np.ascontiguousarray((init.T @ p.dense_couplers()).T)
+    fields0[fields0 == 0.0] = -0.0
+    assert (fields0 == 0.0).mean() > 0.05
+    args = (*p.neighbours(), p.h)
+
+    m = _accept_counts(init, fields0, *args, 1, temps)
+    assert (m[:3] == reads).mean() > 0.9 and (4 * m > reads).any()
+    if reads in (4, 8, 100):
+        assert (4 * m == reads).any()  # the boundary takes the list
+    if reads >= 5:
+        assert ((0 < m) & (4 * m < reads)).any()
+
+    runs = []
+    for sweep, library in [(_sweep.compiled_sweep, lib), (_sweep.SWEEP, _sweep._LIB),
+                           (_sweep.numpy_sweep, None)]:
+        state, fields, gen = init.copy(), fields0.copy(), np.random.default_rng(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(_sweep, "_LIB", library)
+            sweep(state, fields, *args, gen, temps)
+        runs.append((state, fields, gen.bit_generator.state))
+    (o0, o0_fields, o0_gen), (built, built_fields, built_gen), (ref, ref_fields, ref_gen) = runs
+    # the build flags move no bit, the sign of a zero field included
+    np.testing.assert_array_equal(o0, built)
+    assert o0_fields.tobytes() == built_fields.tobytes() and o0_gen == built_gen
+    # against the reference: equal states and draws; fields equal as numbers,
+    # their signs apart only where they are zero
+    np.testing.assert_array_equal(built, ref)
+    assert built_gen == ref_gen
+    np.testing.assert_array_equal(built_fields, ref_fields)
+    apart = np.signbit(built_fields) != np.signbit(ref_fields)
+    assert (built_fields[apart] == 0.0).all()
+    assert (built != init).any()
 
 
 # ---------------------------------------------------------------------------
