@@ -26,19 +26,69 @@ static inline void pcg64_step(pcg64_t *g)
     g->state = g->state * PCG_MULT + g->inc;
 }
 
+/* the XSL-RR output of a state */
+static inline uint64_t pcg64_output(u128 state)
+{
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
 /* pcg_setseq_128_xsl_rr_64_random_r: step, then the XSL-RR output */
 static inline uint64_t pcg64_next(pcg64_t *g)
 {
     pcg64_step(g);
-    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    unsigned rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << ((-rot) & 63));
+    return pcg64_output(g->state);
 }
 
-/* Generator.random(): the top 53 bits of one output, scaled into [0, 1) */
+/* Generator.random() of one output: its top 53 bits, scaled into [0, 1) */
+static inline double pcg64_double(uint64_t x)
+{
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
 static inline double pcg64_next_double(pcg64_t *g)
 {
-    return (double)(pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
+    return pcg64_double(pcg64_next(g));
+}
+
+/* The LCG's jumps of 1 to 4 steps: state k + j is mult[j - 1] * (state k) +
+ * add[j - 1], with mult[j - 1] = a^j and add[j - 1] = inc * (a^(j - 1) +
+ * ... + a + 1) for the multiplier a, all mod 2^128. */
+typedef struct {
+    u128 mult[4], add[4];
+} pcg64_jumps_t;
+
+static inline pcg64_jumps_t pcg64_jumps(const pcg64_t *g)
+{
+    pcg64_jumps_t jumps;
+    u128 mult = PCG_MULT, add = g->inc;
+    for (int j = 0; j < 4; j++) {
+        jumps.mult[j] = mult;
+        jumps.add[j] = add;
+        mult *= PCG_MULT;
+        add = add * PCG_MULT + g->inc;
+    }
+    return jumps;
+}
+
+/* Generator.random(count) into u. Each group of four states is computed
+ * from the state before it, so the four 128-bit products are independent
+ * and overlap, where one step after another waits for each product in turn;
+ * the states, and so the doubles and the generator left behind, are those
+ * of pcg64_next_double count times. jumps is pcg64_jumps(g). */
+static inline void pcg64_fill(pcg64_t *g, const pcg64_jumps_t *jumps, double *u, long count)
+{
+    long r = 0;
+    for (; r + 4 <= count; r += 4) {
+        u128 state = g->state;
+        for (int j = 0; j < 4; j++) {
+            g->state = jumps->mult[j] * state + jumps->add[j];
+            u[r + j] = pcg64_double(pcg64_output(g->state));
+        }
+    }
+    for (; r < count; r++)
+        u[r] = pcg64_next_double(g);
 }
 
 static inline pcg64_t pcg64_load(const uint64_t *w)

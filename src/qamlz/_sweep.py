@@ -42,12 +42,20 @@ refuses couplers that are not finite: 0.0 times an infinite c is NaN. Both
 sweeps draw one uniform per (sweep, spin, read), in that order, from the read
 batch's own PCG64 `Generator`: the numpy sweep as one
 `rng.random((n_spins, n_reads))` per sweep, the C sweep as PCG64's
-`next_double` at the point of use, from the generator's state words
-(`_pcg64.h`, which the event streams share), which it writes back. So both
-draw the same doubles and leave the generator in the same state.
+`next_double` into a row buffer of `n_reads` uniforms before each spin, from
+the generator's state words (`_pcg64.h`, which the event streams share),
+which it writes back. It steps four states at a time, each computed from the
+state before them by a precomputed jump, so that the four 128-bit products
+overlap. So both draw the same doubles and leave the generator in the same
+state. The C sweep then decides the row's reads in one branch-free pass that
+vectorises, and calls `exp` in a second pass only for the decisions the
+bounds below leave open.
 
 Each compiled loop performs the same floating-point operations in the same
-order as its reference, but for the sweep's subtractions of +-0.0 above. So
+order as its reference, but for the sweep's subtractions of +-0.0 above. The
+sweep is built once per x86-64 level (SSE2, SSE4.2, AVX2, AVX-512), and the
+dynamic loader runs the best one the CPU has; every level performs those
+operations too, so the samples do not depend on the CPU. So
 `FIX` leaves the reference's fields and live spins bit for bit (`fix_variables`
 reads its +-1/0 fixing vector from them), and `SWEEP` the same samples and
 fields equal as numbers, with one difference: `exp`. The C library's and
@@ -90,11 +98,19 @@ HEADER = Path(__file__).with_name("_pcg64.h")
 ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 #: numpy's math library: before numpy 2 the distributions call npy_log1p in it
 NPYMATH = Path(np.get_include()).parent / "lib" / "libnpymath.a"
-# -O3 vectorises the sweep's whole-row updates; it keeps every bit, as GCC
-# and Clang reorder floating-point operations only under -ffast-math or
-# -fassociative-math, and -ffp-contract=off forbids fused multiply-adds.
-# Never -ffast-math or -march=native: both license reordered or fused
-# arithmetic, and then the samples would depend on the build
+# -O3 vectorises the sweep's decision pass and whole-row updates; it keeps
+# every bit, as GCC and Clang reorder floating-point operations only under
+# -ffast-math or -fassociative-math, and -ffp-contract=off forbids fused
+# multiply-adds, in the FMA-capable clones too. No -march: with GCC on
+# x86-64 glibc, `_sa_sweep.c` builds sa_sweeps as target_clones for
+# x86-64-v4, v3 and v2 and the baseline, chosen when the library loads, so
+# one cached library runs vectorised on every x86-64 CPU. Measured against
+# the fused scalar loop of the kernel before it, on 2 vCPUs of an AVX-512
+# Xeon (BENCH_sa_simd.json): train_sa's 8 solves x0.56, scan_short's 173
+# x0.59 and the paper's unpruned 84-spin solve (200 reads x 1000 sweeps)
+# x0.71; built for x86-64-v2 alone x0.89-1.02, and for the baseline alone
+# x1.17-1.46. Never -ffast-math, which would let the samples depend on the
+# build
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -254,8 +270,8 @@ if _LIB is not None:
     _LIB.sa_sweeps.argtypes = [
         _out, _out, _index, _index, _vector, _vector,
         np.ctypeslib.ndpointer(np.uint64, shape=(4,), flags="C_CONTIGUOUS,WRITEABLE"),
-        _vector, np.ctypeslib.ndpointer(np.int64, **_written),
-        np.ctypeslib.ndpointer(np.float64, **_written),
+        _vector, *[np.ctypeslib.ndpointer(dtype, **_written)
+                   for dtype in (np.int64, np.float64, np.float64, np.int64)],
         ctypes.c_long, ctypes.c_long, ctypes.c_long]
     _LIB.fix_frontier.argtypes = [np.ctypeslib.ndpointer(np.float64, **_written),
                                   np.ctypeslib.ndpointer(np.bool_, **_written),
@@ -290,8 +306,10 @@ def compiled_sweep(state, fields, start, nb, vals, h, rng, temps) -> None:
     # the 128-bit state and increment as (state hi, state lo, inc hi, inc lo)
     w = np.array([pcg["state"] >> 64, pcg["state"] & lo, pcg["inc"] >> 64, pcg["inc"] & lo],
                  dtype=np.uint64)
+    # scratch of one spin row: accepted reads, mask, uniforms and decisions
     _LIB.sa_sweeps(state, fields, start, nb, vals, h, w, temps,
-                   np.empty(reads, dtype=np.int64), np.empty(reads), len(temps), reads, n)
+                   np.empty(reads, dtype=np.int64), np.empty(reads), np.empty(reads),
+                   np.empty(reads, dtype=np.int64), len(temps), reads, n)
     pcg["state"] = int(w[0]) << 64 | int(w[1])
     rng.bit_generator.state = doc
 

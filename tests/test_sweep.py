@@ -5,6 +5,7 @@ import ctypes
 import ctypes.util
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -120,20 +121,22 @@ def test_kernel_matches_numpy_sweep_past_exp_underflow(monkeypatch):
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_exp_bounds_decide_as_libm_exp():
-    # the sweep's own decision for a flip of cost delta at temp, through its C
-    # wrapper metropolis_decisions: accept exactly when u < exp(-delta/temp).
-    # y = delta/temp runs from 1e-12 to just below the cut at 746, densely
-    # where y^4/24, the gap between the bounds and e^-y, passes the rounding
-    # of P and L (near 1e-4) and their margins (near 0.01), and where L(y) = 0
-    # (1.596); u is libm's exp(-delta/temp) and the two doubles on either side
-    # of it. The bounds take y as delta*(1/temp), which rounds apart from
-    # delta/temp; below temp = 2^-1024 (1e-309) 1/temp overflows
+    # the sweep's own decision code, through its C wrapper
+    # metropolis_decisions: for spins s = -1/2, fields f = delta and h = 0 the
+    # sweep's flip cost -2*s*(f + h) is delta exactly, and a flip must be
+    # accepted exactly when u < exp(-delta/temp). y = delta/temp runs from
+    # 1e-12 to just below the cut at 746, densely where y^4/24, the gap
+    # between the bounds and e^-y, passes the rounding of P and L (near 1e-4)
+    # and their margins (near 0.01), and where L(y) = 0 (1.596); u is libm's
+    # exp(-delta/temp) and the two doubles on either side of it. The bounds
+    # take y as delta*(1/temp), which rounds apart from delta/temp; below
+    # temp = 2^-1024 (1e-309) 1/temp overflows
     assert _sweep.SWEEP is not _sweep.numpy_sweep, "cc is on PATH but the kernel did not load"
     decide = ctypes.CDLL(str(_sweep._library())).metropolis_decisions
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     decide.restype = None
-    decide.argtypes = [vector, vector, ctypes.c_long, ctypes.c_double,
-                       np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")]
+    decide.argtypes = [vector, vector, ctypes.c_double, vector, ctypes.c_long, ctypes.c_double,
+                       np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")]
     exp = ctypes.CDLL(ctypes.util.find_library("m")).exp
     exp.restype, exp.argtypes = ctypes.c_double, [ctypes.c_double]
     y = np.unique(np.concatenate([np.geomspace(1e-12, 745.9, 4000),
@@ -146,10 +149,11 @@ def test_exp_bounds_decide_as_libm_exp():
         u = np.column_stack([np.nextafter(below, -1.0), below, e, above, np.nextafter(above, 1.0)])
         keep = (0.0 <= u) & (u < 1.0)
         uniforms, want = u[keep], (u < e[:, None])[keep]
-        accepted = np.empty(len(uniforms), dtype=np.uint8)
-        decide(np.ascontiguousarray(np.broadcast_to(delta[:, None], u.shape)[keep]), uniforms,
-               len(uniforms), temp, accepted)
-        np.testing.assert_array_equal(accepted == 1, want, err_msg=f"temp {temp}")
+        accepted = np.empty(len(uniforms), dtype=np.int64)
+        decide(np.full(len(uniforms), -0.5),
+               np.ascontiguousarray(np.broadcast_to(delta[:, None], u.shape)[keep]), 0.0,
+               uniforms, len(uniforms), temp, accepted)
+        np.testing.assert_array_equal(accepted, want, err_msg=f"temp {temp}")
         assert want.any() and not want.all()
 
 
@@ -296,20 +300,22 @@ def _accept_counts(state, fields, start, nb, vals, h, seed, temps):
     return np.array(counts)
 
 
-@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-@pytest.mark.parametrize("reads", [1, 3, 4, 5, 8, 100])
-def test_build_flags_and_both_update_paths_keep_the_bits(monkeypatch, tmp_path, reads):
-    # the kernel built at -O0, SWEEP (built at CFLAGS) and numpy_sweep on an
-    # unpruned 84-spin problem, down a ladder of very hot sweeps (nearly every
-    # read accepts: whole-row updates) and then cooler ones (fewer: the
-    # accepted list), with accept counts m on both sides of reads / 4 and on
-    # it. Most couplers are 0.0 and the rest +-1/4, so many fields are exactly
-    # zero, and each zero field starts as -0.0
-    so = tmp_path / "sa_sweep_O0.so"
-    subprocess.run(["cc", "-O0", "-fPIC", "-shared", "-ffp-contract=off", "-o", str(so),
-                    str(_sweep.SOURCE), "-lm"], check=True, capture_output=True, timeout=120)
-    lib = ctypes.CDLL(str(so))
+def _build_sweep(out: Path, *flags: str) -> ctypes.CDLL:
+    """`_sa_sweep.c` built to `out` with CFLAGS and then `flags` (a later -O
+    wins), its sa_sweeps typed as SWEEP's."""
+    subprocess.run(["cc", *_sweep.CFLAGS, *flags, "-o", str(out), str(_sweep.SOURCE), "-lm"],
+                   check=True, capture_output=True, timeout=120)
+    lib = ctypes.CDLL(str(out))
     lib.sa_sweeps.argtypes, lib.sa_sweeps.restype = _sweep._LIB.sa_sweeps.argtypes, None
+    return lib
+
+
+def _two_path_case(reads):
+    """An unpruned 84-spin problem's neighbour rows and h, a start state and
+    its fields, and a ladder of very hot sweeps (nearly every read accepts:
+    whole-row updates) and then cooler ones (fewer: the accepted list). Most
+    couplers are 0.0 and the rest +-1/4, so many fields are exactly zero,
+    and each zero field starts as -0.0."""
     rng = np.random.default_rng(reads)
     n = 84
     pairs = [[a, b] for a in range(n) for b in range(a + 1, n)]
@@ -320,35 +326,90 @@ def test_build_flags_and_both_update_paths_keep_the_bits(monkeypatch, tmp_path, 
     fields0 = np.ascontiguousarray((init.T @ p.dense_couplers()).T)
     fields0[fields0 == 0.0] = -0.0
     assert (fields0 == 0.0).mean() > 0.05
-    args = (*p.neighbours(), p.h)
+    return (*p.neighbours(), p.h), init, fields0, temps
 
-    m = _accept_counts(init, fields0, *args, 1, temps)
-    assert (m[:3] == reads).mean() > 0.9 and (4 * m > reads).any()
-    if reads in (4, 8, 100):
-        assert (4 * m == reads).any()  # the boundary takes the list
-    if reads >= 5:
-        assert ((0 < m) & (4 * m < reads)).any()
 
+def _sweeps_keep_the_bits(monkeypatch, reads, library):
+    """sa_sweeps of `library`, SWEEP and numpy_sweep on `_two_path_case`:
+    `library` and SWEEP agree byte for byte, the sign of a zero field
+    included; against the reference, states and draws are equal and fields
+    equal as numbers, their signs apart only where they are zero."""
+    args, init, fields0, temps = _two_path_case(reads)
     runs = []
-    for sweep, library in [(_sweep.compiled_sweep, lib), (_sweep.SWEEP, _sweep._LIB),
-                           (_sweep.numpy_sweep, None)]:
+    for sweep, lib in [(_sweep.compiled_sweep, library), (_sweep.SWEEP, _sweep._LIB),
+                       (_sweep.numpy_sweep, None)]:
         state, fields, gen = init.copy(), fields0.copy(), np.random.default_rng(1)
         with monkeypatch.context() as patch:
-            patch.setattr(_sweep, "_LIB", library)
+            patch.setattr(_sweep, "_LIB", lib)
             sweep(state, fields, *args, gen, temps)
         runs.append((state, fields, gen.bit_generator.state))
-    (o0, o0_fields, o0_gen), (built, built_fields, built_gen), (ref, ref_fields, ref_gen) = runs
-    # the build flags move no bit, the sign of a zero field included
-    np.testing.assert_array_equal(o0, built)
-    assert o0_fields.tobytes() == built_fields.tobytes() and o0_gen == built_gen
-    # against the reference: equal states and draws; fields equal as numbers,
-    # their signs apart only where they are zero
+    (lib_state, lib_fields, lib_gen), (built, built_fields, built_gen), ref_run = runs
+    np.testing.assert_array_equal(lib_state, built)
+    assert lib_fields.tobytes() == built_fields.tobytes() and lib_gen == built_gen
+    ref, ref_fields, ref_gen = ref_run
     np.testing.assert_array_equal(built, ref)
     assert built_gen == ref_gen
     np.testing.assert_array_equal(built_fields, ref_fields)
     apart = np.signbit(built_fields) != np.signbit(ref_fields)
     assert (built_fields[apart] == 0.0).all()
     assert (built != init).any()
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("reads", [1, 3, 4, 5, 8, 100])
+def test_build_flags_and_both_update_paths_keep_the_bits(monkeypatch, tmp_path, reads):
+    # the kernel built at -O0, SWEEP (built at CFLAGS) and numpy_sweep on
+    # _two_path_case, with accept counts m on both sides of reads / 4 and on
+    # it. The uniforms are drawn four states at a time with the rest one by
+    # one: reads 1, 3 and 5 draw such a tail in every row
+    args, init, fields0, temps = _two_path_case(reads)
+    m = _accept_counts(init, fields0, *args, 1, temps)
+    assert (m[:3] == reads).mean() > 0.9 and (4 * m > reads).any()
+    if reads in (4, 8, 100):
+        assert (4 * m == reads).any()  # the boundary takes the list
+    if reads >= 5:
+        assert ((0 < m) & (4 * m < reads)).any()
+    _sweeps_keep_the_bits(monkeypatch, reads, _build_sweep(tmp_path / "sa_sweep_O0.so", "-O0"))
+
+
+#: the CPU flags each x86-64 level adds to the one before (as /proc/cpuinfo
+#: names them: abm is lzcnt); a level runs where the CPU has its flags and
+#: those of every level below it
+_LEVELS = {
+    "x86-64": [],
+    "x86-64-v2": ["cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3"],
+    "x86-64-v3": ["avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"],
+    "x86-64-v4": ["avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"],
+}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("level", list(_LEVELS))
+def test_each_isa_clone_keeps_the_bits(monkeypatch, tmp_path, level):
+    # sa_sweeps is built as one clone per x86-64 level; here each level is
+    # built alone, with the clones compiled out, at CFLAGS, and checked
+    # against SWEEP (the clone this CPU loads) and numpy_sweep on the cases
+    # of test_build_flags_and_both_update_paths_keep_the_bits. A level this
+    # CPU cannot run is skipped, never run
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"{level} is an x86-64 level and this host is {platform.machine()}")
+    names = list(_LEVELS)
+    wanted = [flag for below in names[:names.index(level) + 1] for flag in _LEVELS[below]]
+    lacking = [flag for flag in wanted if flag not in _cpu_flags()]
+    if lacking:
+        pytest.skip(f"the CPU lacks {' '.join(lacking)}, which {level} needs")
+    lib = _build_sweep(tmp_path / f"sa_sweep_{level}.so", "-DQAMLZ_NO_CLONES", f"-march={level}")
+    for reads in (1, 3, 4, 5, 8, 100):
+        _sweeps_keep_the_bits(monkeypatch, reads, lib)
 
 
 # ---------------------------------------------------------------------------
