@@ -51,7 +51,6 @@ from .ising import (
     prune,
     random_gauge,
     sign_pm1,
-    ungauge,
 )
 from .solver import (
     AnnealSchedule,

@@ -429,35 +429,20 @@ def random_gauge(n_spins: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.integers(0, 2, size=n_spins) * 2 - 1).astype(np.int8)
 
 
-def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
-    """Relabeled problem with h'_i = g_i h_i and J'_ij = g_i g_j J_ij.
-
-    Only signs change, so the gauged problem shares p's checked pairs and its
-    neighbour rows' `start` and `nb`, with the row values multiplied by the
-    gauges of both ends. Multiplying by +-1 is exact, so these are the arrays
-    that checking the pairs and sorting the rows again would give.
-    """
+def _checked_gauge(gauge, n_spins: int) -> np.ndarray:
+    """`gauge` as an array, if it is a +-1 vector over `n_spins` spins."""
     g = np.asarray(gauge)
-    if g.shape != (p.n_spins,) or not np.isin(g, (-1, 1)).all():
+    if g.shape != (n_spins,) or not np.isin(g, (-1, 1)).all():
         raise ConfigError("gauge must be a +-1 vector matching the problem size")
-    gf = g.astype(np.float64)
+    return g
+
+
+def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
+    """Relabeled problem with h'_i = g_i h_i and J'_ij = g_i g_j J_ij: state
+    s of it has the energy of g*s under p, so a solution s of it maps back to
+    g*s. `solve_sa` needs no gauged problem: it takes the gauge through its
+    start states.
+    """
+    gf = _checked_gauge(gauge, p.n_spins).astype(np.float64)
     i, j = p.pairs.T
-    start, nb, vals = p.neighbours()
-    h = p.h * gf
-    values = p.values * gf[i] * gf[j]
-    row_vals = vals * np.repeat(gf, np.diff(start)) * gf[nb]
-    # p's pairs are checked already, and +-1 times a finite value is finite:
-    # there is nothing for __post_init__ to check
-    q = object.__new__(IsingProblem)
-    q.__dict__.update(h=_read_only(h), pairs=p.pairs, values=_read_only(values),
-                      _csr=(start, nb, _read_only(row_vals)))
-    return q
-
-
-def ungauge(spins: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-    """Map a gauged-problem solution back: s_i -> g_i s_i."""
-    g = np.asarray(gauge)
-    s = np.asarray(spins)
-    if g.shape != s.shape:
-        raise ConfigError("gauge and spin vector lengths differ")
-    return (s * g).astype(s.dtype)
+    return IsingProblem(h=p.h * gf, pairs=p.pairs, values=p.values * gf[i] * gf[j])

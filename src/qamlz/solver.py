@@ -24,7 +24,7 @@ import numpy as np
 from . import _sweep
 from ._codec import is_finite, is_number, read_json
 from .errors import ConfigError, DataError
-from .ising import IsingProblem, energies_batch
+from .ising import IsingProblem, _checked_gauge, energies_batch
 
 EXACT_SPIN_LIMIT = 24
 #: fast energies scored per block of the exact enumeration (128 KiB of
@@ -231,31 +231,29 @@ def solve_sa(
     p: IsingProblem,
     sched: AnnealSchedule,
     seed: int | tuple,
-    init: np.ndarray | None = None,
+    gauge: np.ndarray | None = None,
 ) -> SolverResult:
     """Metropolis single-spin-flip annealing, `n_reads` independent restarts.
 
     Spins are visited in index order within each sweep; one uniform per
     (spin, read) is drawn per sweep regardless of acceptance so the stream is
-    state-independent. `init` overrides the seeded +-1 starting states (shape
-    (n_reads, n_spins)); acceptance draws are unaffected, which lets callers
-    pair runs across a gauge relabeling. The whole ladder is one call of the
-    sweep, which draws each sweep's uniforms from `rng_sweep` as one
-    `random((n_spins, n_reads))` would. It runs compiled C, drawing each
-    uniform where it is used, when a compiler was found at import, else
+    state-independent. `gauge`, a +-1 vector over p's spins, multiplies every
+    seeded start state. Metropolis is gauge-covariant bit for bit: this anneal
+    is that of `apply_gauge(p, gauge)` from the seeded starts, on the same
+    uniforms, with its states multiplied by the gauge. So the samples are in
+    p's frame, and a gauge needs no problem of its own. The whole ladder is
+    one call of the sweep, which draws each sweep's uniforms from `rng_sweep`
+    as one `random((n_spins, n_reads))` would. It runs compiled C, drawing
+    each uniform where it is used, when a compiler was found at import, else
     numpy; both hold the reads innermost, walk the couplers as sparse rows
     and give the same samples (see `qamlz._sweep`).
     """
     n = p.n_spins
     rng_init = np.random.default_rng((0, *_as_key(seed)))
     rng_sweep = np.random.default_rng((1, *_as_key(seed)))
-    if init is None:
-        state = (rng_init.integers(0, 2, size=(sched.n_reads, n)) * 2 - 1).astype(np.float64)
-    else:
-        init = np.asarray(init)
-        if init.shape != (sched.n_reads, n) or not np.isin(init, (-1, 1)).all():
-            raise ConfigError("init must be a +-1 array of shape (n_reads, n_spins)")
-        state = np.array(init, dtype=np.float64, order="C")
+    state = (rng_init.integers(0, 2, size=(sched.n_reads, n)) * 2 - 1).astype(np.float64)
+    if gauge is not None:
+        state *= _checked_gauge(gauge, n)
     # local coupling fields, maintained incrementally by the sweep; the dense
     # product's rounding feeds every later sweep. The sweep takes both as
     # (n_spins, n_reads), the reads innermost

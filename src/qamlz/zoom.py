@@ -32,11 +32,11 @@ from .ising import (
     fix_variables,
     prune,
     random_gauge,
-    ungauge,
 )
 from .solver import (
     AnnealSchedule,
     ChainConfig,
+    SolverResult,
     at_iteration,
     select_states,
     solve_chain_emulated,
@@ -218,17 +218,24 @@ def flip_step(
 # ---------------------------------------------------------------------------
 
 
-def _solve_backend(problem, cfg: ZoomConfig, t: int, seed: tuple):
-    if cfg.solver == "exact":
-        return solve_exact(problem)
+def _solve_backend(reduced: IsingProblem, gauge: np.ndarray, cfg: ZoomConfig, t: int,
+                   seed: tuple) -> SolverResult:
+    """Solve `reduced` under `gauge`; the result is in `reduced`'s frame. SA
+    takes the gauge through its start states. The other backends solve the
+    gauged problem, and its spins are mapped back."""
     if cfg.solver == "sa":
-        return solve_sa(problem, cfg.schedule, seed=seed)
-    if cfg.solver == "external":
-        return solve_external(problem, cfg.external_command, timeout=cfg.external_timeout)
-    cc = cfg.chain
-    strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
-    cc = replace(cc, strength=strength, strength_schedule=None)
-    return solve_chain_emulated(problem, cc, cfg.schedule, seed=seed)
+        return solve_sa(reduced, cfg.schedule, seed, gauge=gauge)
+    gauged = apply_gauge(reduced, gauge)
+    if cfg.solver == "exact":
+        res = solve_exact(gauged)
+    elif cfg.solver == "external":
+        res = solve_external(gauged, cfg.external_command, timeout=cfg.external_timeout)
+    else:
+        cc = cfg.chain
+        strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
+        cc = replace(cc, strength=strength, strength_schedule=None)
+        res = solve_chain_emulated(gauged, cc, cfg.schedule, seed=seed)
+    return SolverResult(res.spins * gauge, res.energies, res.broken_chain_fraction)
 
 
 def _window(d: float | None, best: float) -> float:
@@ -347,11 +354,11 @@ def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
                     gauge = random_gauge(
                         reduced.n_spins, np.random.default_rng((cfg.seed, _K_GAUGE, t, ci, k))
                     )
-                    res = _solve_backend(apply_gauge(reduced, gauge), cfg, t,
+                    res = _solve_backend(reduced, gauge, cfg, t,
                                          seed=(cfg.seed, _K_SOLVE, t, ci, k))
                     broken.append(res.broken_chain_fraction)
                     states = [
-                        expand_solution(fixed, ungauge(s, gauge))
+                        expand_solution(fixed, s)
                         for s in select_states(res, n_e, _window(d, float(res.energies[0])))
                     ]
                 for si, s_full in enumerate(states):

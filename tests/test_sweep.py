@@ -55,21 +55,21 @@ def test_kernel_matches_numpy_sweep(monkeypatch, n):
             _assert_same(*_compiled_and_reference(monkeypatch, solve_sa, p, sched, seed=seed))
 
 
-def test_kernel_matches_numpy_sweep_given_init(monkeypatch):
+def test_kernel_matches_numpy_sweep_given_gauge(monkeypatch):
     rng = np.random.default_rng(5)
     sched = AnnealSchedule(n_reads=16, sweeps=50)
-    init = rng.choice([-1.0, 1.0], size=(16, 7))
-    kept = init.copy()
+    gauge = rng.choice([-1, 1], size=7)
+    kept = gauge.copy()
     for p in (random_problem(rng, 7), make_problem(rng.uniform(-1, 1, size=7), {})):
         results = []
-        for given in (init, np.asfortranarray(init), init.astype(np.int8)):
+        for given in (gauge, gauge.astype(np.int8), gauge.astype(np.float64)):
             compiled, reference = _compiled_and_reference(monkeypatch, solve_sa, p, sched,
-                                                          seed=2, init=given)
+                                                          seed=2, gauge=given)
             _assert_same(compiled, reference)
             results.append(compiled)
         for other in results[1:]:
             _assert_same(results[0], other)
-    np.testing.assert_array_equal(init, kept)  # the anneal works on a copy
+    np.testing.assert_array_equal(gauge, kept)
 
 
 def test_kernel_matches_numpy_sweep_in_chain_emulation(monkeypatch):

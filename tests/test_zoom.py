@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qamlz import (
     AnnealSchedule,
+    ChainConfig,
     ConfigError,
     DataError,
     Dataset,
@@ -20,15 +22,17 @@ from qamlz import (
     flip_step,
     generate_synthetic,
     prepare,
+    random_gauge,
     run_qamlz,
     split_samples,
     two_gaussian_spec,
     weighted_distance,
     zoom_update,
 )
+from qamlz import solver, zoom
 from qamlz._codec import from_json
-from qamlz.ising import sign_pm1
-from qamlz.solver import at_iteration
+from qamlz.ising import IsingProblem, apply_gauge, energies_batch, sign_pm1
+from qamlz.solver import SolverResult, at_iteration
 
 from conftest import random_problem, reference_flip_step
 
@@ -308,6 +312,39 @@ class TestRunQamlz:
         for t, rec in enumerate(a.trajectory):
             assert 1 <= rec.n_candidates <= at_iteration(cfg.schedule.n_e, t)
 
+    def test_sa_gauge_start_gives_the_gauged_problems_model(self, monkeypatch):
+        # SA takes each gauge through its start states: the same model as
+        # annealing the gauged problem and mapping its spins back, and no
+        # gauged problem is built. Anneals this short end near their start
+        # states, so a gauge the anneal ignored would change the model
+        split, names = _toy_split(n=400, seed=16)
+        pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
+        cfg = ZoomConfig(
+            iterations=3, delta=0.1, offset_range=1, solver="sa",
+            cutoff_pct=50.0, fixing=True,
+            schedule=AnnealSchedule(n_reads=4, sweeps=4, n_g=(3, 2), n_e=(2,)),
+            seed=21,
+        )
+        problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
+        model = _model_json(run_qamlz(problem, cfg))
+        gauges = []
+
+        def anneal_gauged_problem(p, sched, seed, gauge):
+            gauges.append(gauge)
+            res = solver.solve_sa(apply_gauge(p, gauge), sched, seed)
+            return SolverResult(res.spins * gauge, res.energies)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SA built a gauged problem")
+
+        with monkeypatch.context() as m:
+            m.setattr(zoom, "solve_sa", anneal_gauged_problem)
+            assert _model_json(run_qamlz(problem, cfg)) == model
+        assert len(gauges) >= 3 + 2 * 2 and (np.concatenate(gauges) == -1).any()
+        with monkeypatch.context() as m:
+            m.setattr(zoom, "apply_gauge", refuse)
+            assert _model_json(run_qamlz(problem, cfg)) == model
+
     def test_fixing_and_pruning_path(self):
         split, names = _toy_split(n=300, seed=11)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
@@ -402,3 +439,40 @@ def test_exact_training_invariant_under_power_of_two_weight_scale(k, seed, pca, 
     np.testing.assert_array_equal(scaled.mu, base.mu)
     assert ([r.train_distance for r in scaled.trajectory]
             == [r.train_distance for r in base.trajectory])
+
+
+# ---------------------------------------------------------------------------
+# the solve step
+# ---------------------------------------------------------------------------
+
+
+#: an external solver that replies with every state of the problem
+_EVERY_STATE_SCRIPT = r"""
+import itertools, json, sys
+doc = json.load(sys.stdin)
+couplers = [(a, b, v) for a, b, v in doc["J"]]
+samples = []
+for s in itertools.product((-1, 1), repeat=doc["n"]):
+    e = sum(hi * si for hi, si in zip(doc["h"], s)) + sum(v * s[a] * s[b] for a, b, v in couplers)
+    samples.append({"spins": list(s), "energy": e})
+json.dump({"samples": samples}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("backend", ["sa", "exact", "chain", "external"])
+def test_solve_step_returns_states_of_the_reduced_problem(backend):
+    # multiples of 1/8 below 2: every energy sum is exact, so a state's energy
+    # has the same bytes in any batch, and only a state in another frame
+    # than `reduced`'s can disagree with its reported energy
+    rng = np.random.default_rng(31)
+    n = 6
+    p = random_problem(rng, n, coupler_density=0.6)
+    reduced = IsingProblem(h=np.round(p.h * 8) / 8, pairs=p.pairs,
+                           values=np.round(p.values * 8) / 8)
+    cfg = ZoomConfig(solver=backend, chain=ChainConfig(length=3, strength=0.5),
+                     external_command=(sys.executable, "-c", _EVERY_STATE_SCRIPT),
+                     schedule=AnnealSchedule(n_reads=12, sweeps=30))
+    for k in range(3):
+        gauge = random_gauge(n, np.random.default_rng(k))
+        res = zoom._solve_backend(reduced, gauge, cfg, 0, seed=(5, k))
+        assert energies_batch(reduced, res.spins).tobytes() == res.energies.tobytes()
