@@ -266,7 +266,7 @@ def fom_scan_dataset(
     """Score a dataset with the model and scan the tags' weighted yields.
     Each class must hold a positive total weight."""
     sig = _signal_mask(d)
-    scores = model_scores(event_signs(model.pipeline, model.aug, d), model)
+    scores = score_events(model, d)
     return fom_scan(scores[sig], d.weights[sig], scores[~sig], d.weights[~sig], params)
 
 

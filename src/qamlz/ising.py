@@ -8,10 +8,9 @@ relabelings operate on the resulting problems.
 
 An `IsingProblem` stores its couplers as sorted arrays: (i, j) pairs with
 i < j in lexicographic order next to their float64 values. Every operation
-works on those arrays and keeps the order, so pruning is one lexsort (or
-a slice of a ranking computed once per set of coupling sums), a gauge is
-one elementwise product, and per-spin sums (annealing scale, fixing
-strength) add in ascending neighbour order.
+works on those arrays and keeps the order, so pruning is one threshold
+selection, a gauge is one elementwise product, and per-spin sums (annealing
+scale, fixing strength) add in ascending neighbour order.
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -118,9 +117,9 @@ class CouplingMatrices:
     """Weighted training sums: tag_sums_I = sum_ev w*c_I*y and
     pair_sums_IJ = sum_ev w*c_I*c_J (symmetric, diagonal included).
 
-    `triangle`, `triangle_sums` and `ranking` describe the couplers every
-    problem of these sums has; each is built on its first use and the same
-    read-only array is returned after that."""
+    `triangle` and `triangle_sums` describe the couplers every problem of
+    these sums has; each is built on its first use and the same read-only
+    array is returned after that."""
 
     tag_sums: np.ndarray
     pair_sums: np.ndarray
@@ -144,14 +143,6 @@ class CouplingMatrices:
     def triangle_sums(self) -> np.ndarray:
         """pair_sums at each `triangle` pair."""
         return _read_only(self.pair_sums[tuple(self.triangle.T)])
-
-    @cached_property
-    def ranking(self) -> np.ndarray:
-        """Positions in `triangle` by descending |pair_sums|, ties by
-        ascending (i, j): the ranking `prune` takes. It does not depend on
-        the centre or the width of a problem."""
-        i, j = self.triangle.T
-        return _read_only(np.lexsort((j, i, -np.abs(self.triangle_sums))))
 
 
 def build_couplings_from_signs(
@@ -334,49 +325,28 @@ def keep_count(n_couplers: int, cutoff_pct: float) -> int:
     return math.ceil((1.0 - cutoff_pct / 100.0) * n_couplers)
 
 
-def prune(p: IsingProblem, cutoff_pct: float,
-          ranking: np.ndarray | None = None) -> IsingProblem:
+def prune(p: IsingProblem, cutoff_pct: float) -> IsingProblem:
     """Keep the `keep_count` largest-magnitude couplers.
 
     Ties are broken by ascending (i, j) so nested cutoffs retain nested
     coupler sets. Fields are untouched.
 
-    `ranking`, a permutation of the coupler positions, saves the sort when it
-    orders them by descending magnitude, as `CouplingMatrices.ranking` orders
-    an effective problem's couplers at any centre and width: x*sigma*sigma
-    rounds monotonically in |x|, so scaling merges magnitudes into ties but
-    never reorders them. The kept set then differs from the sort's only if a
-    run of equal magnitudes crosses the keep boundary and the ranking does not
-    list that run in ascending (i, j). Both are checked, and such a run, or a
-    ranking out of magnitude order, falls back to the sort; so any
-    permutation gives the sort's couplers bit for bit.
+    The kept set is every coupler above the keep-th largest magnitude, then
+    the first couplers at that magnitude in `pairs`' own (i, j) order: one
+    partition selects it, and it is the set a sort by (-|J|, i, j) keeps.
     """
     if not 0.0 <= cutoff_pct <= 100.0:
         raise ConfigError("cutoff percentage must be in [0, 100]")
     keep = keep_count(p.n_couplers, cutoff_pct)
     if keep >= p.n_couplers:
         return p
-    kept = None if ranking is None else _ranked_keep(p.values, ranking, keep)
-    if kept is None:
-        i, j = p.pairs.T
-        kept = np.lexsort((j, i, -np.abs(p.values)))[:keep]
-    kept = np.sort(kept)
+    mags = np.abs(p.values)
+    # couplers are finite, so an infinite threshold keeps none of them
+    threshold = np.partition(mags, -keep)[-keep] if keep else np.inf
+    kept = mags > threshold
+    kept[np.flatnonzero(mags == threshold)[:keep - np.count_nonzero(kept)]] = True
+    kept = np.flatnonzero(kept)  # row indices take the pairs faster than a mask
     return IsingProblem(h=p.h, pairs=p.pairs[kept], values=p.values[kept])
-
-
-def _ranked_keep(values: np.ndarray, ranking: np.ndarray, keep: int) -> np.ndarray | None:
-    """ranking[:keep] when it holds the couplers the sort keeps, else None."""
-    if ranking.shape != values.shape:
-        raise ConfigError(f"a ranking of {values.shape} couplers has shape {ranking.shape}")
-    if keep == 0:
-        return ranking[:0]
-    mags = np.abs(values)[ranking]
-    if (mags[1:] > mags[:-1]).any():
-        return None
-    run = np.flatnonzero(mags == mags[keep - 1])  # contiguous in a descending order
-    if run[-1] >= keep and (np.diff(ranking[run]) < 0).any():
-        return None
-    return ranking[:keep]
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +410,8 @@ def _checked_gauge(gauge, n_spins: int) -> np.ndarray:
 def apply_gauge(p: IsingProblem, gauge: np.ndarray) -> IsingProblem:
     """Relabeled problem with h'_i = g_i h_i and J'_ij = g_i g_j J_ij: state
     s of it has the energy of g*s under p, so a solution s of it maps back to
-    g*s. `solve_sa` needs no gauged problem: it takes the gauge through its
-    start states.
+    g*s. `solve_sa` and `solve_chain_emulated` need no gauged problem: they
+    take the gauge through their start states.
     """
     gf = _checked_gauge(gauge, p.n_spins).astype(np.float64)
     i, j = p.pairs.T

@@ -338,16 +338,27 @@ def solve_chain_emulated(
     cc: ChainConfig,
     sched: AnnealSchedule,
     seed: int | tuple,
+    gauge: np.ndarray | None = None,
 ) -> SolverResult:
     """Anneal the chain-expanded problem and decode each chain by majority
     vote; even splits are broken by a seeded coin. Reported energies are those
     of the decoded logical configurations under the logical problem, and
     broken_chain_fraction counts chains whose physical spins disagree, over
     all reads. With length 1 this is sample-for-sample identical to solve_sa.
+
+    `gauge`, a +-1 vector over p's spins, reaches the anneal as every chain
+    spin's entry of `solve_sa`'s gauge, and the chains are decoded in the
+    gauged frame, so the tie coins fall as they would for the gauged problem:
+    the result is that of `apply_gauge(p, gauge)` with its spins multiplied
+    by the gauge.
     """
-    res = solve_sa(expand_chains(p, cc), sched, seed=seed)
+    g = _checked_gauge(np.ones(p.n_spins) if gauge is None else gauge, p.n_spins).astype(np.int8)
+    chain_gauge = np.repeat(g, cc.length)
+    res = solve_sa(expand_chains(p, cc), sched, seed=seed, gauge=chain_gauge)
     rng_tie = np.random.default_rng((2, *_as_key(seed)))
-    logical, broken_fraction = decode_chains(res.spins, p.n_spins, cc.length, rng_tie)
+    gauged, broken_fraction = decode_chains(res.spins * chain_gauge, p.n_spins, cc.length,
+                                            rng_tie)
+    logical = gauged * g
     return SolverResult(spins=logical, energies=energies_batch(p, logical),
                         broken_chain_fraction=broken_fraction)
 

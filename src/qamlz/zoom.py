@@ -221,20 +221,20 @@ def flip_step(
 def _solve_backend(reduced: IsingProblem, gauge: np.ndarray, cfg: ZoomConfig, t: int,
                    seed: tuple) -> SolverResult:
     """Solve `reduced` under `gauge`; the result is in `reduced`'s frame. SA
-    takes the gauge through its start states. The other backends solve the
-    gauged problem, and its spins are mapped back."""
+    and chain take the gauge through their start states. Exact and external
+    solve the gauged problem, and its spins are mapped back."""
     if cfg.solver == "sa":
         return solve_sa(reduced, cfg.schedule, seed, gauge=gauge)
-    gauged = apply_gauge(reduced, gauge)
-    if cfg.solver == "exact":
-        res = solve_exact(gauged)
-    elif cfg.solver == "external":
-        res = solve_external(gauged, cfg.external_command, timeout=cfg.external_timeout)
-    else:
+    if cfg.solver == "chain":
         cc = cfg.chain
         strength = at_iteration(cc.strength_schedule or (cc.strength,), t)
         cc = replace(cc, strength=strength, strength_schedule=None)
-        res = solve_chain_emulated(gauged, cc, cfg.schedule, seed=seed)
+        return solve_chain_emulated(reduced, cc, cfg.schedule, seed=seed, gauge=gauge)
+    gauged = apply_gauge(reduced, gauge)
+    if cfg.solver == "exact":
+        res = solve_exact(gauged)
+    else:
+        res = solve_external(gauged, cfg.external_command, timeout=cfg.external_timeout)
     return SolverResult(res.spins * gauge, res.energies, res.broken_chain_fraction)
 
 
@@ -341,7 +341,7 @@ def run_qamlz(problem: TrainingProblem, cfg: ZoomConfig) -> TrainedModel:
         broken: list[float] = []
         for ci, mu in enumerate(centres):
             full = effective_problem(problem.couplings, mu, sigma, lam=cfg.lam)
-            pruned = prune(full, cfg.cutoff_pct, problem.couplings.ranking)
+            pruned = prune(full, cfg.cutoff_pct)
             if cfg.fixing:
                 fixed, reduced = fix_variables(pruned)
             else:

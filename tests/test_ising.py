@@ -33,6 +33,7 @@ from conftest import (
     coupler_dict,
     make_problem,
     random_problem,
+    reference_prune,
 )
 
 
@@ -278,13 +279,18 @@ class TestPrune:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
            st.integers(min_value=2, max_value=12),
-           st.integers(min_value=0, max_value=2**31 - 1))
-    def test_retention_count_law(self, cutoff, n, seed):
-        import math as _math
-
-        p = random_problem(np.random.default_rng(seed), n)
-        kept = prune(p, cutoff).n_couplers
-        assert kept == _math.ceil((1.0 - cutoff / 100.0) * p.n_couplers)
+           st.integers(min_value=0, max_value=2**31 - 1),
+           st.booleans())
+    def test_retention_count_law(self, cutoff, n, seed, tied):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, n)
+        if tied:  # a few magnitudes, +0.0 and -0.0 among them
+            levels = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=p.n_couplers)
+            p = IsingProblem(h=p.h, pairs=p.pairs, values=levels)
+        kept = prune(p, cutoff)
+        assert kept.n_couplers == math.ceil((1.0 - cutoff / 100.0) * p.n_couplers)
+        assert repr(kept.to_dict()["J"]) == repr(reference_prune(p, cutoff))
+        assert set(coupler_dict(kept)) <= set(coupler_dict(prune(p, cutoff / 2)))
 
 
 # ---------------------------------------------------------------------------

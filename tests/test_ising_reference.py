@@ -10,7 +10,6 @@ import pytest
 
 from qamlz import (
     AnnealSchedule,
-    ConfigError,
     CouplingMatrices,
     IsingProblem,
     _sweep,
@@ -22,7 +21,6 @@ from qamlz import (
     random_gauge,
     sign_pm1,
 )
-from qamlz import ising
 from qamlz.ising import energies_batch
 
 from conftest import (
@@ -135,21 +133,21 @@ def test_wire_format_literal():
 
 
 # ---------------------------------------------------------------------------
-# Ranked pruning, neighbour rows and compiled fixing
+# Pruning effective problems, neighbour rows and compiled fixing
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("base", [0.5, 0.3])
 @pytest.mark.parametrize("seed", range(4))
 def test_ranked_prune_matches_reference(base, seed):
+    # training-shaped sums at every width of a run: scaling by sigma**2 can
+    # merge magnitudes into ties
     rng = np.random.default_rng(3000 + seed)
     cm = _couplings(rng, n_var=int(rng.integers(2, 6)), offset_range=int(rng.integers(0, 4)))
     for t in range(8):
         full = effective_problem(cm, rng.uniform(-1.0, 1.0, size=cm.n_spins), base**t)
         for cutoff in (0.0, 30.0, 50.0, 85.0, 97.0, 100.0):
-            ranked = prune(full, cutoff, cm.ranking)
-            assert repr(ranked.to_dict()) == repr(prune(full, cutoff).to_dict())
-            assert repr(ranked.to_dict()["J"]) == repr(reference_prune(full, cutoff))
+            assert repr(prune(full, cutoff).to_dict()["J"]) == repr(reference_prune(full, cutoff))
 
 
 def _tie_after_scaling(sigma):
@@ -163,56 +161,42 @@ def _tie_after_scaling(sigma):
         x = y
 
 
-def test_ranked_prune_falls_back_when_scaling_ties_cross_the_boundary():
+def test_ranked_prune_breaks_scaling_ties_by_ij():
     sigma = 0.3**3
     x, y = _tie_after_scaling(sigma)
-    # triangle order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3): the ranking
-    # lists (0, 2) before (0, 1), but scaled they tie and (0, 1) comes first
+    # triangle order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3): the sums
+    # rank (0, 2) before (0, 1), but scaled they tie and (0, 1) comes first
     sums = {(0, 1): -x, (0, 2): y, (0, 3): 4.0, (1, 2): -3.0, (1, 3): 0.5, (2, 3): 0.25}
     pair_sums = np.zeros((4, 4))
     for (a, b), v in sums.items():
         pair_sums[a, b] = pair_sums[b, a] = v
     cm = CouplingMatrices(tag_sums=np.zeros(4), pair_sums=pair_sums)
-    np.testing.assert_array_equal(cm.ranking, [2, 3, 1, 0, 4, 5])
     full = effective_problem(cm, np.zeros(4), sigma)
     assert math.ceil(0.5 * full.n_couplers) == 3
-    assert ising._ranked_keep(full.values, cm.ranking, 3) is None  # the sort runs
-    kept = prune(full, 50.0, cm.ranking)
+    kept = prune(full, 50.0)
     assert repr(kept.to_dict()["J"]) == repr(reference_prune(full, 50.0))
     assert kept.pairs.tolist() == [[0, 1], [0, 3], [1, 2]]
-    # unscaled, the ranking's own cut is exact and no sort is needed
-    unscaled = effective_problem(cm, np.zeros(4), 1.0)
-    np.testing.assert_array_equal(ising._ranked_keep(unscaled.values, cm.ranking, 3), [2, 3, 1])
-    assert repr(prune(unscaled, 50.0, cm.ranking).to_dict()["J"]) == repr(
-        reference_prune(unscaled, 50.0))
+    # unscaled, (0, 2) outranks (0, 1)
+    unscaled = prune(effective_problem(cm, np.zeros(4), 1.0), 50.0)
+    assert unscaled.pairs.tolist() == [[0, 2], [0, 3], [1, 2]]
+    assert repr(unscaled.to_dict()["J"]) == repr(
+        reference_prune(effective_problem(cm, np.zeros(4), 1.0), 50.0))
 
 
 def test_ranked_prune_keeps_exact_ties_without_sorting():
-    # equal magnitudes across the boundary, ranked in (i, j) order
-    p = make_problem(np.zeros(4), {(0, 1): 1.0, (0, 2): -0.5, (0, 3): 0.5, (1, 2): 0.5,
-                                   (1, 3): -0.5, (2, 3): 0.25})
-    ranking = np.lexsort((p.pairs[:, 1], p.pairs[:, 0], -np.abs(p.values)))
-    for keep in range(p.n_couplers + 1):
-        assert ising._ranked_keep(p.values, ranking, keep) is not None
-    for cutoff in (20.0, 50.0, 70.0, 100.0):
-        assert repr(prune(p, cutoff, ranking).to_dict()["J"]) == repr(reference_prune(p, cutoff))
-
-
-def test_ranked_prune_accepts_any_permutation():
-    rng = np.random.default_rng(11)
-    p = _tied_problem(rng, 12)
-    for _ in range(20):
-        ranking = rng.permutation(p.n_couplers)
-        for cutoff in (30.0, 85.0):
-            assert repr(prune(p, cutoff, ranking).to_dict()["J"]) == repr(
-                reference_prune(p, cutoff))
-    with pytest.raises(ConfigError, match="ranking"):
-        prune(p, 50.0, np.arange(p.n_couplers - 1))
+    # equal magnitudes across the boundary; then +0.0 and -0.0 tied at the
+    # bottom as well
+    ties = {(0, 1): 1.0, (0, 2): -0.5, (0, 3): 0.5, (1, 2): 0.5, (1, 3): -0.5, (2, 3): 0.25}
+    zeros = {**ties, (1, 3): -0.0, (2, 3): 0.0}
+    for couplers in (ties, zeros):
+        p = make_problem(np.zeros(4), couplers)
+        for cutoff in (0.0, 20.0, 50.0, 70.0, 90.0, 100.0):
+            assert repr(prune(p, cutoff).to_dict()["J"]) == repr(reference_prune(p, cutoff))
 
 
 def test_coupling_rankings_are_built_once_and_read_only():
     cm = _couplings(np.random.default_rng(4), n_var=3, offset_range=2)
-    for name in ("triangle", "triangle_sums", "ranking"):
+    for name in ("triangle", "triangle_sums"):
         arr = getattr(cm, name)
         assert getattr(cm, name) is arr
         with pytest.raises(ValueError, match="read-only"):

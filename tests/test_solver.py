@@ -385,6 +385,32 @@ class TestChain:
         np.testing.assert_array_equal(a.spins, b.spins)
         assert a.broken_chain_fraction == b.broken_chain_fraction
 
+    def test_gauge_multiplies_the_start_states(self, rng, monkeypatch):
+        # the chain takes the gauge through its anneal's start states and
+        # decodes in the gauged frame: the gauged problem's result with its
+        # spins times g, byte for byte, even-split ties included
+        ties = []
+
+        def counting_decode(physical, n_logical, length, rng_tie):
+            ties.append(int((physical.reshape(-1, n_logical, length).sum(axis=2) == 0).sum()))
+            return decode(physical, n_logical, length, rng_tie)
+
+        decode = solver.decode_chains
+        monkeypatch.setattr(solver, "decode_chains", counting_decode)
+        for length in (1, 2, 3, 4):
+            cc = ChainConfig(length=length, strength=0.3)  # weak chains: they split
+            full = _signed_zero_problem(rng, 6)
+            for p in (full, prune(full, 50.0)):
+                for n_reads in (1, 3, 16):
+                    sched = _fast_schedule(n_reads=n_reads, sweeps=30)
+                    g = random_gauge(p.n_spins, rng)
+                    res = solve_chain_emulated(p, cc, sched, (length, n_reads), gauge=g)
+                    ref = solve_chain_emulated(apply_gauge(p, g), cc, sched, (length, n_reads))
+                    assert res.spins.tobytes() == (ref.spins * g).tobytes()
+                    assert res.energies.tobytes() == ref.energies.tobytes()
+                    assert res.broken_chain_fraction == ref.broken_chain_fraction
+        assert sum(ties) > 0
+
     def test_breakage_decreases_with_strength(self, rng):
         p = random_problem(rng, 8, coupler_density=1.0)
         sched = _fast_schedule(n_reads=40, sweeps=150)

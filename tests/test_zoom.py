@@ -313,9 +313,9 @@ class TestRunQamlz:
             assert 1 <= rec.n_candidates <= at_iteration(cfg.schedule.n_e, t)
 
     def test_sa_gauge_start_gives_the_gauged_problems_model(self, monkeypatch):
-        # SA takes each gauge through its start states: the same model as
-        # annealing the gauged problem and mapping its spins back, and no
-        # gauged problem is built. Anneals this short end near their start
+        # SA and chain take each gauge through their start states: the same
+        # model as solving the gauged problem and mapping its spins back, and
+        # no gauged problem is built. Anneals this short end near their start
         # states, so a gauge the anneal ignored would change the model
         split, names = _toy_split(n=400, seed=16)
         pipe = fit_feature_pipeline(split.train, names, weak_mode="density", n_bins=6)
@@ -323,10 +323,10 @@ class TestRunQamlz:
             iterations=3, delta=0.1, offset_range=1, solver="sa",
             cutoff_pct=50.0, fixing=True,
             schedule=AnnealSchedule(n_reads=4, sweeps=4, n_g=(3, 2), n_e=(2,)),
+            chain=ChainConfig(length=2, strength=0.5),
             seed=21,
         )
         problem = prepare(split.train, split.test, pipe, cfg.delta, cfg.offset_range)
-        model = _model_json(run_qamlz(problem, cfg))
         gauges = []
 
         def anneal_gauged_problem(p, sched, seed, gauge):
@@ -334,16 +334,26 @@ class TestRunQamlz:
             res = solver.solve_sa(apply_gauge(p, gauge), sched, seed)
             return SolverResult(res.spins * gauge, res.energies)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("SA built a gauged problem")
+        def chain_gauged_problem(p, cc, sched, seed, gauge):
+            gauges.append(gauge)
+            res = solver.solve_chain_emulated(apply_gauge(p, gauge), cc, sched, seed)
+            return SolverResult(res.spins * gauge, res.energies, res.broken_chain_fraction)
 
-        with monkeypatch.context() as m:
-            m.setattr(zoom, "solve_sa", anneal_gauged_problem)
-            assert _model_json(run_qamlz(problem, cfg)) == model
-        assert len(gauges) >= 3 + 2 * 2 and (np.concatenate(gauges) == -1).any()
-        with monkeypatch.context() as m:
-            m.setattr(zoom, "apply_gauge", refuse)
-            assert _model_json(run_qamlz(problem, cfg)) == model
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{cfg.solver} built a gauged problem")
+
+        for backend, name, gauged in (("sa", "solve_sa", anneal_gauged_problem),
+                                      ("chain", "solve_chain_emulated", chain_gauged_problem)):
+            cfg = dataclasses.replace(cfg, solver=backend)
+            model = _model_json(run_qamlz(problem, cfg))
+            gauges.clear()
+            with monkeypatch.context() as m:
+                m.setattr(zoom, name, gauged)
+                assert _model_json(run_qamlz(problem, cfg)) == model
+            assert len(gauges) >= 3 + 2 * 2 and (np.concatenate(gauges) == -1).any()
+            with monkeypatch.context() as m:
+                m.setattr(zoom, "apply_gauge", refuse)
+                assert _model_json(run_qamlz(problem, cfg)) == model
 
     def test_fixing_and_pruning_path(self):
         split, names = _toy_split(n=300, seed=11)
