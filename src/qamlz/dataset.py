@@ -400,9 +400,7 @@ class GeneratorSpec:
 _MAX_TRUNCATION_TRIES = 100
 #: events drawn together; bounds the size of the per-chunk arrays
 _CHUNK = 1024
-#: attempts drawn per round for the events still without an accepted one;
-#: they total the checked attempts plus the one taken unchecked at the cap
-_ROUNDS = (4, 16, _MAX_TRUNCATION_TRIES + 1 - 20)
+
 
 def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
     """Each event's process index into `models`, and its first Gaussian attempt
@@ -410,35 +408,34 @@ def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
 
     Event r draws from its own stream in `streams` (see `_sweep.NumpyStreams`):
     the class uniform, the process uniform of a background event (`head`),
-    then attempts with model `models[proc[r]]`. Attempts come in blocks of
-    `_ROUNDS`, each drawn (`normals`) only for the events still pending. A
-    block consumes a stream as one draw per attempt does, and a stream is
-    dropped after its event, so the extra draws of a round change nothing.
+    then attempts with model `models[proc[r]]`. Each call of `attempts`
+    draws the next attempt of every event still pending, skipping those it
+    can tell lie outside the bounds. The value of the attempt it returns is
+    computed here, by the same stacked matvec for every stream kind, so it
+    has the bits of the attempt drawn and tested alone. An attempt the
+    streams could not decide is tested here too, and its event stays pending
+    when it fails.
     """
     k = len(lo)
     u_bg = streams.head(signal_fraction)
     n = len(u_bg)
     bg = ~np.isnan(u_bg)
-    proc = np.zeros(n, dtype=np.intp)
+    proc = np.zeros(n, dtype=np.int64)
     proc[bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
 
     out = np.empty((n, k), dtype=np.float64)
-    pending = np.arange(n)
-    tried = 0
-    for block in _ROUNDS:
-        z = streams.normals(pending, (block, k))
+    pending = np.arange(n, dtype=np.int64)
+    while len(pending):
+        model = proc[pending]
+        z, check = streams.attempts(pending, model, models, lo, hi, _MAX_TRUNCATION_TRIES)
         x = np.empty_like(z)
         for m, (mean, fac) in enumerate(models):
-            sel = proc[pending] == m
+            sel = model == m
             # stacked matvecs give `fac @ z` of each attempt bit for bit; `z @ fac.T` does not
             x[sel] = mean + np.matmul(fac, z[sel][..., None])[..., 0]
-        ok = ((lo <= x) & (x <= hi)).all(axis=-1)
-        ok[:, _MAX_TRUNCATION_TRIES - tried:] = True  # past the last check: taken unchecked
-        hit = ok.any(axis=1)
-        out[pending[hit]] = x[hit, ok[hit].argmax(axis=1)]
-        pending, tried = pending[~hit], tried + block
-        if not len(pending):
-            break
+        keep = ~check | ((lo <= x) & (x <= hi)).all(axis=1)
+        out[pending[keep]] = x[keep]
+        pending = pending[~keep]
     return proc, out
 
 

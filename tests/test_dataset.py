@@ -259,18 +259,160 @@ class TestCompiledStreams:
         for key in [(-1, 0, 4), (2**64, 0, 4), (7, 3, 2), (7, 2**64 - 1, 2**64 + 1)]:
             with pytest.raises(ValueError, match="not 64-bit"):
                 _sweep.STREAMS(*key)
-        for rows in [np.array([0, 4]), np.array([-1]), np.zeros((1, 1), dtype=np.int64)]:
-            with pytest.raises(ValueError, match="rows out of range"):
-                streams.normals(rows, (2, 3))
-        with pytest.raises(ctypes.ArgumentError):
-            streams.normals(np.array([0, 1], dtype=np.int32), (2, 3))
-        words = streams.words
-        for bad in [words[:, :3].copy(), np.asfortranarray(words), words.astype(np.int64)]:
+        eye = np.eye(3)
+        models = [(np.zeros(3), eye), (np.ones(3), eye)]
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+
+        def attempts(rows, proc=None):
+            proc = np.zeros(len(rows), dtype=np.int64) if proc is None else proc
+            return streams.attempts(rows, proc, models, lo, hi, 100)
+
+        for rows in [np.array([0, 4]), np.array([-1]), np.zeros((1, 1), dtype=np.int64),
+                     np.array([0, 1], dtype=np.int32)]:
+            with pytest.raises(ValueError, match="stream rows"):
+                attempts(rows)
+        for proc in [np.array([0, 2]), np.array([-1, 0]), np.array([0, 1], dtype=np.int32),
+                     np.array([0])]:
+            with pytest.raises(ValueError, match="model indices"):
+                attempts(np.array([0, 1]), proc)
+        with pytest.raises(ValueError, match="disagree in shape"):
+            streams.attempts(np.array([0]), np.array([0]), [(np.zeros(3), np.eye(2))], lo, hi, 100)
+        words, tries = streams.words, streams.tries
+        for bad in [words[:, :3].copy(), words.astype(np.int64), words[:3].copy(),
+                    np.asfortranarray(words)]:
             streams.words = bad
-            with pytest.raises((ValueError, ctypes.ArgumentError)):
-                streams.head(0.5)
+            for draw in (lambda: streams.head(0.5), lambda: attempts(np.array([0]))):
+                with pytest.raises((ValueError, ctypes.ArgumentError)):
+                    draw()
         streams.words = words
-        assert streams.normals(np.array([3, 0]), (2, 3)).shape == (2, 2, 3)
+        streams.tries = tries.astype(np.int32)
+        with pytest.raises(ValueError, match="tries"):
+            attempts(np.array([0]))
+        streams.tries = tries
+        z, check = attempts(np.array([3, 0]), np.array([1, 0]))
+        assert z.shape == (2, 3) and check.shape == (2,)
+        assert streams.tries[[0, 3]].min() >= 1 and streams.tries[[1, 2]].max() == 0
+
+
+#: screen verdicts (`_event_streams.c`)
+_OUTSIDE, _INSIDE = -1, 1
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+class TestAttemptScreen:
+    """The C screen of each attempt, which never decides against the
+    stacked BLAS matvec that `_draw_chunk` computes, and generation when the
+    screen decides nothing."""
+
+    @staticmethod
+    def _screen(mean, fac, z, lo, hi, scale=1.0):
+        lib = ctypes.CDLL(str(_sweep._library()))
+        floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        lib.screen_attempts.restype = None
+        lib.screen_attempts.argtypes = [ctypes.c_long, ctypes.c_long, *[floats] * 5,
+                                        ctypes.c_double,
+                                        np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")]
+        n, k = mean.shape
+        verdict = np.empty(n, dtype=np.int8)
+        lib.screen_attempts(n, k, *map(np.ascontiguousarray, (mean, fac, z, lo, hi)), scale,
+                            verdict)
+        return verdict
+
+    @staticmethod
+    def _attempts(rng, n, k):
+        """n attempts of k variables, with factors and normals from 1e-300 to
+        1e300 and products from below the subnormals to past the overflow
+        threshold of their sum: a third have a mean of the products' size, a
+        third the mean that cancels the BLAS product, and the rest a mean
+        from 1e-300 to 1e300; in one attempt of twenty a mean is infinite or
+        NaN, and in one of twenty the products are +-0.9 DBL_MAX."""
+        def spread(centre, width, shape):
+            return (rng.choice([-1.0, 1.0], shape)
+                    * 10.0 ** (centre + rng.uniform(-width, width, shape)))
+
+        with np.errstate(all="ignore"):
+            pe = rng.uniform(-330, 305, (n, 1))  # the products' exponent
+            fe = rng.uniform(np.maximum(-295, pe - 295), np.minimum(295, pe + 295))
+            fac = np.where(rng.random((n, k, k)) < 0.2, 0.0,
+                           spread(fe[..., None], 3, (n, k, k)))
+            z = spread(pe - fe, 3, (n, k))
+            # products of +-0.9 DBL_MAX, whose sums overflow in some orders only
+            edge = rng.random(n) < 0.05
+            fac[edge] = 1.0
+            big = np.resize([0.9, -0.9], (edge.sum(), k)) * np.finfo(float).max
+            z[edge] = rng.permuted(big, axis=1)
+            product = np.matmul(fac, z[..., None])[..., 0]
+            kind = rng.integers(0, 3, (n, 1))
+            mean = np.where(kind == 0, spread(pe, 3, (n, k)),
+                            np.where(kind == 1, -product, spread(0, 300, (n, k))))
+            odd = rng.random(n) < 0.05
+            mean[odd, rng.integers(0, k, odd.sum())] = rng.choice([np.inf, -np.inf, np.nan],
+                                                                  odd.sum())
+            x = mean + np.matmul(fac, z[..., None])[..., 0]
+        return mean, fac, z, x
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 17, 33])
+    def test_never_decides_against_blas(self, k):
+        rng = np.random.default_rng(k)
+        mean, fac, z, x = self._attempts(rng, 4000, k)
+        with np.errstate(all="ignore"):
+            below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+            near = np.abs(x) * 1e-9 + 1e-290
+            # each variable's bounds at x, its neighbours, near it or infinite
+            lo_choices = np.stack([x, below, above, x - near, x + near, np.full_like(x, -np.inf)])
+            hi_choices = np.stack([x, above, below, x + near, x - near, np.full_like(x, np.inf)])
+        counts = {_OUTSIDE: 0, _INSIDE: 0}
+        for trial in range(6):
+            pick = rng.integers(0, 6, (2, *x.shape))
+            if trial < 2:  # every variable alike, so that whole attempts lie inside
+                pick[:] = rng.choice([3, 5], (2, len(x), 1))
+            lo = np.take_along_axis(lo_choices, pick[0][None], 0)[0]
+            hi = np.take_along_axis(hi_choices, pick[1][None], 0)[0]
+            with np.errstate(invalid="ignore"):
+                inside = ((lo <= x) & (x <= hi)).all(axis=1)
+            verdict = self._screen(mean, fac, z, lo, hi)
+            assert not (verdict == _INSIDE)[~inside].any()
+            assert not (verdict == _OUTSIDE)[inside].any()
+            for v in counts:
+                counts[v] += int((verdict == v).sum())
+        # the screen decides many attempts either way
+        assert min(counts.values()) > 1000, counts
+
+    def test_margin_scale_never_lowers_the_margin(self):
+        rng = np.random.default_rng(11)
+        mean, fac, z, x = self._attempts(rng, 2000, 5)
+        lo, hi = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+        for scale in (1.0, 1.5, 1e300, np.inf):
+            with np.errstate(invalid="ignore"):
+                inside = ((lo <= x) & (x <= hi)).all(axis=1)
+            verdict = self._screen(mean, fac, z, lo, hi, scale)
+            assert not (verdict == _INSIDE)[~inside].any()
+            assert not (verdict == _OUTSIDE)[inside].any()
+        assert (self._screen(mean, fac, z, lo, hi, np.inf) == 0).all()
+
+    @pytest.mark.parametrize("spec, n_events, seed", [
+        (default_generator_spec(), 2100, 7),
+        (_unit_spec({"x": (2.0, 3.0)}), 3000, 4),
+        (_unit_spec({"n": (-0.4, 2.7)}, integer_variables=("n",)), 1500, 9),
+    ], ids=["default", "tight_bound", "rounding"])
+    def test_undecided_attempts_resume_in_c(self, monkeypatch, spec, n_events, seed):
+        # an infinite margin leaves every attempt with a bounded variable
+        # open: each is checked against the BLAS value, and each that fails
+        # resumes its stream in C from the saved words and count of tries
+        assert _sweep.STREAMS is _sweep.CompiledStreams, "cc is on PATH but no streams loaded"
+        monkeypatch.setattr(_sweep.CompiledStreams, "_margin_scale", np.inf)
+        calls = []
+        attempts = _sweep.CompiledStreams.attempts
+
+        def counted(self, rows, *args):
+            z, check = attempts(self, rows, *args)
+            calls.append((len(rows), int(check.sum())))
+            return z, check
+
+        monkeypatch.setattr(_sweep.CompiledStreams, "attempts", counted)
+        _assert_bit_equal(spec, n_events, seed)
+        rows, checked = map(sum, zip(*calls))
+        assert checked > 0.9 * rows and len(calls) > 3 * -(-n_events // dataset._CHUNK)
 
 
 # ---------------------------------------------------------------------------
