@@ -20,15 +20,14 @@ reference.
 `STREAMS` seeds and draws every event's PCG64 stream in `_event_streams.c`,
 compiled into the same library and linked with numpy's own normal sampler,
 `random_standard_normal` of the `libnpyrandom.a` that numpy ships
-(`ARCHIVE`), so its draws are numpy's bit for bit. It also screens each
-Gaussian attempt as it is drawn: an attempt that lies surely outside the
-bounds, whatever order the caller's BLAS matvec sums in, is skipped in C, so
-the caller computes the value of one attempt per event, and tests it only
-where the screen could not decide. `NumpyStreams.attempts` screens nothing
-and returns one attempt per call. Where the archive is missing, or the
-library does not link or load with it, the library is built from
-`_sa_sweep.c` alone and `STREAMS` is `NumpyStreams`, one numpy generator per
-event; one line on stderr says so.
+(`ARCHIVE`), so its draws are numpy's bit for bit. It also computes each
+Gaussian attempt's value, in one fixed order that takes no BLAS product,
+and tests it against the bounds as it is drawn, so each event is finished
+in one call. `NumpyStreams.values` computes the same values in the same
+order, vectorised over the events that are still pending. Where the archive
+is missing, or the library does not link or load with it, the library is
+built from `_sa_sweep.c` alone and `STREAMS` is `NumpyStreams`, one numpy
+generator per event; one line on stderr says so.
 
 All four loops walk the couplers as compressed sparse rows
 (`IsingProblem.neighbours`). In the sweeps an accepted flip of spin i updates
@@ -176,11 +175,10 @@ def numpy_fix(h, alive, start, nb, vals) -> None:
 class NumpyStreams:
     """The event streams of `dataset.generate_synthetic`: event i draws only
     from numpy's `default_rng((seed, i))`, here one generator per event i in
-    [start, stop), with its count of attempts drawn in `tries`."""
+    [start, stop)."""
 
     def __init__(self, seed: int, start: int, stop: int):
         self.rngs = [np.random.default_rng((seed, i)) for i in range(start, stop)]
-        self.tries = np.zeros(stop - start, dtype=np.int64)
 
     def head(self, signal_fraction: float) -> np.ndarray:
         """Each stream's class uniform u, then its process uniform if u >=
@@ -192,19 +190,27 @@ class NumpyStreams:
                 u_bg[r] = rng.random()
         return u_bg
 
-    def attempts(self, rows, proc, models, lo, hi, cap):
-        """The next Gaussian attempt of each stream in `rows`, as its len(lo)
-        standard normals z (stacked), and whether the caller must check it
-        against [lo, hi]: every attempt but the one of index `cap`, which is
-        taken unchecked. Attempt r is model `models[proc[r]]`, a (mean, fac)
-        pair, x = mean + fac @ z; `CompiledStreams` screens it, this
-        reference leaves every check to the caller."""
-        z = np.empty((len(rows), len(lo)))
-        for out, r in zip(z, rows.tolist()):
-            self.rngs[r].standard_normal(out=out)
-        check = self.tries[rows] < cap
-        self.tries[rows] += 1
-        return z, check
+    def values(self, proc, means, facs, lo, hi, cap):
+        """Each stream's Gaussian attempts, len(lo) standard normals z each,
+        up to the first whose value lies inside [lo, hi] in every variable;
+        the attempt of index `cap` is taken unchecked. Stream r's attempts
+        are of model m = proc[r], with the value x_i = means[m, i] +
+        (facs[m, i, 0] z_0 + facs[m, i, 1] z_1 + ...), summed in j order from
+        the first product. Returns the values, stacked."""
+        x = np.empty((len(self.rngs), len(lo)))
+        pending, t = np.arange(len(self.rngs)), 0
+        while len(pending):
+            z = np.empty((len(pending), len(lo)))
+            for out, r in zip(z, pending.tolist()):
+                self.rngs[r].standard_normal(out=out)
+            fac = facs[proc[pending]]
+            s = fac[:, :, 0] * z[:, :1]
+            for j in range(1, len(lo)):
+                s += fac[:, :, j] * z[:, j:j + 1]
+            xp = x[pending] = means[proc[pending]] + s
+            inside = ((lo <= xp) & (xp <= hi)).all(axis=1) | (t >= cap)
+            pending, t = pending[~inside], t + 1
+        return x
 
 
 def _library() -> Path:
@@ -294,11 +300,10 @@ if _LIB is not None:
     if hasattr(_LIB, "stream_seed"):
         _LIB.stream_seed.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, _words]
         _LIB.stream_head.argtypes = [_words, ctypes.c_long, ctypes.c_double, _floats]
-        _LIB.stream_attempts.argtypes = [
-            _words, np.ctypeslib.ndpointer(np.int64, **_written), _index, _index, ctypes.c_long,
-            _floats, _floats, ctypes.c_long, _vector, _vector, ctypes.c_int64, ctypes.c_double,
-            _floats, np.ctypeslib.ndpointer(np.int8, **_written)]
-        _LIB.stream_seed.restype = _LIB.stream_head.restype = _LIB.stream_attempts.restype = None
+        _LIB.stream_values.argtypes = [
+            _words, _index, ctypes.c_long, _floats, _floats, ctypes.c_long, _vector, _vector,
+            ctypes.c_int64, _floats, _floats]
+        _LIB.stream_seed.restype = _LIB.stream_head.restype = _LIB.stream_values.restype = None
     else:
         print(f"qamlz: compiled event streams unavailable ({ARCHIVE} is missing or does not "
               "link); using a numpy generator per event", file=sys.stderr)
@@ -342,22 +347,16 @@ class CompiledStreams:
     """`NumpyStreams`'s draws, from each stream's PCG64 state held as four
     uint64 `words`: state hi, state lo, inc hi, inc lo."""
 
-    #: multiplies the screen's margin; above 1 it leaves more attempts to the
-    #: caller's check, which only the tests need
-    _margin_scale = 1.0
-
     def __init__(self, seed: int, start: int, stop: int):
         if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
             raise ValueError("stream keys are not 64-bit integers")
         self.words = np.empty((stop - start, 4), dtype=np.uint64)
-        self.tries = np.zeros(stop - start, dtype=np.int64)
         _LIB.stream_seed(seed, start, stop - start, self.words)
 
     def _count(self) -> int:
         n = len(self.words)
-        if not (self.words.dtype == np.uint64 and self.words.shape == (n, 4)
-                and self.tries.dtype == np.int64 and self.tries.shape == (n,)):
-            raise ValueError("stream words are not (n, 4) uint64 with (n,) int64 tries")
+        if not (self.words.dtype == np.uint64 and self.words.shape == (n, 4)):
+            raise ValueError("stream words are not (n, 4) uint64")
         return n
 
     def head(self, signal_fraction):
@@ -365,29 +364,20 @@ class CompiledStreams:
         _LIB.stream_head(self.words, len(u_bg), signal_fraction, u_bg)
         return u_bg
 
-    def attempts(self, rows, proc, models, lo, hi, cap):
-        """`NumpyStreams.attempts`, but each stream first skips, in C
-        (`stream_attempts`), every attempt that its screen finds surely
-        outside [lo, hi] whatever order the caller's matvec sums in, and
-        needs no check of an attempt it finds surely inside."""
+    def values(self, proc, means, facs, lo, hi, cap):
+        """`NumpyStreams.values`, each stream's attempts drawn, computed and
+        tested in C (`stream_values`)."""
         n = self._count()
-        if not (rows.dtype == np.int64 and rows.ndim == 1
-                and ((0 <= rows) & (rows < n)).all()):
-            raise ValueError("stream rows are not int64 indices of the streams")
-        if not (proc.dtype == np.int64 and proc.shape == rows.shape
-                and ((0 <= proc) & (proc < len(models))).all()):
-            raise ValueError("model indices are not int64 indices of the models")
+        if not (proc.dtype == np.int64 and proc.shape == (n,)
+                and ((0 <= proc) & (proc < len(means))).all()):
+            raise ValueError("model indices are not int64 indices of the models, one per stream")
         k = len(lo)
-        means = np.array([mean for mean, _ in models], dtype=np.float64)
-        facs = np.array([fac for _, fac in models], dtype=np.float64)
-        if not (means.shape == (len(models), k) and facs.shape == (len(models), k, k)
+        if not (means.shape == (len(means), k) and facs.shape == (len(means), k, k)
                 and lo.shape == hi.shape == (k,)):
             raise ValueError("models and bounds disagree in shape")
-        z = np.empty((len(rows), k))
-        flag = np.empty(len(rows), dtype=np.int8)
-        _LIB.stream_attempts(self.words, self.tries, rows, proc, len(rows), means, facs, k,
-                             lo, hi, cap, self._margin_scale, z, flag)
-        return z, flag == 0  # OPEN: the screen decided nothing
+        x = np.empty((n, k))
+        _LIB.stream_values(self.words, proc, n, means, facs, k, lo, hi, cap, np.empty(k), x)
+        return x
 
 
 SWEEP = numpy_sweep if _LIB is None else compiled_sweep

@@ -7,7 +7,8 @@ generation derives one RNG stream per event from (seed, event index) so
 results are independent of evaluation order. The streams are seeded and
 drawn chunk by chunk through `_sweep.STREAMS`: in C where the compiled
 library holds them, and otherwise one numpy generator per event, with the
-same values.
+same values: each attempt's value is summed in one fixed order, with no
+BLAS product.
 """
 
 from __future__ import annotations
@@ -402,41 +403,23 @@ _MAX_TRUNCATION_TRIES = 100
 _CHUNK = 1024
 
 
-def _draw_chunk(streams, signal_fraction, bg_cum, models, lo, hi):
-    """Each event's process index into `models`, and its first Gaussian attempt
-    inside the bounds, or else the one after the last check, unclipped.
+def _draw_chunk(streams, signal_fraction, bg_cum, means, facs, lo, hi):
+    """Each event's process index into `means` and `facs`, and its first
+    Gaussian attempt inside the bounds, or else the one after the last
+    check, unclipped.
 
     Event r draws from its own stream in `streams` (see `_sweep.NumpyStreams`):
     the class uniform, the process uniform of a background event (`head`),
-    then attempts with model `models[proc[r]]`. Each call of `attempts`
-    draws the next attempt of every event still pending, skipping those it
-    can tell lie outside the bounds. The value of the attempt it returns is
-    computed here, by the same stacked matvec for every stream kind, so it
-    has the bits of the attempt drawn and tested alone. An attempt the
-    streams could not decide is tested here too, and its event stays pending
-    when it fails.
+    then attempts of model proc[r] (`values`), each computed in one fixed
+    order and tested until one lies inside [lo, hi]. Both stream kinds
+    compute the values in that order, so both return the bits of each
+    event's attempts drawn and tested alone.
     """
-    k = len(lo)
     u_bg = streams.head(signal_fraction)
-    n = len(u_bg)
     bg = ~np.isnan(u_bg)
-    proc = np.zeros(n, dtype=np.int64)
+    proc = np.zeros(len(u_bg), dtype=np.int64)
     proc[bg] = 1 + np.searchsorted(bg_cum, u_bg[bg], side="right")
-
-    out = np.empty((n, k), dtype=np.float64)
-    pending = np.arange(n, dtype=np.int64)
-    while len(pending):
-        model = proc[pending]
-        z, check = streams.attempts(pending, model, models, lo, hi, _MAX_TRUNCATION_TRIES)
-        x = np.empty_like(z)
-        for m, (mean, fac) in enumerate(models):
-            sel = model == m
-            # stacked matvecs give `fac @ z` of each attempt bit for bit; `z @ fac.T` does not
-            x[sel] = mean + np.matmul(fac, z[sel][..., None])[..., 0]
-        keep = ~check | ((lo <= x) & (x <= hi)).all(axis=1)
-        out[pending[keep]] = x[keep]
-        pending = pending[~keep]
-    return proc, out
+    return proc, streams.values(proc, means, facs, lo, hi, _MAX_TRUNCATION_TRIES)
 
 
 def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:
@@ -446,11 +429,12 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
     the fact so signal weights sum to s_tot and background weights to b_tot.
     Event i draws only from its own stream, numpy's `default_rng` of the key
     (seed, i): a class uniform, a process uniform for background events, then
-    Gaussian attempts until one lies inside `bounds`. Events are generated
-    in chunks: `_sweep.STREAMS` seeds the chunk's streams and draws their
-    uniforms and attempts, and the arithmetic is done column-wise; the
-    values are those of drawing and testing each event's attempts one by
-    one. `seed` must lie in [0, 2**64).
+    Gaussian attempts z until one lies inside `bounds`, each of value x_i =
+    mean_i + (fac_i0 z_0 + fac_i1 z_1 + ...), summed in j order from the
+    first product. Events are generated in chunks: `_sweep.STREAMS` seeds the
+    chunk's streams, draws their uniforms and computes and tests their
+    attempts; the values are those of drawing and testing each event's
+    attempts one by one. `seed` must lie in [0, 2**64).
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be a non-negative 64-bit integer")
@@ -458,8 +442,8 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
         raise ConfigError("n_events must be positive")
     bg_names = [n for n in spec.processes if n != "signal"]
     names = np.array(["signal", *bg_names], dtype=object)
-    models = [(np.asarray(spec.processes[n].mean, dtype=np.float64), spec.processes[n].factor())
-              for n in names]
+    means = np.array([spec.processes[n].mean for n in names], dtype=np.float64)
+    facs = np.array([spec.processes[n].factor() for n in names])
     bg_cum = np.cumsum([spec.background_fractions.get(n, 0.0) for n in bg_names])
     # an unbounded side is infinite, which passes every test and clips nothing
     lo = np.full(len(spec.schema), -np.inf)
@@ -475,7 +459,8 @@ def generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset
     for start in range(0, n_events, _CHUNK):
         stop = min(start + _CHUNK, n_events)
         proc[start:stop], values[start:stop] = _draw_chunk(
-            _sweep.STREAMS(int(seed), start, stop), spec.signal_fraction, bg_cum, models, lo, hi)
+            _sweep.STREAMS(int(seed), start, stop), spec.signal_fraction, bg_cum, means, facs,
+            lo, hi)
 
     def clip(cols: np.ndarray) -> np.ndarray:  # min(max(v, lo), hi), as Python orders ties
         cols = np.where(lo > cols, lo, cols)

@@ -234,16 +234,34 @@ def reference_solve_exact(problem: IsingProblem, keep: int, chunk: int) -> tuple
 _MAX_TRUNCATION_TRIES = 100
 
 
+def stream_states(words: np.ndarray) -> list[dict]:
+    """Stream words (state hi, state lo, inc hi, inc lo) in the form of
+    numpy's `bit_generator.state`."""
+    return [{"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": q_hi << 64 | q_lo},
+             "has_uint32": 0, "uinteger": 0}
+            for s_hi, s_lo, q_hi, q_lo in words.tolist()]
+
+
 def compiled_stream_states(seed: int, start: int, stop: int) -> list[dict]:
     """The PCG64 states that the compiled `_sweep.STREAMS` seeds for the keys
-    (seed, i), i in [start, stop), in the form of numpy's
-    `bit_generator.state`. Skips the test where there is no C compiler."""
+    (seed, i), i in [start, stop). Skips the test where there is no C
+    compiler."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert _sweep.STREAMS is not _sweep.NumpyStreams, "cc is on PATH but the streams did not load"
-    return [{"bit_generator": "PCG64", "state": {"state": s_hi << 64 | s_lo, "inc": q_hi << 64 | q_lo},
-             "has_uint32": 0, "uinteger": 0}
-            for s_hi, s_lo, q_hi, q_lo in _sweep.STREAMS(seed, start, stop).words.tolist()]
+    return stream_states(_sweep.STREAMS(seed, start, stop).words)
+
+
+def _reference_attempt(mean: list, fac: list, z: list) -> np.ndarray:
+    """x_i = mean_i + (fac_i0 z_0 + fac_i1 z_1 + ...), summed in j order from
+    the first product, one rounding per operation (Python floats)."""
+    x = []
+    for m, row in zip(mean, fac):
+        s = row[0] * z[0]
+        for f, zj in zip(row[1:], z[1:]):
+            s += f * zj
+        x.append(m + s)
+    return np.array(x, dtype=np.float64)
 
 
 def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) -> Dataset:
@@ -251,12 +269,13 @@ def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) 
 
     Class and process are sampled per event; per-class weights are set after
     the fact so signal weights sum to s_tot and background weights to b_tot.
+    Each attempt's value is `_reference_attempt`'s.
     """
     if n_events <= 0:
         raise ConfigError("n_events must be positive")
     names = list(spec.processes)
-    means = {n: np.asarray(pm.mean, dtype=np.float64) for n, pm in spec.processes.items()}
-    factors = {n: pm.factor() for n, pm in spec.processes.items()}
+    means = {n: [float(m) for m in pm.mean] for n, pm in spec.processes.items()}
+    factors = {n: pm.factor().tolist() for n, pm in spec.processes.items()}
     bg_names = [n for n in names if n != "signal"]
     bg_cum = np.cumsum([spec.background_fractions.get(n, 0.0) for n in bg_names])
     bounded = [
@@ -278,11 +297,11 @@ def reference_generate_synthetic(spec: GeneratorSpec, n_events: int, seed: int) 
             proc = bg_names[int(np.searchsorted(bg_cum, rng.random(), side="right"))]
             tags[i] = -1
         mean, fac = means[proc], factors[proc]
-        x = mean + fac @ rng.standard_normal(k)
+        x = _reference_attempt(mean, fac, rng.standard_normal(k).tolist())
         for _ in range(_MAX_TRUNCATION_TRIES):
             if all(lo <= x[j] <= hi for j, lo, hi in bounded):
                 break
-            x = mean + fac @ rng.standard_normal(k)
+            x = _reference_attempt(mean, fac, rng.standard_normal(k).tolist())
         for j, lo, hi in bounded:
             x[j] = min(max(x[j], lo), hi)
         for j in int_idx:

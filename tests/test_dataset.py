@@ -26,7 +26,12 @@ from qamlz import _sweep, dataset
 from qamlz._codec import from_json
 from qamlz.dataset import BASE_VARIABLES, PRESELECTION_VARIABLES, PROCESSES, _load_rows
 
-from conftest import compiled_stream_states, reference_generate_synthetic, reference_to_csv
+from conftest import (
+    compiled_stream_states,
+    reference_generate_synthetic,
+    reference_to_csv,
+    stream_states,
+)
 
 HAVE_CC = shutil.which("cc") is not None
 
@@ -259,160 +264,77 @@ class TestCompiledStreams:
         for key in [(-1, 0, 4), (2**64, 0, 4), (7, 3, 2), (7, 2**64 - 1, 2**64 + 1)]:
             with pytest.raises(ValueError, match="not 64-bit"):
                 _sweep.STREAMS(*key)
-        eye = np.eye(3)
-        models = [(np.zeros(3), eye), (np.ones(3), eye)]
+        means, facs = np.array([np.zeros(3), np.ones(3)]), np.array([np.eye(3)] * 2)
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
 
-        def attempts(rows, proc=None):
-            proc = np.zeros(len(rows), dtype=np.int64) if proc is None else proc
-            return streams.attempts(rows, proc, models, lo, hi, 100)
+        def values(proc=np.array([0, 1, 0, 1]), means=means, facs=facs, lo=lo, hi=hi):
+            return streams.values(proc, means, facs, lo, hi, 100)
 
-        for rows in [np.array([0, 4]), np.array([-1]), np.zeros((1, 1), dtype=np.int64),
-                     np.array([0, 1], dtype=np.int32)]:
-            with pytest.raises(ValueError, match="stream rows"):
-                attempts(rows)
-        for proc in [np.array([0, 2]), np.array([-1, 0]), np.array([0, 1], dtype=np.int32),
-                     np.array([0])]:
+        for proc in [np.array([0, 2, 0, 0]), np.array([-1, 0, 0, 0]),
+                     np.array([0, 1, 0, 1], dtype=np.int32), np.array([0, 1, 0]),
+                     np.zeros((4, 1), dtype=np.int64)]:
             with pytest.raises(ValueError, match="model indices"):
-                attempts(np.array([0, 1]), proc)
-        with pytest.raises(ValueError, match="disagree in shape"):
-            streams.attempts(np.array([0]), np.array([0]), [(np.zeros(3), np.eye(2))], lo, hi, 100)
-        words, tries = streams.words, streams.tries
-        for bad in [words[:, :3].copy(), words.astype(np.int64), words[:3].copy(),
+                values(proc)
+        for bad in [dict(facs=np.array([np.eye(2)] * 2)), dict(facs=np.eye(3)),
+                    dict(facs=facs[:1]), dict(means=np.zeros((2, 2))), dict(means=np.zeros(6)),
+                    dict(lo=np.full(2, -1.0)), dict(hi=np.full((3, 1), 1.0))]:
+            with pytest.raises(ValueError, match="disagree in shape"):
+                values(**bad)
+        words = streams.words
+        for bad in [words[:, :3].copy(), words.astype(np.int64), words.ravel().copy(),
                     np.asfortranarray(words)]:
             streams.words = bad
-            for draw in (lambda: streams.head(0.5), lambda: attempts(np.array([0]))):
+            for draw in (lambda: streams.head(0.5), values):
                 with pytest.raises((ValueError, ctypes.ArgumentError)):
                     draw()
         streams.words = words
-        streams.tries = tries.astype(np.int32)
-        with pytest.raises(ValueError, match="tries"):
-            attempts(np.array([0]))
-        streams.tries = tries
-        z, check = attempts(np.array([3, 0]), np.array([1, 0]))
-        assert z.shape == (2, 3) and check.shape == (2,)
-        assert streams.tries[[0, 3]].min() >= 1 and streams.tries[[1, 2]].max() == 0
+        assert values().shape == (4, 3)
 
-
-#: screen verdicts (`_event_streams.c`)
-_OUTSIDE, _INSIDE = -1, 1
-
-
-@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-class TestAttemptScreen:
-    """The C screen of each attempt, which never decides against the
-    stacked BLAS matvec that `_draw_chunk` computes, and generation when the
-    screen decides nothing."""
-
-    @staticmethod
-    def _screen(mean, fac, z, lo, hi, scale=1.0):
-        lib = ctypes.CDLL(str(_sweep._library()))
-        floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-        lib.screen_attempts.restype = None
-        lib.screen_attempts.argtypes = [ctypes.c_long, ctypes.c_long, *[floats] * 5,
-                                        ctypes.c_double,
-                                        np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")]
-        n, k = mean.shape
-        verdict = np.empty(n, dtype=np.int8)
-        lib.screen_attempts(n, k, *map(np.ascontiguousarray, (mean, fac, z, lo, hi)), scale,
-                            verdict)
-        return verdict
-
-    @staticmethod
-    def _attempts(rng, n, k):
-        """n attempts of k variables, with factors and normals from 1e-300 to
-        1e300 and products from below the subnormals to past the overflow
-        threshold of their sum: a third have a mean of the products' size, a
-        third the mean that cancels the BLAS product, and the rest a mean
-        from 1e-300 to 1e300; in one attempt of twenty a mean is infinite or
-        NaN, and in one of twenty the products are +-0.9 DBL_MAX."""
-        def spread(centre, width, shape):
-            return (rng.choice([-1.0, 1.0], shape)
-                    * 10.0 ** (centre + rng.uniform(-width, width, shape)))
-
-        with np.errstate(all="ignore"):
-            pe = rng.uniform(-330, 305, (n, 1))  # the products' exponent
-            fe = rng.uniform(np.maximum(-295, pe - 295), np.minimum(295, pe + 295))
-            fac = np.where(rng.random((n, k, k)) < 0.2, 0.0,
-                           spread(fe[..., None], 3, (n, k, k)))
-            z = spread(pe - fe, 3, (n, k))
-            # products of +-0.9 DBL_MAX, whose sums overflow in some orders only
-            edge = rng.random(n) < 0.05
-            fac[edge] = 1.0
-            big = np.resize([0.9, -0.9], (edge.sum(), k)) * np.finfo(float).max
-            z[edge] = rng.permuted(big, axis=1)
-            product = np.matmul(fac, z[..., None])[..., 0]
-            kind = rng.integers(0, 3, (n, 1))
-            mean = np.where(kind == 0, spread(pe, 3, (n, k)),
-                            np.where(kind == 1, -product, spread(0, 300, (n, k))))
-            odd = rng.random(n) < 0.05
-            mean[odd, rng.integers(0, k, odd.sum())] = rng.choice([np.inf, -np.inf, np.nan],
-                                                                  odd.sum())
-            x = mean + np.matmul(fac, z[..., None])[..., 0]
-        return mean, fac, z, x
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 17, 33])
-    def test_never_decides_against_blas(self, k):
-        rng = np.random.default_rng(k)
-        mean, fac, z, x = self._attempts(rng, 4000, k)
-        with np.errstate(all="ignore"):
-            below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
-            near = np.abs(x) * 1e-9 + 1e-290
-            # each variable's bounds at x, its neighbours, near it or infinite
-            lo_choices = np.stack([x, below, above, x - near, x + near, np.full_like(x, -np.inf)])
-            hi_choices = np.stack([x, above, below, x + near, x - near, np.full_like(x, np.inf)])
-        counts = {_OUTSIDE: 0, _INSIDE: 0}
-        for trial in range(6):
-            pick = rng.integers(0, 6, (2, *x.shape))
-            if trial < 2:  # every variable alike, so that whole attempts lie inside
-                pick[:] = rng.choice([3, 5], (2, len(x), 1))
-            lo = np.take_along_axis(lo_choices, pick[0][None], 0)[0]
-            hi = np.take_along_axis(hi_choices, pick[1][None], 0)[0]
-            with np.errstate(invalid="ignore"):
-                inside = ((lo <= x) & (x <= hi)).all(axis=1)
-            verdict = self._screen(mean, fac, z, lo, hi)
-            assert not (verdict == _INSIDE)[~inside].any()
-            assert not (verdict == _OUTSIDE)[inside].any()
-            for v in counts:
-                counts[v] += int((verdict == v).sum())
-        # the screen decides many attempts either way
-        assert min(counts.values()) > 1000, counts
-
-    def test_margin_scale_never_lowers_the_margin(self):
-        rng = np.random.default_rng(11)
-        mean, fac, z, x = self._attempts(rng, 2000, 5)
-        lo, hi = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
-        for scale in (1.0, 1.5, 1e300, np.inf):
-            with np.errstate(invalid="ignore"):
-                inside = ((lo <= x) & (x <= hi)).all(axis=1)
-            verdict = self._screen(mean, fac, z, lo, hi, scale)
-            assert not (verdict == _INSIDE)[~inside].any()
-            assert not (verdict == _OUTSIDE)[inside].any()
-        assert (self._screen(mean, fac, z, lo, hi, np.inf) == 0).all()
-
-    @pytest.mark.parametrize("spec, n_events, seed", [
-        (default_generator_spec(), 2100, 7),
-        (_unit_spec({"x": (2.0, 3.0)}), 3000, 4),
-        (_unit_spec({"n": (-0.4, 2.7)}, integer_variables=("n",)), 1500, 9),
-    ], ids=["default", "tight_bound", "rounding"])
-    def test_undecided_attempts_resume_in_c(self, monkeypatch, spec, n_events, seed):
-        # an infinite margin leaves every attempt with a bounded variable
-        # open: each is checked against the BLAS value, and each that fails
-        # resumes its stream in C from the saved words and count of tries
-        assert _sweep.STREAMS is _sweep.CompiledStreams, "cc is on PATH but no streams loaded"
-        monkeypatch.setattr(_sweep.CompiledStreams, "_margin_scale", np.inf)
-        calls = []
-        attempts = _sweep.CompiledStreams.attempts
-
-        def counted(self, rows, *args):
-            z, check = attempts(self, rows, *args)
-            calls.append((len(rows), int(check.sum())))
-            return z, check
-
-        monkeypatch.setattr(_sweep.CompiledStreams, "attempts", counted)
-        _assert_bit_equal(spec, n_events, seed)
-        rows, checked = map(sum, zip(*calls))
-        assert checked > 0.9 * rows and len(calls) > 3 * -(-n_events // dataset._CHUNK)
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("case", ["k1", "signed_zeros", "subnormal", "never_inside"])
+    def test_values_equal_the_fallback(self, case):
+        # the compiled loop against NumpyStreams.values on crafted models:
+        # every bit, the sign of a zero and a NaN's included, and the stream
+        # states after
+        tiny = 3e-310  # subnormal: so are its products with the normals
+        cap = 100
+        if case == "k1":
+            means, facs = np.array([[0.5], [-1.0]]), np.array([[[2.0]], [[0.3]]])
+            lo, hi = np.array([-0.5]), np.array([1.0])
+        elif case == "signed_zeros":
+            # row 0 sums products of +-0.0 onto a mean of -0.0; row 1 is -0.0 itself
+            fac = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, 0.5, -2.0]])
+            means, facs = np.array([[-0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]]), np.array([fac, -fac])
+            lo, hi = np.array([-np.inf, -np.inf, -1.0]), np.array([np.inf, np.inf, 2.0])
+        elif case == "subnormal":
+            fac = tiny * np.array([[1.0, -2.0, 0.5], [0.25, 1.0, 3.0], [-1.0, 0.0, 1.0]])
+            means = np.array([[0.0, -tiny, tiny], [-0.0, tiny, 0.0]])
+            facs = np.array([fac, fac.T])
+            lo, hi = np.full(3, -2 * tiny), np.full(3, 2 * tiny)
+        else:
+            # an infinite and a NaN mean under finite bounds: no attempt lies
+            # inside, so each event returns its attempt of index `cap`
+            cap = 5
+            means, facs = np.array([[np.inf, 0.0], [0.0, np.nan]]), np.array([np.eye(2)] * 2)
+            lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+        n = 300
+        proc = np.random.default_rng(1).integers(0, len(means), n)
+        compiled, fallback = _sweep.CompiledStreams(5, 0, n), _sweep.NumpyStreams(5, 0, n)
+        with np.errstate(invalid="ignore"):
+            a = compiled.values(proc, means, facs, lo, hi, cap)
+            b = fallback.values(proc, means, facs, lo, hi, cap)
+        assert a.tobytes() == b.tobytes()
+        assert stream_states(compiled.words) == [rng.bit_generator.state for rng in fallback.rngs]
+        if case == "signed_zeros":
+            assert np.signbit(a[:, :2]).any() and (~np.signbit(a[:, :2])).any()
+        elif case == "subnormal":
+            assert ((a != 0) & (np.abs(a) < np.finfo(float).tiny)).mean() > 0.5
+        elif case == "never_inside":
+            assert (np.isinf(a[:, 0]) | np.isnan(a[:, 1])).all()
+            rngs = [np.random.default_rng((5, i)) for i in range(n)]
+            for rng in rngs:
+                rng.standard_normal((cap + 1) * 2)  # every attempt up to the cap's
+            assert stream_states(compiled.words) == [rng.bit_generator.state for rng in rngs]
 
 
 # ---------------------------------------------------------------------------
