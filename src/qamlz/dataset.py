@@ -364,6 +364,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         k = len(self.schema)
+        if k == 0:
+            raise ConfigError("generator spec needs at least one variable in its schema")
         if "signal" not in self.processes:
             raise ConfigError("generator spec needs a 'signal' process")
         for name, pm in self.processes.items():

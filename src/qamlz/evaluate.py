@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._kstest import ks_2samp
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .features import FeaturePipeline
@@ -206,13 +205,12 @@ def fom_scan(
     background_scores: np.ndarray,
     background_weights: np.ndarray,
     params: FomParams = FomParams(),
-    grid: np.ndarray | None = None,
 ) -> FomCurve:
     """Scan the figure of merit over cuts on a score.
 
-    The default grid is `params.grid_points` even steps across the pooled score
-    range. S(c) and B(c) are the weighted yields with score > c; cuts keeping
-    fewer than `params.min_counts` raw events in either class are invalid.
+    The grid is `params.grid_points` even steps across the pooled score range.
+    S(c) and B(c) are the weighted yields with score > c; cuts keeping fewer
+    than `params.min_counts` raw events in either class are invalid.
     """
     ss = np.asarray(signal_scores, dtype=np.float64)
     bs = np.asarray(background_scores, dtype=np.float64)
@@ -220,14 +218,11 @@ def fom_scan(
     bw = np.asarray(background_weights, dtype=np.float64)
     if len(ss) == 0 or len(bs) == 0:
         raise DataError("both signal and background samples must be non-empty")
-    if grid is None:
-        lo = float(min(ss.min(), bs.min()))
-        hi = float(max(ss.max(), bs.max()))
-        if lo == hi:
-            lo, hi = lo - 1.0, hi + 1.0
-        grid = np.linspace(lo, hi, params.grid_points)
-    else:
-        grid = np.sort(np.asarray(grid, dtype=np.float64))
+    lo = float(min(ss.min(), bs.min()))
+    hi = float(max(ss.max(), bs.max()))
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    grid = np.linspace(lo, hi, params.grid_points)
 
     def survivors(scores, weights, cuts):
         order = np.argsort(scores, kind="stable")
@@ -340,24 +335,51 @@ def overtraining_check(
     train_scores: Mapping[str, np.ndarray],
     test_scores: Mapping[str, np.ndarray],
 ) -> dict[str, tuple[float, float]]:
-    """Two-sample KS statistic and asymptotic p-value per class.
-
-    Classes are compared wherever both samples are non-empty, except a class
-    with a single event on each side: its effective size m*n/(m+n) = 0.5
-    rounds to 0 and leaves the p-value undefined. A statistic near 0 with a
-    large p-value means the classifier responds alike to events it was and
-    was not trained on. The test is `qamlz._kstest.ks_2samp`, a numpy
-    implementation of the asymptotic two-sample test; its module docstring
-    lists how the p-value is computed.
+    """Two-sample KS statistic and asymptotic p-value (`ks_2samp`) per class,
+    wherever both samples of the class are non-empty. A statistic near 0 with
+    a large p-value means the classifier responds alike to events it was and
+    was not trained on.
     """
     out: dict[str, tuple[float, float]] = {}
     for name in train_scores:
         a = np.asarray(train_scores[name], dtype=np.float64)
         b = np.asarray(test_scores.get(name, ()), dtype=np.float64)
-        if len(a) == 0 or len(b) == 0 or len(a) == len(b) == 1:
+        if len(a) == 0 or len(b) == 0:
             continue
         out[name] = ks_2samp(a, b)
     return out
+
+
+def ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(D, p) of non-empty samples `a` and `b` of m and m' events: D is the
+    two-sample KS statistic, bit-equal to `scipy.stats.ks_2samp`'s, and p is
+    Kolmogorov's limiting tail at Stephens' (1970) finite-sample argument,
+    `kolmogorov_tail((sqrt(n) + 0.12 + 0.11/sqrt(n)) * D)` with
+    n = m*m'/(m+m') unrounded."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / len(a)
+            - np.searchsorted(b, pooled, side="right") / len(b))
+    below, above = float(np.clip(-diff.min(), 0.0, 1.0)), float(diff.max())
+    d = below if below > above else above  # ties take `above`: never -0.0
+    m, n = float(len(a)), float(len(b))
+    root = math.sqrt(m * n / (m + n))
+    return d, kolmogorov_tail((root + 0.12 + 0.11 / root) * d)
+
+
+def kolmogorov_tail(z: float) -> float:
+    """Q(z) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 z^2), the limit of
+    P(sqrt(n) D_n > z). Four terms of it for z >= 1.18; below, four terms of
+    its theta-function form 1 - sqrt(2 pi)/z sum_j exp(-(2j-1)^2 pi^2/(8 z^2)),
+    which converges fast there. Both stay within about 1e-14 of Q."""
+    if z <= 0.0:
+        return 1.0
+    if z < 1.18:
+        # products, not `**`, and `/ z` last: at a tiny z each term is
+        # exp(-inf) = 0, not an OverflowError, and the sum 0 / z, not inf * 0
+        odd = [(2 * j - 1) * math.pi / z for j in range(1, 5)]
+        return 1.0 - math.sqrt(2.0 * math.pi) * sum(math.exp(-x * x / 8.0) for x in odd) / z
+    return 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * z * z) for j in range(1, 5))
 
 
 def scores_by_process(model: TrainedModel, d: Dataset) -> dict[str, np.ndarray]:

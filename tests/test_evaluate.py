@@ -259,10 +259,10 @@ class TestFomScan:
         scores_b = rng.normal(-0.5, 1.0, size=500)
         w_s = rng.uniform(0.1, 1.0, size=500)
         w_b = rng.uniform(0.1, 1.0, size=500)
-        grid = np.linspace(-2, 2, 101)
-        curve = fom_scan(scores_s, w_s, scores_b, w_b, FomParams(f=0.2, min_counts=5),
-                         grid=grid)
-        for i, cut in enumerate(grid):
+        curve = fom_scan(scores_s, w_s, scores_b, w_b,
+                         FomParams(f=0.2, min_counts=5, grid_points=101))
+        assert len(curve.cuts) == 101
+        for i, cut in enumerate(curve.cuts):
             s = w_s[scores_s > cut].sum()
             b = w_b[scores_b > cut].sum()
             expected = fom(s, b, FomParams(f=0.2)) if s > 0 and b > 0 else (
@@ -431,12 +431,13 @@ class TestOvertraining:
             hits += out["ttbar"][1] > 0.01
         assert hits >= 95
 
-    def test_one_event_on_each_side_is_skipped(self):
-        # m*n/(m+n) = 0.5 rounds to an effective size of 0, whose p-value is NaN
+    def test_one_event_on_each_side_is_compared(self):
+        # the effective size m*n/(m+n) = 0.5 is not rounded, so p is finite
         out = overtraining_check({"signal": [0.1], "wjets": [0.1, 0.3]},
                                  {"signal": [0.2], "wjets": [0.2]})
-        assert list(out) == ["wjets"]
-        assert all(math.isfinite(p) for _, p in out.values())
+        assert list(out) == ["signal", "wjets"]
+        assert out["signal"][0] == 1.0
+        assert all(0.0 <= p <= 1.0 for _, p in out.values())
 
     def test_monotone_transform_invariance(self, rng):
         a = rng.normal(size=400)
