@@ -44,7 +44,7 @@ from .evaluate import (
     run_uncertainty,
     scores_by_process,
 )
-from .features import FeaturePipeline, fit_feature_pipeline, variable_set
+from .features import WEAK_MODES, FeaturePipeline, fit_feature_pipeline, variable_set
 from .ising import AugmentedClassifierSet, keep_count
 from .zoom import TrainedModel, ZoomConfig, prepare, run_qamlz
 
@@ -168,6 +168,10 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     if not isinstance(selector, str):
         selector = from_json(tuple[str, ...], selector, "variables")
     variables, weak_mode = variable_set(selector)
+    if top.get("weak_mode", weak_mode) not in WEAK_MODES:
+        raise ConfigError(f"unknown weak_mode {top['weak_mode']!r}"
+                          f"{did_you_mean(top['weak_mode'], WEAK_MODES)}; "
+                          f"expected one of {WEAK_MODES}")
     if "n_bins" in top and top["n_bins"] < 2:
         raise ConfigError(f"n_bins must be >= 2, got {top['n_bins']}")
     if "n_bins" in top and top["n_bins"] > _MAX_BINS:

@@ -20,6 +20,9 @@ from .errors import ConfigError, DataError
 #: denominator magnitudes below this yield 0 instead of dividing
 DIVISION_GUARD = 1e-9
 
+#: the weak-classifier modes, described on `WeakClassifierSet`
+WEAK_MODES = ("normalized", "density")
+
 
 # ---------------------------------------------------------------------------
 # Weak classifiers
@@ -46,7 +49,7 @@ class WeakClassifierSet:
     constant_variables: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("normalized", "density"):
+        if self.mode not in WEAK_MODES:
             raise ConfigError(f"unknown weak-classifier mode {self.mode!r}")
         for arr in ("lo", "hi", "edges", "responses"):
             a = getattr(self, arr)
