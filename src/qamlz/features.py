@@ -78,9 +78,13 @@ class WeakClassifierSet:
         return len(self.var_names)
 
     def _normalize(self, x: np.ndarray) -> np.ndarray:
-        span = self.hi - self.lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(span > 0, 2.0 * (x - self.lo) / span - 1.0, 0.0)
+        # 2 (x - lo) / (hi - lo) - 1 with every term halved first: the same
+        # bits wherever nothing overflows or becomes subnormal, and no
+        # difference of finite values overflows. A quotient that overflows
+        # for a value far outside the range is saturated by the clip.
+        span = self.hi * 0.5 - self.lo * 0.5
+        with np.errstate(all="ignore"):
+            scaled = np.where(span > 0, (x * 0.5 - self.lo * 0.5) / span * 2.0 - 1.0, 0.0)
         return np.clip(scaled, -1.0, 1.0)
 
     def evaluate_matrix(self, x: np.ndarray) -> np.ndarray:

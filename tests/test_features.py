@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qamlz import (
@@ -80,6 +81,29 @@ class TestNormalize:
     def test_empty_train_errors(self):
         with pytest.raises(DataError):
             normalize_fit(_dataset(np.empty((0, 1)), tags=[], weights=[]))
+
+    def test_wide_range_keeps_its_midpoint(self):
+        # 2 (x - lo) and hi - lo used to overflow: NaN for the first range,
+        # +1 at the midpoint for the second
+        for lo, hi, mid in ((-1e308, 1e308, 0.0), (0.0, 1e308, 5e307)):
+            ws = normalize_fit(_dataset([[lo], [hi]], tags=[1, -1]))
+            assert ws.evaluate_matrix([[lo], [mid], [hi]])[:, 0].tolist() == [-1.0, 0.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e308, 1e308, 1.0)
+    @example(0.0, 1e308, 5e307)
+    @example(0.0, 1e-300, -1e308)
+    def test_h_is_finite_for_any_finite_range(self, a, b, probe):
+        lo, hi = min(a, b), max(a, b)
+        train = _dataset([[lo], [hi]], tags=[1, -1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ws in (normalize_fit(train), weak_fit(train, n_bins=4)):
+                out = ws.evaluate_matrix([[lo], [hi], [probe], [lo * 0.5 + hi * 0.5]])
+                assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
