@@ -403,9 +403,7 @@ def rank_variables(
     Both cut orientations are tried (a raw variable may prefer either tail)
     and the better one kept; the result is sorted by descending maximum.
     """
-    sig = d.tags == 1
-    if not sig.any() or sig.all():
-        raise DataError("dataset must contain both signal and background events")
+    sig = _signal_mask(d)
     ranked = []
     for name in variables:
         v = d.column(name)

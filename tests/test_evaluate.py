@@ -513,3 +513,13 @@ class TestRankVariables:
         ranked = rank_variables(d, ["anti"], FomParams(f=0.2, min_counts=5))
         baseline = fom((tags == 1).sum(), (tags == -1).sum(), FomParams(f=0.2))
         assert ranked[0][1] > baseline
+
+    def test_weightless_background_is_a_data_error(self):
+        # every variable used to rank at FOM inf
+        from qamlz import Dataset
+
+        tags = np.array([1, 1, -1, -1])
+        d = Dataset(("met", "mt"), np.arange(8.0).reshape(4, 2), tags,
+                    np.array([1.0, 1.0, 0.0, 0.0]), ["signal", "signal", "wjets", "wjets"])
+        with pytest.raises(DataError, match="the background events have zero total weight"):
+            rank_variables(d, ["met", "mt"], FomParams(f=0.2, min_counts=0))
