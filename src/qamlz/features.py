@@ -291,8 +291,9 @@ class PcaTransform:
 def fit_pca(matrix: np.ndarray) -> PcaTransform:
     """Eigendecomposition of the sample covariance (ddof=1), all components kept.
 
-    Component signs are fixed so each row's largest-magnitude entry is
-    positive, making the fit deterministic.
+    Components are in descending eigenvalue order; equal eigenvalues keep
+    `eigh`'s order, by a stable sort. Component signs are fixed so each row's
+    largest-magnitude entry is positive, making the fit deterministic.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -302,7 +303,7 @@ def fit_pca(matrix: np.ndarray) -> PcaTransform:
     mean = x.mean(axis=0)
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
     w, v = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1]
+    order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     comps = v.T.copy()
     for row in comps:
