@@ -34,7 +34,6 @@ from .features import (
     feature_matrix,
     fit_feature_pipeline,
     fit_pca,
-    normalize_fit,
     variable_set,
     weak_fit,
 )

@@ -168,16 +168,16 @@ def read_config(doc, seed: int | None = None, solver: str | None = None) -> Conf
     if not isinstance(selector, str):
         selector = from_json(tuple[str, ...], selector, "variables")
     variables, weak_mode = variable_set(selector)
-    if top.get("weak_mode", weak_mode) not in WEAK_MODES:
-        raise ConfigError(f"unknown weak_mode {top['weak_mode']!r}"
-                          f"{did_you_mean(top['weak_mode'], WEAK_MODES)}; "
-                          f"expected one of {WEAK_MODES}")
+    weak_mode = top.get("weak_mode", weak_mode)
+    if weak_mode not in WEAK_MODES:
+        raise ConfigError(f"unknown weak_mode {weak_mode!r}{did_you_mean(weak_mode, WEAK_MODES)}"
+                          f"; expected one of {WEAK_MODES}")
     if "n_bins" in top and top["n_bins"] < 2:
         raise ConfigError(f"n_bins must be >= 2, got {top['n_bins']}")
     if "n_bins" in top and top["n_bins"] > _MAX_BINS:
         raise ConfigError(f"n_bins must be <= {_MAX_BINS}, got {top['n_bins']}")
     features = {"variables": variables, "weak_mode": weak_mode,
-                **{k: top[k] for k in ("weak_mode", "n_bins") if k in top}}
+                **{k: top[k] for k in ("n_bins",) if k in top}}
     if "pca" in top:
         features["use_pca"] = top["pca"]
 

@@ -77,84 +77,71 @@ class WeakClassifierSet:
     def n_classifiers(self) -> int:
         return len(self.var_names)
 
-    def _normalize(self, x: np.ndarray) -> np.ndarray:
-        # 2 (x - lo) / (hi - lo) - 1 with every term halved first: the same
-        # bits wherever nothing overflows or becomes subnormal, and no
-        # difference of finite values overflows. A quotient that overflows
-        # for a value far outside the range is saturated by the clip.
-        span = self.hi * 0.5 - self.lo * 0.5
-        with np.errstate(all="ignore"):
-            scaled = np.where(span > 0, (x * 0.5 - self.lo * 0.5) / span * 2.0 - 1.0, 0.0)
-        return np.clip(scaled, -1.0, 1.0)
-
     def evaluate_matrix(self, x: np.ndarray) -> np.ndarray:
         """h values for a (n_events, n_var) raw-value matrix."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_classifiers:
             raise DataError(f"expected (n, {self.n_classifiers}) matrix, got {x.shape}")
-        z = self._normalize(x)
+        z = _normalize(x, self.lo, self.hi)
         if self.mode == "normalized":
             return z
-        n_bins = self.responses.shape[1]
-        bins = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, n_bins - 1)
-        return self.responses[np.arange(self.n_classifiers)[None, :], bins]
+        return self.responses[np.arange(self.n_classifiers)[None, :], _bin_index(z, self.edges)]
 
 
-def _ranges(train: Dataset, variables: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    x = train.matrix(variables)
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    constant = [v for v, l, h in zip(variables, lo, hi) if l == h]
-    return lo, hi, constant
+def _normalize(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each column of `x` mapped from [lo, hi] onto [-1, 1] and clipped; 0 where hi == lo."""
+    # Halving every term keeps the bits of 2 (x - lo) / (hi - lo) - 1 unless a
+    # term overflows or becomes subnormal, and no finite difference overflows;
+    # a quotient that overflows far outside the range is saturated by the clip.
+    span = hi * 0.5 - lo * 0.5
+    with np.errstate(all="ignore"):
+        scaled = np.where(span > 0, (x * 0.5 - lo * 0.5) / span * 2.0 - 1.0, 0.0)
+    return np.clip(scaled, -1.0, 1.0)
 
 
-def normalize_fit(train: Dataset, variables: Sequence[str] | None = None) -> WeakClassifierSet:
-    """Affine [-1, 1] normalization fitted on training ranges; clamps outside."""
-    if len(train) == 0:
-        raise DataError("cannot fit on an empty dataset")
-    variables = tuple(variables if variables is not None else train.schema)
-    lo, hi, constant = _ranges(train, variables)
-    return WeakClassifierSet(
-        mode="normalized", var_names=variables, lo=lo, hi=hi,
-        constant_variables=tuple(constant),
-    )
+def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each normalized value: [e_b, e_b+1), with the last bin closed."""
+    return np.clip(np.searchsorted(edges, z, side="right") - 1, 0, len(edges) - 2)
 
 
 def weak_fit(
     train: Dataset,
     n_bins: int = 50,
     variables: Sequence[str] | None = None,
+    *,
+    mode: str = "density",
 ) -> WeakClassifierSet:
-    """Density-ratio weak classifiers fitted on weighted training histograms.
-
-    Each variable is normalized to [-1, 1], then binned; the response of bin b
-    is (p_sig(b) - p_bkg(b)) / (p_sig(b) + p_bkg(b)) with the class densities
-    normalized to unit sum. Empty bins respond 0.
+    """Weak classifiers of `mode`, one of `WEAK_MODES` (see `WeakClassifierSet`),
+    fitted on the training sample. In mode "density" each class's weights are
+    summed per bin in event order, and empty bins respond 0.
     """
     if len(train) == 0:
         raise DataError("cannot fit on an empty dataset")
-    if n_bins < 2:
-        raise ConfigError("n_bins must be >= 2")
-    sig = train.tags == 1
-    if not sig.any() or sig.all():
-        raise DataError("density-ratio fit needs both signal and background events")
     variables = tuple(variables if variables is not None else train.schema)
-    lo, hi, constant = _ranges(train, variables)
-    base = WeakClassifierSet(mode="normalized", var_names=variables, lo=lo, hi=hi)
-    z = base._normalize(train.matrix(variables))
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    responses = np.zeros((len(variables), n_bins))
-    w = train.weights
-    for j in range(len(variables)):
-        hs, _ = np.histogram(z[sig, j], bins=edges, weights=w[sig])
-        hb, _ = np.histogram(z[~sig, j], bins=edges, weights=w[~sig])
-        ps = hs / hs.sum() if hs.sum() > 0 else hs
-        pb = hb / hb.sum() if hb.sum() > 0 else hb
+    x = train.matrix(variables)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    constant = tuple(v for v, l, h in zip(variables, lo, hi) if l == h)
+    edges = responses = None
+    if mode == "density":
+        if n_bins < 2:
+            raise ConfigError("n_bins must be >= 2")
+        sig = train.tags == 1
+        if not sig.any() or sig.all():
+            raise DataError("density-ratio fit needs both signal and background events")
+        k = len(variables)
+        edges = np.linspace(-1.0, 1.0, n_bins + 1)
+        # the (class, variable, bin) cell of each event's value of each variable
+        cells = (_bin_index(_normalize(x, lo, hi), edges) + n_bins * np.arange(k)
+                 + k * n_bins * ~sig[:, None])
+        sums = np.bincount(cells.ravel(), train.weights.repeat(k), 2 * k * n_bins)
+        sums = sums.reshape(2, k, n_bins)
+        total = sums.sum(axis=2, keepdims=True)
+        ps, pb = sums / np.where(total > 0, total, 1.0)
         tot = ps + pb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            responses[j] = np.where(tot > 0, (ps - pb) / np.where(tot > 0, tot, 1.0), 0.0)
+        responses = np.divide(ps - pb, tot, out=np.zeros_like(tot), where=tot > 0)
     return WeakClassifierSet(
-        mode="density", var_names=variables, lo=lo, hi=hi,
-        edges=edges, responses=responses, constant_variables=tuple(constant),
+        mode=mode, var_names=variables, lo=lo, hi=hi,
+        edges=edges, responses=responses, constant_variables=constant,
     )
 
 
@@ -369,14 +356,8 @@ def fit_feature_pipeline(
     else:
         names = tuple(variables)
     feat = Dataset(names, x, train.tags, train.weights, train.processes)
-    if weak_mode == "normalized":
-        weak = normalize_fit(feat, names)
-    elif weak_mode == "density":
-        weak = weak_fit(feat, n_bins=n_bins, variables=names)
-    else:
-        raise ConfigError(f"unknown weak mode {weak_mode!r}")
     return FeaturePipeline(
         variables=tuple(variables),
         derived=tuple(v for v in variables if v in DERIVED_PRESETS),
-        pca=pca, weak=weak,
+        pca=pca, weak=weak_fit(feat, n_bins=n_bins, variables=names, mode=weak_mode),
     )

@@ -18,7 +18,6 @@ from qamlz.features import (
     FeaturePipeline,
     apply_pca,
     fit_pca,
-    normalize_fit,
     weak_fit,
 )
 from qamlz.ising import energies_batch
@@ -392,10 +391,7 @@ def reference_fit_feature_pipeline(train: Dataset, variables, derived=(), weak_m
     else:
         names = tuple(variables)
     feat = Dataset(names, x, fitted_train.tags, fitted_train.weights, fitted_train.processes)
-    if weak_mode == "normalized":
-        weak = normalize_fit(feat, names)
-    else:
-        weak = weak_fit(feat, n_bins=n_bins, variables=names)
+    weak = weak_fit(feat, n_bins=n_bins, variables=names, mode=weak_mode)
     return FeaturePipeline(variables=tuple(variables), derived=tuple(derived), pca=pca, weak=weak)
 
 

@@ -29,7 +29,6 @@ from qamlz import (
     fom,
     fom_scan_dataset,
     generate_synthetic,
-    normalize_fit,
     overtraining_check,
     prune,
     fix_variables,
@@ -42,6 +41,7 @@ from qamlz import (
     solve_sa,
     split_samples,
     two_gaussian_spec,
+    weak_fit,
 )
 from qamlz.cli import main as cli_main
 from qamlz.dataset import BASE_VARIABLES, Dataset
@@ -91,7 +91,7 @@ def test_01_coupler_arithmetic():
     vals = np.vstack([np.linspace(-1, 1, 10)] * 12).T
     train = Dataset(tuple(f"v{i}" for i in range(12)), vals, [1, -1] * 5,
                     np.ones(10), ["signal", "wjets"] * 5)
-    aug = AugmentedClassifierSet(normalize_fit(train), delta=0.009, offset_range=5)
+    aug = AugmentedClassifierSet(weak_fit(train, mode="normalized"), delta=0.009, offset_range=5)
     n_spins = aug.n_spins
     n_couplers = n_spins * (n_spins - 1) // 2
     assert n_spins == 132

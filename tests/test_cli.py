@@ -1138,16 +1138,16 @@ class TestExitCodes:
         ("gen", "seed", 2**64, "seed must be a non-negative 64-bit integer"),
         # used to be refused by weak_fit only after the data were generated and split
         ("train", "n_bins", 1, "n_bins must be >= 2, got 1"),
-        # gen used to exit 0 and train to exit 2 only after the data were split
-        ("gen", "weak_mode", "densty",
-         "unknown weak_mode 'densty' (did you mean 'density'?); expected one of"),
-        ("train", "weak_mode", "histogram", "unknown weak_mode 'histogram'; expected one of"),
         # numpy's eigvalsh raised LinAlgError on the (0,)-shaped covariance (exit 1)
         ("gen", "data.generator", {"schema": [], "processes": {"signal": {"mean": [], "cov": []},
                                                                "wjets": {"mean": [], "cov": []}},
                                    "signal_fraction": 0.5, "background_fractions": {"wjets": 1.0},
                                    "s_tot": 1.0, "b_tot": 1.0},
          "generator spec needs at least one variable in its schema"),
+        # gen used to exit 0 and train to exit 2 only after the data were split
+        ("gen", "weak_mode", "densty",
+         "unknown weak_mode 'densty' (did you mean 'density'?); expected one of"),
+        ("train", "weak_mode", "histogram", "unknown weak_mode 'histogram'; expected one of"),
     ])
     def test_bad_value_is_refused_before_any_data(self, tmp_path, monkeypatch, capsys,
                                                   command, path, value, message):

@@ -1,12 +1,18 @@
+import bisect
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qamlz
 from qamlz import (
     DERIVED_PRESETS,
     SET_A_DERIVED,
@@ -20,7 +26,6 @@ from qamlz import (
     fit_feature_pipeline,
     fit_pca,
     generate_synthetic,
-    normalize_fit,
     split_samples,
     two_gaussian_spec,
     variable_set,
@@ -47,19 +52,19 @@ def _dataset(values, tags=None, weights=None, schema=None):
 
 
 # ---------------------------------------------------------------------------
-# normalize_fit
+# weak_fit, mode "normalized"
 # ---------------------------------------------------------------------------
 
 
 class TestNormalize:
     def test_midpoint_maps_to_zero(self):
         train = _dataset([[0.0], [100.0]], tags=[1, -1])
-        ws = normalize_fit(train)
+        ws = weak_fit(train, mode="normalized")
         assert ws.evaluate_matrix([[50.0]])[0, 0] == 0.0
 
     def test_range_ends_and_clamping(self):
         train = _dataset([[0.0], [100.0]], tags=[1, -1])
-        ws = normalize_fit(train)
+        ws = weak_fit(train, mode="normalized")
         out = ws.evaluate_matrix([[100.0], [0.0], [-5.0], [250.0]])[:, 0]
         assert out.tolist() == [1.0, -1.0, -1.0, 1.0]
 
@@ -67,26 +72,26 @@ class TestNormalize:
         spec = two_gaussian_spec(BASE_VARIABLES, np.ones(12), -np.ones(12), sigmas=2.0)
         train = generate_synthetic(spec, 1000, seed=1)
         probe = generate_synthetic(spec, 1000, seed=2)
-        ws = normalize_fit(train)
+        ws = weak_fit(train, mode="normalized")
         out = ws.evaluate_matrix(probe.matrix(BASE_VARIABLES))
         assert np.abs(out).max() <= 1.0
 
     def test_constant_variable_flagged_and_zero(self):
         train = _dataset([[5.0, 1.0], [5.0, 2.0]], tags=[1, -1])
-        ws = normalize_fit(train)
+        ws = weak_fit(train, mode="normalized")
         assert ws.constant_variables == ("v0",)
         out = ws.evaluate_matrix(np.array([[5.0, 1.5], [7.0, 1.5]]))
         assert (out[:, 0] == 0.0).all()
 
     def test_empty_train_errors(self):
         with pytest.raises(DataError):
-            normalize_fit(_dataset(np.empty((0, 1)), tags=[], weights=[]))
+            weak_fit(_dataset(np.empty((0, 1)), tags=[], weights=[]), mode="normalized")
 
     def test_wide_range_keeps_its_midpoint(self):
         # 2 (x - lo) and hi - lo used to overflow: NaN for the first range,
         # +1 at the midpoint for the second
         for lo, hi, mid in ((-1e308, 1e308, 0.0), (0.0, 1e308, 5e307)):
-            ws = normalize_fit(_dataset([[lo], [hi]], tags=[1, -1]))
+            ws = weak_fit(_dataset([[lo], [hi]], tags=[1, -1]), mode="normalized")
             assert ws.evaluate_matrix([[lo], [mid], [hi]])[:, 0].tolist() == [-1.0, 0.0, 1.0]
 
     @settings(max_examples=200, deadline=None)
@@ -101,7 +106,7 @@ class TestNormalize:
         train = _dataset([[lo], [hi]], tags=[1, -1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for ws in (normalize_fit(train), weak_fit(train, n_bins=4)):
+            for ws in (weak_fit(train, mode="normalized"), weak_fit(train, n_bins=4)):
                 out = ws.evaluate_matrix([[lo], [hi], [probe], [lo * 0.5 + hi * 0.5]])
                 assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
 
@@ -175,15 +180,97 @@ class TestWeakFit:
         x = r.normal(scale=r.uniform(0.1, 100.0), size=(50, 1))
         tags = np.array([1, -1] * 25)
         train = _dataset(x, tags=tags)
-        for ws in (normalize_fit(train), weak_fit(train, n_bins=n_bins)):
+        for ws in (weak_fit(train, mode="normalized"), weak_fit(train, n_bins=n_bins)):
             out = ws.evaluate_matrix(np.array([[probe_value]]))
             assert abs(out[0, 0]) <= 1.0
+
+
+    def test_cell_sums_are_taken_in_event_order(self):
+        # per-event weights on tied values: each (variable, bin) cell must be
+        # the plain sum of its events' weights in event order, bit for bit
+        r = np.random.default_rng(11)
+        n, n_bins = 600, 8
+        x = np.stack([r.integers(0, 5, n), np.round(r.normal(size=n), 1),
+                      r.integers(-2, 3, n) * 0.5], axis=1).astype(float)
+        tags = np.where(r.random(n) < 0.4, 1, -1)
+        weights = r.uniform(0.5, 1.5, n)
+        ws = weak_fit(_dataset(x, tags=tags, weights=weights), n_bins=n_bins)
+
+        edges = ws.edges.tolist()
+        expected = np.zeros((x.shape[1], n_bins))
+        for j in range(x.shape[1]):
+            lo, hi = x[:, j].min(), x[:, j].max()
+            sums = {1: [0.0] * n_bins, -1: [0.0] * n_bins}
+            for v, t, w in zip(x[:, j], tags, weights):
+                z = min(max(2 * (v - lo) / (hi - lo) - 1, -1.0), 1.0)
+                b = min(max(bisect.bisect_right(edges, z) - 1, 0), n_bins - 1)
+                sums[t][b] += w
+            ps, pb = (np.array(sums[t]) / np.sum(sums[t]) for t in (1, -1))
+            with np.errstate(invalid="ignore"):
+                expected[j] = np.where(ps + pb > 0, (ps - pb) / (ps + pb), 0.0)
+        np.testing.assert_array_equal(ws.responses, expected)
+
+    def test_unknown_mode_errors(self):
+        with pytest.raises(ConfigError, match="unknown weak-classifier mode 'histogram'"):
+            weak_fit(_dataset([[1.0], [2.0]], tags=[1, -1]), mode="histogram")
+
+
+# A child process fits weak classifiers on per-event weights with tied values,
+# and a PCA on ±1 Hadamard columns with exactly tied eigenvalues, and prints
+# the digests of np.argsort on a tied array and of both fits.
+_DISPATCH_CHILD = """
+import hashlib
+import numpy as np
+from qamlz import Dataset, fit_pca, weak_fit
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+i = np.arange(4000)
+x = np.stack([i * 7 % 5, i * 13 % 11, i * 37 % 101 / 7.0, np.minimum(i * 17 % 211, 150)],
+             axis=1).astype(float)
+tags = np.where(i * 31 % 3 == 0, 1, -1)
+weights = 0.5 + i * 7919 % 1000 / 1000.0
+d = Dataset(("a", "b", "c", "d"), x, tags, weights,
+            ["signal" if t == 1 else "wjets" for t in tags])
+h = np.ones((1, 1))
+for _ in range(5):
+    h = np.block([[h, h], [h, -h]])
+hadamard = h[:, 1:18] * np.where(np.arange(17) % 3 == 0, 2.0, 1.0)
+print(digest(np.argsort((i[:1000] * 7 % 5).astype(float))),
+      digest(weak_fit(d, n_bins=50).responses), digest(fit_pca(hadamard).components))
+"""
+
+
+def _dispatch_digests(disabled: str) -> subprocess.CompletedProcess:
+    src = str(Path(qamlz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled}
+    return subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestDispatchIndependence:
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                          "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+    def test_fits_do_not_depend_on_numpy_simd_level(self, disabled):
+        default = _dispatch_digests("")
+        assert default.returncode == 0, default.stderr
+        other = _dispatch_digests(disabled)
+        if other.returncode != 0 and "cannot disable CPU feature" in other.stderr:
+            pytest.skip(f"numpy cannot disable {disabled!r}: part of its baseline here")
+        assert other.returncode == 0, other.stderr
+        (probe, *fits), (probe_other, *fits_other) = (default.stdout.split(),
+                                                      other.stdout.split())
+        if probe == probe_other:
+            pytest.skip(f"NPY_DISABLE_CPU_FEATURES={disabled!r} leaves np.argsort's tie "
+                        f"order unchanged on this CPU")
+        assert fits_other == fits
 
 
 class TestEvaluateH:
     def test_normalized_mode_equivalence(self):
         train = _dataset([[0.0], [10.0]], tags=[1, -1])
-        ws = normalize_fit(train)
+        ws = weak_fit(train, mode="normalized")
         values = (-3.0, 0.0, 2.5, 10.0, 14.0)
         batch = ws.evaluate_matrix([[v] for v in values])[:, 0]
         for v, got in zip(values, batch):
@@ -216,7 +303,7 @@ class TestEvaluateH:
                 assert batch[i, j] == ws.responses[j, b]
 
     def test_schema_mismatch_errors(self):
-        ws = normalize_fit(_dataset([[0.0], [1.0]], tags=[1, -1]))
+        ws = weak_fit(_dataset([[0.0], [1.0]], tags=[1, -1]), mode="normalized")
         with pytest.raises(DataError, match=r"expected \(n, 1\) matrix"):
             ws.evaluate_matrix([[1.0, 2.0]])
 

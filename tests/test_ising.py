@@ -18,7 +18,6 @@ from qamlz import (
     energy,
     expand_solution,
     fix_variables,
-    normalize_fit,
     prune,
     random_gauge,
     sign_pm1,
@@ -41,7 +40,7 @@ def _weak_set(n_var):
     vals = np.vstack([np.linspace(-1, 1, 10)] * n_var).T
     d = Dataset(tuple(f"v{i}" for i in range(n_var)), vals,
                 [1, -1] * 5, np.ones(10), ["signal", "wjets"] * 5)
-    return normalize_fit(d)
+    return weak_fit(d, mode="normalized")
 
 
 def _all_configs(n):
