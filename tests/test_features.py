@@ -184,7 +184,6 @@ class TestWeakFit:
             out = ws.evaluate_matrix(np.array([[probe_value]]))
             assert abs(out[0, 0]) <= 1.0
 
-
     def test_cell_sums_are_taken_in_event_order(self):
         # per-event weights on tied values: each (variable, bin) cell must be
         # the plain sum of its events' weights in event order, bit for bit
